@@ -284,6 +284,8 @@ class StitchedCdf:
             else:
                 frac = (seg.cdf_left(x[mask]) if left else seg.cdf(x[mask]))
             out[mask] = offsets[i] + self.weights[i] * frac
+        # the region weights may sum to one ulp above 1
+        np.minimum(out, 1.0, out=out)
         return out if out.ndim else float(out)
 
     def cdf(self, x):

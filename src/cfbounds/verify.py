@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -260,9 +260,7 @@ def mc_cdf_deviation(config: SimulationConfig, eta: float, replications: int,
 
 
 def _with_seed(config: SimulationConfig, seed: int) -> SimulationConfig:
-    d = config.to_dict()
-    d["seed"] = seed
-    return SimulationConfig.from_dict(d)
+    return replace(config, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +423,34 @@ def vc_gen_eta(n: int, delta: float, d: int = 2) -> float:
     return math.sqrt(8.0 * (math.log(4.0 / delta) + d * math.log(2.0 * n + 1.0)) / n)
 
 
+def _pool_counts(z: np.ndarray, n_label0: int, n_counted: int):
+    """Distinct sorted values of one pool and the label counts between them.
+
+    The first ``n_label0`` entries of ``z`` are label-0 samples, the next
+    up to ``n_counted`` are label-1 samples, and any further entries are
+    points that are only evaluated.  One argsort merges them; running
+    counts in that order give, for each label, the number of samples
+    strictly below every distinct value (its left limit) and, one entry
+    later, at or below it (its right limit).  Tied values collapse to one
+    point, so both limits are exact under ties.
+    """
+    order = np.argsort(z)
+    z = z[order]
+    count0 = np.zeros(len(z) + 1, dtype=np.intp)
+    np.cumsum(order < n_label0, out=count0[1:])
+    if n_counted == len(z):
+        counted = np.arange(len(z) + 1)
+    else:
+        counted = np.zeros(len(z) + 1, dtype=np.intp)
+        np.cumsum(order < n_counted, out=counted[1:])
+    keep = np.ones(len(z) + 1, dtype=bool)
+    np.not_equal(z[1:], z[:-1], out=keep[1:-1])
+    if not keep.all():
+        z = z[keep[:-1]]
+        count0, counted = count0[keep], counted[keep]
+    return z, (count0, counted - count0)
+
+
 def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
                   k0: int, k1: int, a0: float, a1: float,
                   model, gen: np.random.Generator) -> float:
@@ -432,36 +458,56 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
 
     Disclosed parts of the per-label estimators are extended with the
     realized numbers of admitted arrivals (drawn from the restricted
-    upper-region distributions).
+    upper-region distributions, label 0 first).  Label l's estimator
+    spends weight w_l = #censored/len(x_l) evenly over its censored
+    samples below ``theta`` and 1 - w_l evenly over its disclosed samples.
+
+    The supremum is attained at a left or right limit at a pooled sample.
+    Points below ``theta`` are evaluated against the censored samples and
+    the others against the disclosed ones, so each side is one pool
+    merged by ``_pool_counts``; the estimators are evaluated once per
+    count and once per distinct point.  Admitted draws that round below
+    ``theta`` are evaluated in the lower pool without being counted
+    there; in the upper pool they are counted and then dropped as points.
     """
     n0, n1 = len(x0), len(x1)
     n = n0 + n1
-    segs = {}
-    for label, x, k, a, cdf in ((0, x0, k0, a0, model.cdf0), (1, x1, k1, a1, model.cdf1)):
-        cens = np.sort(x[x < theta])
-        disc = x[x >= theta]
+    cens, disc = [], []
+    for x, k, a, cdf in ((x0, k0, a0, model.cdf0), (x1, k1, a1, model.cdf1)):
+        cens.append(x[x < theta])
+        d = x[x >= theta]
         if k:
-            u = a + (1.0 - a) * gen.random(k)
-            disc = np.concatenate([disc, np.asarray(cdf.inverse(u), dtype=float)])
-        segs[label] = (cens, np.sort(disc), len(cens) / len(x))
-    zs = np.sort(np.concatenate([arr for seg in segs.values() for arr in seg[:2]]))
-    f0 = np.asarray(model.cdf0.cdf(zs), dtype=float)
-    f1 = np.asarray(model.cdf1.cdf(zs), dtype=float)
+            d = np.concatenate([d, np.asarray(cdf.inverse(a + (1.0 - a) * gen.random(k)),
+                                              dtype=float)])
+        disc.append(d)
+    nc = [len(c) for c in cens]
+    nd = [len(d) for d in disc]
+    wc = [nc[0] / n0, nc[1] / n1]
 
-    def fhat(label, side):
-        cens, disc, w = segs[label]
-        below = (np.searchsorted(cens, zs, side=side) / len(cens) * w
-                 if len(cens) else np.zeros(len(zs)))
-        above = (np.searchsorted(disc, zs, side=side) / len(disc) * (1.0 - w)
-                 if len(disc) else np.zeros(len(zs)))
-        return np.where(zs < theta, below, w + above)
+    zb, below = _pool_counts(np.concatenate(cens + [d[d < theta] for d in disc]),
+                             nc[0], nc[0] + nc[1])
+    za, above = _pool_counts(np.concatenate(disc), nd[0], nd[0] + nd[1])
+    cut = int(np.searchsorted(za, theta))
+    za, above = za[cut:], tuple(c[cut:] for c in above)
+
+    def fhat_below(count, label):
+        return count / nc[label] * wc[label] if nc[label] else np.zeros(len(count))
+
+    def fhat_above(count, label):
+        w = wc[label]
+        return w + count / nd[label] * (1.0 - w) if nd[label] else np.full(len(count), w)
 
     w1, w0 = n1 / n, n0 / n
     best = 0.0
-    for side in ("left", "right"):
-        diff = (model.p1 * f1 - w1 * fhat(1, side)) - (model.p0 * f0 - w0 * fhat(0, side)) \
-            + (model.p0 - w0)
-        best = max(best, float(np.max(np.abs(diff))))
+    for zs, (count0, count1), fhat in ((zb, below, fhat_below), (za, above, fhat_above)):
+        if not len(zs):
+            continue
+        pf0 = model.p0 * np.asarray(model.cdf0.cdf(zs), dtype=float)
+        pf1 = model.p1 * np.asarray(model.cdf1.cdf(zs), dtype=float)
+        wf0, wf1 = w0 * fhat(count0, 0), w1 * fhat(count1, 1)
+        for side in (slice(None, -1), slice(1, None)):   # left, right limits
+            diff = (pf1 - wf1[side]) - (pf0 - wf0[side]) + (model.p0 - w0)
+            best = max(best, float(np.max(np.abs(diff))))
     return best
 
 
@@ -558,6 +604,4 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
 
 
 def _with_grid(config: SimulationConfig, arrivals: int) -> SimulationConfig:
-    d = config.to_dict()
-    d["arrivals"] = int(arrivals)
-    return SimulationConfig.from_dict(d)
+    return replace(config, arrivals=int(arrivals))

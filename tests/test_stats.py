@@ -217,6 +217,22 @@ class TestStitchedCdf:
         )
         assert stitched.cdf(6.99) == pytest.approx(0.5)
 
+    def test_clamped_when_weights_sum_above_one(self):
+        stitched = StitchedCdf(edges=(0.0,), weights=(0.25, 0.75 + 2.0 ** -52),
+                               segments=(EmpiricalCdf(np.array([-1.0])),
+                                         EmpiricalCdf(np.array([1.0]))))
+        assert stitched.cdf(2.0) == 1.0
+        assert np.max(stitched.cdf(np.array([0.5, 1.0, 3.0]))) == 1.0
+        assert stitched.cdf_left(1.0) == 0.25
+
+    def test_fig4_estimate_stays_in_unit_interval(self):
+        # seed 101 at eps 0 has region weights summing one ulp above 1
+        from cfbounds.presets import fig4_band
+
+        estimate = fig4_band(0.0, seed=101)["estimate"]
+        assert estimate.max() == 1.0
+        assert estimate.min() >= 0.0
+
 
 class TestSampling:
     def _model(self):

@@ -10,7 +10,11 @@ from cfbounds.verify import (
     CoverageReport,
     _batch_sup_conditioned,
     _eta_two_region_vec,
+    _gen_gap_samples,
+    _sup_risk_gap,
     _two_region_prob_vec,
+    _with_grid,
+    _with_seed,
     compare_bounds,
     mc_cdf_deviation,
     mc_gen_gap,
@@ -208,6 +212,141 @@ class TestCompareBounds:
         assert vc_gen_eta(100, 0.05) > vc_gen_eta(10_000, 0.05)
         with pytest.raises(ValueError):
             vc_gen_eta(0, 0.05)
+
+
+def _sup_risk_gap_oracle(theta, x0, x1, k0, k1, a0, a1, model, gen):
+    """Direct searchsorted evaluation of every left and right limit."""
+    n0, n1 = len(x0), len(x1)
+    n = n0 + n1
+    segs = {}
+    for label, x, k, a, cdf in ((0, x0, k0, a0, model.cdf0), (1, x1, k1, a1, model.cdf1)):
+        cens = np.sort(x[x < theta])
+        disc = x[x >= theta]
+        if k:
+            u = a + (1.0 - a) * gen.random(k)
+            disc = np.concatenate([disc, np.asarray(cdf.inverse(u), dtype=float)])
+        segs[label] = (cens, np.sort(disc), len(cens) / len(x))
+    zs = np.sort(np.concatenate([arr for seg in segs.values() for arr in seg[:2]]))
+    f0 = np.asarray(model.cdf0.cdf(zs), dtype=float)
+    f1 = np.asarray(model.cdf1.cdf(zs), dtype=float)
+
+    def fhat(label, side):
+        cens, disc, w = segs[label]
+        below = (np.searchsorted(cens, zs, side=side) / len(cens) * w
+                 if len(cens) else np.zeros(len(zs)))
+        above = (np.searchsorted(disc, zs, side=side) / len(disc) * (1.0 - w)
+                 if len(disc) else np.zeros(len(zs)))
+        return np.where(zs < theta, below, w + above)
+
+    w1, w0 = n1 / n, n0 / n
+    best = 0.0
+    for side in ("left", "right"):
+        diff = (model.p1 * f1 - w1 * fhat(1, side)) - (model.p0 * f0 - w0 * fhat(0, side)) \
+            + (model.p0 - w0)
+        best = max(best, float(np.max(np.abs(diff))))
+    return best
+
+
+class _RoundedGaussian(GaussianCdf):
+    """Gaussian whose draws are rounded to one decimal (ties everywhere)."""
+
+    def inverse(self, p):
+        return np.round(super().inverse(p), 1)
+
+
+class _LowGaussian(GaussianCdf):
+    """Gaussian whose admitted draws may land below the threshold."""
+
+    def inverse(self, p):
+        return super().inverse(p) - 2.0
+
+
+class TestSupRiskGapOracle:
+    MODEL = MixtureModel(p1=0.5, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1))
+
+    def _check(self, theta, x0, x1, k0, k1, model=None, seed=0):
+        model = model or self.MODEL
+        a0, a1 = float(model.cdf0.cdf(theta)), float(model.cdf1.cdf(theta))
+        gen_new, gen_old = SeededRng(seed).generator(), SeededRng(seed).generator()
+        got = _sup_risk_gap(theta, x0, x1, k0, k1, a0, a1, model, gen_new)
+        want = _sup_risk_gap_oracle(theta, x0, x1, k0, k1, a0, a1, model, gen_old)
+        assert got == want
+        assert gen_new.bit_generator.state == gen_old.bit_generator.state
+        return got
+
+    def _initial(self, seed, n0=50, n1=50):
+        gen = SeededRng(seed).generator()
+        return gen.normal(9.0, 1.0, n0), gen.normal(10.0, 1.0, n1)
+
+    @pytest.mark.parametrize("arrivals", [0, 2_000, 20_000])
+    def test_bench_mixture(self, arrivals):
+        from cfbounds.presets import bench_config
+
+        config = _with_grid(bench_config(), arrivals)
+        theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(config, 200, 3, 0.015)
+        gen_new = SeededRng(3).substream(2).generator()
+        gen_old = SeededRng(3).substream(2).generator()
+        for r in range(200):
+            args = (theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
+                    float(a0[r]), float(a1[r]), config.model)
+            assert _sup_risk_gap(*args, gen_new) == _sup_risk_gap_oracle(*args, gen_old)
+            assert gen_new.bit_generator.state == gen_old.bit_generator.state
+
+    @pytest.mark.parametrize("theta", [-np.inf, 3.0])
+    def test_theta_below_every_score(self, theta):
+        x0, x1 = self._initial(1)
+        self._check(theta, x0, x1, 400, 700)
+        self._check(theta, x0, x1, 0, 0)
+
+    @pytest.mark.parametrize("theta", [np.inf, 20.0])
+    def test_theta_above_every_score(self, theta):
+        x0, x1 = self._initial(2)
+        self._check(theta, x0, x1, 0, 0)
+
+    @pytest.mark.parametrize("k0, k1", [(0, 900), (600, 0)])
+    def test_one_label_without_arrivals(self, k0, k1):
+        x0, x1 = self._initial(4)
+        self._check(9.5, x0, x1, k0, k1)
+
+    def test_ties_within_and_across_labels(self):
+        model = MixtureModel(p1=0.4, cdf0=_RoundedGaussian(9, 1), cdf1=_RoundedGaussian(10, 1))
+        for seed in range(20):
+            x0, x1 = (np.round(x, 1) for x in self._initial(seed, 40, 60))
+            x0[:5] = x1[:5]                       # cross-label duplicates
+            x0[5:10] = 9.5                        # duplicates at the threshold
+            assert len(np.unique(np.concatenate([x0, x1]))) < 100
+            self._check(9.5, x0, x1, 300, 500, model, seed)
+            self._check(9.5, x0, x1, 0, 0, model, seed)
+
+    @pytest.mark.parametrize("p1", [0.5, 0.9])
+    @pytest.mark.parametrize("n", [5, 50])
+    def test_admitted_draws_below_threshold(self, p1, n):
+        # such draws are evaluation points of the censored side; with few
+        # initial samples one of them attains the supremum for some seeds
+        model = MixtureModel(p1=p1, cdf0=_LowGaussian(9, 1), cdf1=_RoundedGaussian(10, 1))
+        for seed in range(10):
+            x0, x1 = self._initial(seed, n, n)
+            self._check(9.5, x0, x1, 200, 300, model, seed)
+
+    def test_single_samples(self):
+        self._check(9.5, np.array([9.0]), np.array([10.0]), 0, 0)
+        self._check(9.5, np.array([9.7]), np.array([9.7]), 3, 0)
+
+
+class TestConfigVariants:
+    def test_with_seed_and_grid_replace_one_field(self):
+        config = SimulationConfig(population=POP, n=40, theta=7.0, lb=6.0,
+                                  epsilon=0.5, arrivals=30, seed=4)
+        seeded = _with_seed(config, np.int64(11))
+        assert seeded.seed == 11 and type(seeded.seed) is int
+        assert seeded.to_dict() == {**config.to_dict(), "seed": 11}
+        grown = _with_grid(config, np.int64(500))
+        assert grown.arrivals == 500 and type(grown.arrivals) is int
+        assert grown.to_dict() == {**config.to_dict(), "arrivals": 500}
+
+    def test_invalid_replacement_still_validated(self):
+        with pytest.raises(ValueError):
+            _with_grid(fig1_like(), -1)
 
 
 class TestReportCsvExport:

@@ -141,6 +141,8 @@ def _cmd_bound(args) -> int:
 def _load_config(path: str, seed_flag: int | None) -> SimulationConfig:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
     if seed_flag is not None:
         data["seed"] = seed_flag
     if "seed" not in data or data["seed"] is None:

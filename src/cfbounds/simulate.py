@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -121,27 +123,79 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationConfig":
+        """Parse ``to_dict`` output, e.g. a JSON config file.
+
+        Unknown keys (including the other mode's keys), strings in place
+        of numbers, non-finite numbers and non-integral counts raise
+        ``ValueError``.  Integral floats are accepted as counts.
+        """
+        pooled = isinstance(data, dict) and "population" in data
+        _check_keys(data, _CONFIG_KEYS | (_POOLED_KEYS if pooled else _LABELED_KEYS),
+                    "pooled config" if pooled else "labeled config")
+
+        def optional(parse, key):
+            value = data.get(key)
+            return None if value is None else parse(value, key)
+
         kwargs = {
-            "arrivals": int(data["arrivals"]),
-            "seed": int(data["seed"]),
-            "theta": data.get("theta"),
-            "lb": data.get("lb"),
-            "epsilon": float(data.get("epsilon", 0.0)),
-            "retrain_every": data.get("retrain_every"),
+            "arrivals": _count(data["arrivals"], "arrivals"),
+            "seed": _count(data["seed"], "seed"),
+            "theta": optional(_number, "theta"),
+            "lb": optional(_number, "lb"),
+            "epsilon": _number(data.get("epsilon", 0.0), "epsilon"),
+            "retrain_every": optional(_count, "retrain_every"),
         }
-        if "population" in data:
+        if pooled:
             kwargs["population"] = cdf_from_spec(data["population"])
-            kwargs["n"] = int(data["n"])
+            kwargs["n"] = _count(data["n"], "n")
         else:
             m = data["model"]
+            _check_keys(m, _MODEL_KEYS, "model")
             kwargs["model"] = MixtureModel(
-                p1=float(m["p1"]),
+                p1=_number(m["p1"], "p1"),
                 cdf0=cdf_from_spec(m["cdf0"]),
                 cdf1=cdf_from_spec(m["cdf1"]),
             )
-            kwargs["n0"] = int(data["n0"])
-            kwargs["n1"] = int(data["n1"])
+            kwargs["n0"] = _count(data["n0"], "n0")
+            kwargs["n1"] = _count(data["n1"], "n1")
         return cls(**kwargs)
+
+
+_CONFIG_KEYS = frozenset({"arrivals", "seed", "theta", "lb", "epsilon", "retrain_every"})
+_POOLED_KEYS = frozenset({"population", "n"})
+_LABELED_KEYS = frozenset({"model", "n0", "n1"})
+_MODEL_KEYS = frozenset({"p1", "cdf0", "cdf1"})
+_CDF_KEYS = {"gaussian": frozenset({"family", "mean", "stddev"}),
+             "piecewise": frozenset({"family", "xs", "ps"})}
+
+
+def _check_keys(data, allowed: frozenset, what: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _count(value, name: str) -> int:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list of numbers, got {values!r}")
+    return np.array([_number(v, name) for v in values], dtype=float)
 
 
 def cdf_to_spec(cdf) -> dict:
@@ -153,12 +207,13 @@ def cdf_to_spec(cdf) -> dict:
 
 
 def cdf_from_spec(spec: dict):
-    family = spec["family"]
+    family = spec.get("family") if isinstance(spec, dict) else None
+    if family not in _CDF_KEYS:
+        raise ValueError(f"unknown CDF family {family!r}")
+    _check_keys(spec, _CDF_KEYS[family], f"{family} CDF")
     if family == "gaussian":
-        return GaussianCdf(float(spec["mean"]), float(spec["stddev"]))
-    if family == "piecewise":
-        return PiecewiseCdf(np.asarray(spec["xs"], dtype=float), np.asarray(spec["ps"], dtype=float))
-    raise ValueError(f"unknown CDF family {family!r}")
+        return GaussianCdf(_number(spec["mean"], "mean"), _number(spec["stddev"], "stddev"))
+    return PiecewiseCdf(_numbers(spec["xs"], "xs"), _numbers(spec["ps"], "ps"))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
+from itertools import starmap
 from typing import Optional, Sequence
 
 import numpy as np
@@ -423,26 +425,21 @@ def vc_gen_eta(n: int, delta: float, d: int = 2) -> float:
     return math.sqrt(8.0 * (math.log(4.0 / delta) + d * math.log(2.0 * n + 1.0)) / n)
 
 
-def _pool_counts(z: np.ndarray, n_label0: int, n_counted: int):
+def _pool_counts(z: np.ndarray, n_label0: int):
     """Distinct sorted values of one pool and the label counts between them.
 
-    The first ``n_label0`` entries of ``z`` are label-0 samples, the next
-    up to ``n_counted`` are label-1 samples, and any further entries are
-    points that are only evaluated.  One argsort merges them; running
-    counts in that order give, for each label, the number of samples
-    strictly below every distinct value (its left limit) and, one entry
-    later, at or below it (its right limit).  Tied values collapse to one
-    point, so both limits are exact under ties.
+    The first ``n_label0`` entries of ``z`` are label-0 samples and the
+    rest are label-1 samples.  One argsort merges them; running counts in
+    that order give, for each label, the number of samples strictly below
+    every distinct value (its left limit) and, one entry later, at or
+    below it (its right limit).  Tied values collapse to one point, so
+    both limits are exact under ties.
     """
     order = np.argsort(z)
     z = z[order]
     count0 = np.zeros(len(z) + 1, dtype=np.intp)
     np.cumsum(order < n_label0, out=count0[1:])
-    if n_counted == len(z):
-        counted = np.arange(len(z) + 1)
-    else:
-        counted = np.zeros(len(z) + 1, dtype=np.intp)
-        np.cumsum(order < n_counted, out=counted[1:])
+    counted = np.arange(len(z) + 1)
     keep = np.ones(len(z) + 1, dtype=bool)
     np.not_equal(z[1:], z[:-1], out=keep[1:-1])
     if not keep.all():
@@ -466,9 +463,9 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
     Points below ``theta`` are evaluated against the censored samples and
     the others against the disclosed ones, so each side is one pool
     merged by ``_pool_counts``; the estimators are evaluated once per
-    count and once per distinct point.  Admitted draws that round below
-    ``theta`` are evaluated in the lower pool without being counted
-    there; in the upper pool they are counted and then dropped as points.
+    count and once per distinct point.  Admitted draws are clamped to at
+    least ``theta``, so one that rounds below it through the inverse CDF
+    still lies on the disclosed side.
     """
     n0, n1 = len(x0), len(x1)
     n = n0 + n1
@@ -477,18 +474,15 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
         cens.append(x[x < theta])
         d = x[x >= theta]
         if k:
-            d = np.concatenate([d, np.asarray(cdf.inverse(a + (1.0 - a) * gen.random(k)),
-                                              dtype=float)])
+            draws = np.asarray(cdf.inverse(a + (1.0 - a) * gen.random(k)), dtype=float)
+            d = np.concatenate([d, np.maximum(draws, theta)])
         disc.append(d)
     nc = [len(c) for c in cens]
     nd = [len(d) for d in disc]
     wc = [nc[0] / n0, nc[1] / n1]
 
-    zb, below = _pool_counts(np.concatenate(cens + [d[d < theta] for d in disc]),
-                             nc[0], nc[0] + nc[1])
-    za, above = _pool_counts(np.concatenate(disc), nd[0], nd[0] + nd[1])
-    cut = int(np.searchsorted(za, theta))
-    za, above = za[cut:], tuple(c[cut:] for c in above)
+    zb, below = _pool_counts(np.concatenate(cens), nc[0])
+    za, above = _pool_counts(np.concatenate(disc), nd[0])
 
     def fhat_below(count, label):
         return count / nc[label] * wc[label] if nc[label] else np.zeros(len(count))
@@ -511,6 +505,42 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
     return best
 
 
+_SUP_CHUNK = 50     # replications per truth-column task
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sup_tasks(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1, model):
+    """Cut one grid point's replications into ``_sup_chunk`` argument tuples.
+
+    Replication r draws ``k0[r] + k1[r]`` doubles from ``stream``, so each
+    chunk starts at ``start`` plus the draws of the replications before
+    it.  Returns the tasks and the offset where the next grid point starts.
+    """
+    offsets = start + np.concatenate([[0], np.cumsum(k0 + k1)])
+    tasks = []
+    for lo in range(0, len(theta), _SUP_CHUNK):
+        part = slice(lo, lo + _SUP_CHUNK)
+        tasks.append((stream, int(offsets[lo]), theta[part], x0[part], x1[part],
+                      a0[part], a1[part], k0[part], k1[part], model))
+    return tasks, int(offsets[-1])
+
+
+def _sup_chunk(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1,
+               model) -> list[float]:
+    """``_sup_risk_gap`` for consecutive replications, drawing from ``stream``
+    after skipping its first ``start`` doubles."""
+    gen = stream.generator()
+    gen.bit_generator.advance(start)
+    return [_sup_risk_gap(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
+                          float(a0[r]), float(a1[r]), model, gen)
+            for r in range(len(theta))]
+
+
 def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[int]] = None,
                    eta_grid: Optional[Sequence[float]] = None, replications: int = 1000,
                    seed: int = 0, delta: float = 0.015, vc_dim: int = 2) -> TableReport:
@@ -522,6 +552,16 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
     in the table claims to control at confidence 1-2*delta.  Benchmarks
     are evaluated as if all n + T samples were IID (they do not model
     censoring); ours averages the per-replication assembled bound.
+
+    The admitted draws of every (grid point, replication) pair come from
+    one stream, consumed in grid order and then replication order; pair
+    (T, r) draws ``k0[r] + k1[r]`` doubles, one 64-bit PCG64 output each.
+    Those counts are known before any draw is made, so the pairs are cut
+    into chunks that each jump ahead to their own offset in the stream.
+    With c available CPUs, a spawned pool of c - 1 processes takes chunks
+    from the front while the calling process takes them from the back (a
+    plain loop on one CPU).  The draws, and so the table, do not depend on
+    the worker count, on which process ran a chunk or on the chunk size.
 
     CDF mode (``eta_grid``): the truth column is the empirical
     exceedance frequency P(sup >= eta) under the conditioned partition,
@@ -563,31 +603,43 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
     grid = [int(t) for t in arrival_grid]
     quant = 1.0 - 2.0 * delta
 
-    root = SeededRng(seed)
-    sup_gen = root.substream(2).generator()
-    sup_by_t = {t: [] for t in grid}
-    ours_by_t = {t: [] for t in grid}
+    stream = SeededRng(seed).substream(2)
+    tasks, ours, start = [], [], 0
     gaps_all = []
     for t_idx, T in enumerate(grid):
-        cfg = _with_grid(config, T)
         theta, gaps, totals, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
-            cfg, replications, seed, delta)
-        ours_by_t[T] = totals
+            _with_grid(config, T), replications, seed, delta)
+        ours.append(totals)
         if t_idx == 0:
             gaps_all = gaps
-        for r in range(replications):
-            sup_by_t[T].append(_sup_risk_gap(theta[r], x0[r], x1[r],
-                                             int(k0[r]), int(k1[r]),
-                                             float(a0[r]), float(a1[r]),
-                                             model, sup_gen))
+        chunks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, model)
+        tasks.extend(chunks)
+    workers = min(_cpu_count(), len(tasks))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the calling process is one of the workers: it takes chunks from
+        # the end of the queue until it meets one the pool has started
+        with ProcessPoolExecutor(workers - 1,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            futures = [pool.submit(_sup_chunk, *task) for task in tasks]
+            tail = []
+            while futures and futures[-1].cancel():
+                futures.pop()
+                tail.append(_sup_chunk(*tasks[len(futures)]))
+            sups = [f.result() for f in futures] + tail[::-1]
+    else:
+        sups = list(starmap(_sup_chunk, tasks))
+    sup_by_t = np.reshape([v for chunk in sups for v in chunk], (len(grid), replications))
     rows = []
-    for T in grid:
+    for T, sup, totals in zip(grid, sup_by_t, ours):
         n_iid = n + T
         rows.append((
             T,
-            float(np.quantile(sup_by_t[T], quant)),
-            float(np.mean(sup_by_t[T])),
-            float(np.mean(ours_by_t[T])),
+            float(np.quantile(sup, quant)),
+            float(np.mean(sup)),
+            float(np.mean(totals)),
             hoeffding_eta(n_iid, 2.0 * delta),
             gc_eta(n_iid, 2.0 * delta),
             vc_gen_eta(n_iid, 2.0 * delta, vc_dim),

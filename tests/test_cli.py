@@ -82,6 +82,22 @@ class TestSimulateCommand:
         assert code == 2
         assert "seed" in err
 
+    def test_misspelled_config_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(fig4_config(0.5).to_dict() | {"epsilom": 0.5}))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                               "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "epsilom" in err
+
+    def test_non_object_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--seed", "3",
+                               "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "JSON object" in err
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(fig4_config(0.5).to_dict()))

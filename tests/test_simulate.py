@@ -317,6 +317,56 @@ class TestConfigSerialization:
         assert run_simulation(again).to_json() == run_simulation(config).to_json()
 
 
+class TestStrictConfigDict:
+    @staticmethod
+    def _dict(config=None, **changes):
+        data = (config or labeled_config(theta=9.5)).to_dict()
+        data.update(changes)
+        return data
+
+    @pytest.mark.parametrize("changes, match", [
+        ({"epsilom": 0.5}, "unknown"),
+        ({"n": 50}, "unknown"),                   # a pooled key in a labeled config
+        ({"theta": float("nan")}, "finite"),
+        ({"theta": float("inf")}, "finite"),
+        ({"theta": "7"}, "finite number"),
+        ({"epsilon": "0.5"}, "finite number"),
+        ({"n0": 2.9}, "integer"),
+        ({"arrivals": "100"}, "integer"),
+        ({"seed": True}, "integer"),
+        ({"retrain_every": 2.5}, "integer"),
+    ])
+    def test_rejects_top_level_probe(self, changes, match):
+        with pytest.raises(ValueError, match=match):
+            SimulationConfig.from_dict(self._dict(**changes))
+
+    @pytest.mark.parametrize("model, match", [
+        ({"p1": float("nan")}, "finite"),
+        ({"p1": "0.5"}, "finite number"),
+        ({"cdf0": {"family": "gaussian", "mean": "9", "stddev": 1.0}}, "finite number"),
+        ({"cdf1": {"family": "gaussian", "mean": 10.0, "stddev": 1.0, "sd": 2}}, "unknown"),
+        ({"cdf1": {"family": "piecewise", "xs": [0.0, float("nan")], "ps": [0.0, 1.0]}},
+         "finite"),
+        ({"cdf1": {"family": "piecewise", "xs": "01", "ps": [0.0, 1.0]}}, "list"),
+        ({"bias": 0.0}, "unknown"),
+    ])
+    def test_rejects_model_probe(self, model, match):
+        data = self._dict()
+        data["model"] = {**data["model"], **model}
+        with pytest.raises(ValueError, match=match):
+            SimulationConfig.from_dict(data)
+
+    def test_rejects_labeled_key_in_pooled_config(self):
+        with pytest.raises(ValueError, match="unknown"):
+            SimulationConfig.from_dict(self._dict(pooled_config(), n0=5))
+
+    def test_integral_floats_and_large_seeds_accepted(self):
+        seed = splitmix64(999) ^ 7
+        config = SimulationConfig.from_dict(self._dict(n0=50.0, arrivals=100.0, seed=seed))
+        assert config == labeled_config(theta=9.5, seed=seed)
+        assert type(config.n0) is int and type(config.arrivals) is int
+
+
 def test_labeled_config_rejects_unlabeled_stream():
     config = labeled_config(theta=9.5, arrivals=2)
     with pytest.raises(ValueError, match="labels"):

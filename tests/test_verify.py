@@ -1,7 +1,11 @@
 """Monte Carlo harness: Wilson intervals, kernels, coverage reports."""
+import os
+from itertools import chain, starmap
+
 import numpy as np
 import pytest
 
+import cfbounds.verify as verify
 from cfbounds.censored import MassSpec, RegionPartition, bound_two_region
 from cfbounds.rng import SeededRng
 from cfbounds.simulate import SimulationConfig
@@ -11,7 +15,9 @@ from cfbounds.verify import (
     _batch_sup_conditioned,
     _eta_two_region_vec,
     _gen_gap_samples,
+    _sup_chunk,
     _sup_risk_gap,
+    _sup_tasks,
     _two_region_prob_vec,
     _with_grid,
     _with_seed,
@@ -224,7 +230,8 @@ def _sup_risk_gap_oracle(theta, x0, x1, k0, k1, a0, a1, model, gen):
         disc = x[x >= theta]
         if k:
             u = a + (1.0 - a) * gen.random(k)
-            disc = np.concatenate([disc, np.asarray(cdf.inverse(u), dtype=float)])
+            draws = np.asarray(cdf.inverse(u), dtype=float)
+            disc = np.concatenate([disc, np.maximum(draws, theta)])
         segs[label] = (cens, np.sort(disc), len(cens) / len(x))
     zs = np.sort(np.concatenate([arr for seg in segs.values() for arr in seg[:2]]))
     f0 = np.asarray(model.cdf0.cdf(zs), dtype=float)
@@ -259,6 +266,19 @@ class _LowGaussian(GaussianCdf):
 
     def inverse(self, p):
         return super().inverse(p) - 2.0
+
+
+class _PointGaussian(GaussianCdf):
+    """Gaussian whose admitted draws all land at ``point``."""
+
+    point = 9.5
+
+    def inverse(self, p):
+        return np.full(np.shape(p), self.point)
+
+
+class _BelowGaussian(_PointGaussian):
+    point = 9.0
 
 
 class TestSupRiskGapOracle:
@@ -321,16 +341,98 @@ class TestSupRiskGapOracle:
     @pytest.mark.parametrize("p1", [0.5, 0.9])
     @pytest.mark.parametrize("n", [5, 50])
     def test_admitted_draws_below_threshold(self, p1, n):
-        # such draws are evaluation points of the censored side; with few
-        # initial samples one of them attains the supremum for some seeds
-        model = MixtureModel(p1=p1, cdf0=_LowGaussian(9, 1), cdf1=_RoundedGaussian(10, 1))
+        # an admitted draw below theta is counted as disclosed at theta
+        low = MixtureModel(p1=p1, cdf0=_LowGaussian(9, 1), cdf1=_RoundedGaussian(10, 1))
+        below = MixtureModel(p1=p1, cdf0=_BelowGaussian(9, 1), cdf1=_BelowGaussian(10, 1))
+        at = MixtureModel(p1=p1, cdf0=_PointGaussian(9, 1), cdf1=_PointGaussian(10, 1))
         for seed in range(10):
             x0, x1 = self._initial(seed, n, n)
-            self._check(9.5, x0, x1, 200, 300, model, seed)
+            self._check(9.5, x0, x1, 200, 300, low, seed)
+            got = self._check(9.5, x0, x1, 200, 300, below, seed)
+            assert got == self._check(9.5, x0, x1, 200, 300, at, seed)
 
     def test_single_samples(self):
         self._check(9.5, np.array([9.0]), np.array([10.0]), 0, 0)
         self._check(9.5, np.array([9.7]), np.array([9.7]), 3, 0)
+
+
+def _shared_stream_sups(config, grid, replications, seed, delta):
+    """Truth-column values with every draw taken from one generator in loop order."""
+    gen = SeededRng(seed).substream(2).generator()
+    out = []
+    for T in grid:
+        theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
+            _with_grid(config, T), replications, seed, delta)
+        out.append([_sup_risk_gap(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
+                                  float(a0[r]), float(a1[r]), config.model, gen)
+                    for r in range(replications)])
+    return out
+
+
+class TestTruthColumnPool:
+    GRID = [0, 2_000, 5_000]
+    R, SEED, DELTA = 200, 11, 0.015
+
+    @pytest.fixture(scope="class")
+    def config(self):
+        from cfbounds.presets import bench_config
+
+        return bench_config()
+
+    @pytest.fixture(scope="class")
+    def shared(self, config):
+        return _shared_stream_sups(config, self.GRID, self.R, self.SEED, self.DELTA)
+
+    def _table(self, config):
+        return compare_bounds(config, arrival_grid=self.GRID, replications=self.R,
+                              seed=self.SEED, delta=self.DELTA)
+
+    def _samples(self, config, T):
+        return _gen_gap_samples(_with_grid(config, T), self.R, self.SEED, self.DELTA)
+
+    def test_pool_and_one_cpu_give_the_shared_stream_table(self, config, shared, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pooled = self._table(config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        single = self._table(config)
+        assert pooled.rows == single.rows and pooled.meta == single.meta
+        quant = 1.0 - 2.0 * self.DELTA
+        assert pooled.column("gap_quantile") == [float(np.quantile(v, quant)) for v in shared]
+        assert pooled.column("gap_mean") == [float(np.mean(v)) for v in shared]
+
+    def test_replay_one_replication_at_its_offset(self, config, shared):
+        stream = SeededRng(self.SEED).substream(2)
+        start = 0
+        for T, values in zip(self.GRID, shared):
+            theta, _, _, (x0, x1, a0, a1, k0, k1) = self._samples(config, T)
+            draws = k0 + k1
+            if T == 0:
+                assert not draws.any()            # the next grid point starts at 0
+            for r in (0, 1, 117, self.R - 1):
+                one = slice(r, r + 1)
+                got = _sup_chunk(stream, start + int(draws[:r].sum()), theta[one], x0[one],
+                                 x1[one], a0[one], a1[one], k0[one], k1[one], config.model)
+                assert got == [values[r]]
+            start += int(draws.sum())
+
+    def test_chunk_size_not_dividing_replications(self, config, shared, monkeypatch):
+        monkeypatch.setattr(verify, "_SUP_CHUNK", 7)
+        stream = SeededRng(self.SEED).substream(2)
+        start = 0
+        for T, values in zip(self.GRID, shared):
+            theta, _, _, (x0, x1, a0, a1, k0, k1) = self._samples(config, T)
+            tasks, end = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, config.model)
+            draws = k0 + k1
+            assert [len(task[2]) for task in tasks] == [7] * 28 + [4]
+            assert [task[1] for task in tasks] == [start + int(draws[:lo].sum())
+                                                   for lo in range(0, self.R, 7)]
+            assert end == start + int(draws.sum())
+            assert list(chain.from_iterable(starmap(_sup_chunk, tasks))) == values
+            start = end
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        quant = 1.0 - 2.0 * self.DELTA
+        assert self._table(config).column("gap_quantile") == [
+            float(np.quantile(v, quant)) for v in shared]
 
 
 class TestConfigVariants:

@@ -21,15 +21,19 @@ Conventions for regimes the formulas do not cover:
   deterministically: the estimator is flat there, so the deviation is at
   most max(theoretical mass, estimator weight).  The term contributes 0
   when that bound is <= eta and 1 otherwise.
+
+The bounds broadcast over numpy arrays: any count of a partition, the
+masses, epsilon and eta may be arrays, and the result then holds one
+value and one trivial flag per element.  Scalar inputs give Python
+scalars.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from .classic import BoundValue
 
@@ -39,6 +43,7 @@ __all__ = [
     "MassSpec",
     "MonotonicityReport",
     "partition",
+    "region_weights",
     "censored_term",
     "disclosed_term",
     "bound_two_region",
@@ -50,6 +55,11 @@ __all__ = [
 ]
 
 
+def _holds(cond) -> bool:
+    """Whether a scalar or elementwise condition holds everywhere."""
+    return bool(np.logical_and.reduce(cond, axis=None))
+
+
 @dataclass(frozen=True)
 class RegionPartition:
     """Sample counts per region relative to the threshold(s).
@@ -57,7 +67,8 @@ class RegionPartition:
     n initial samples split into l below LB, m - l in [LB, theta) and
     n - m at or above theta; k counts new disclosed samples in two-region
     mode, while (k1, k2) count new exploration/disclosed samples in
-    three-region mode.  Two-region partitions have l == k1 == 0.
+    three-region mode.  Two-region partitions have l == k1 == 0.  Counts
+    may be integer arrays; every check then holds elementwise.
     """
 
     n: int
@@ -68,30 +79,35 @@ class RegionPartition:
     k2: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
+        if not _holds(np.greater_equal(self.n, 1)):
             raise ValueError("need at least one initial sample")
-        if not 0 <= self.l <= self.m <= self.n:
+        if not _holds((0 <= self.l) & (self.l <= self.m) & (self.m <= self.n)):
             raise ValueError(f"need 0 <= l <= m <= n, got l={self.l} m={self.m} n={self.n}")
-        if min(self.k, self.k1, self.k2) < 0:
+        if not _holds((self.k >= 0) & (self.k1 >= 0) & (self.k2 >= 0)):
             raise ValueError("new-sample counts must be nonnegative")
 
     @property
     def two_region(self) -> bool:
-        return self.l == 0 and self.k1 == 0
+        return _holds((self.l == 0) & (self.k1 == 0))
 
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Decision threshold, optional exploration lower bound and frequency."""
+    """Decision threshold, optional exploration lower bound and frequency.
+
+    Fields may be arrays; every check then holds elementwise.
+    """
 
     theta: float
     lb: Optional[float] = None
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.lb is not None and not self.lb < self.theta:
+        if not _holds(np.isfinite(self.theta if self.lb is None else (self.theta, self.lb))):
+            raise ValueError(f"theta and lb must be finite, got theta={self.theta} lb={self.lb}")
+        if self.lb is not None and not _holds(self.lb < self.theta):
             raise ValueError(f"need lb < theta, got lb={self.lb} theta={self.theta}")
-        if not 0.0 <= self.epsilon <= 1.0:
+        if not _holds((0.0 <= self.epsilon) & (self.epsilon <= 1.0)):
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
 
@@ -102,7 +118,7 @@ class MassSpec:
     The bounds are stated with the true masses ("theoretical"); the
     "plugin" mode substitutes the empirical fractions m/n and l/n, which
     zeroes the scaling/shifting error terms and is labelled as such in
-    outputs.
+    outputs.  The masses may be arrays; the check then holds elementwise.
     """
 
     alpha: float
@@ -110,7 +126,7 @@ class MassSpec:
     source: str = "theoretical"
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= self.alpha <= 1.0:
+        if not _holds((0.0 <= self.beta) & (self.beta <= self.alpha) & (self.alpha <= 1.0)):
             raise ValueError(f"need 0 <= beta <= alpha <= 1, got beta={self.beta} alpha={self.alpha}")
         if self.source not in ("theoretical", "plugin"):
             raise ValueError(f"unknown mass source {self.source!r}")
@@ -149,49 +165,76 @@ def partition(
     return RegionPartition(n=len(scores), m=m, l=l, k1=new_in_explore, k2=new_above)
 
 
-def _term(count: float, mass_th: float, mass_emp: float, eta: float, shift: float,
-          lead: float = 2.0) -> tuple[float, bool]:
-    """One region's contribution: (value, trivial flag).
+def region_weights(part: RegionPartition, epsilon) -> tuple:
+    """Estimator weights (censored, exploration, disclosed) of three regions.
+
+    The censored region below LB keeps its initial weight l/n.  The rest,
+    (n - l)/n, is split between the exploration and disclosed regions by
+    their sample counts, with disclosed arrivals thinned by epsilon to stay
+    comparable with the epsilon-thinned exploration arrivals.  Both upper
+    weights are 0 when no sample lies at or above LB.  Elementwise over
+    array counts and epsilon.
+    """
+    n, m, l, k1, k2 = part.n, part.m, part.l, part.k1, part.k2
+    upper_total = (n - l) + k1 + epsilon * k2
+    upper = (n - l) / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        explore_w = np.where(upper_total > 0, upper * ((m - l + k1) / upper_total), 0.0)
+        disclosed_w = np.where(upper_total > 0, upper * ((n - m + epsilon * k2) / upper_total),
+                               0.0)
+    return l / n, explore_w, disclosed_w
+
+
+def _term(count, mass_th, mass_emp, eta, shift, lead: float = 2.0):
+    """One region's contribution: (value, trivial flag), elementwise.
 
     value = lead * exp(-2*count*(eta-shift)^2 / min(mass_th, mass_emp)^2)
     when the region is populated and eta exceeds the shift; degenerate
     and invalid regimes follow the module conventions.
     """
-    denom = min(mass_th, mass_emp)
-    if count <= 0 or denom <= 0.0:
-        return (0.0, False) if max(mass_th, mass_emp) <= eta else (1.0, True)
+    denom = np.minimum(mass_th, mass_emp)
+    degenerate = (count <= 0) | (denom <= 0.0)
     eff = eta - shift
-    if eff <= 0.0:
-        return (1.0, True)
-    ratio = eff / denom          # squared afterward: safe for subnormal masses
-    return (lead * math.exp(-2.0 * count * ratio * ratio), False)
+    trivial = np.where(degenerate, np.maximum(mass_th, mass_emp) > eta, eff <= 0.0)
+    with np.errstate(all="ignore"):
+        ratio = eff / denom          # squared afterward: safe for subnormal masses
+        value = lead * np.exp(-2.0 * count * ratio * ratio)
+    return np.where(trivial, 1.0, np.where(degenerate, 0.0, value)), trivial
+
+
+def _check_eta(eta) -> None:
+    if not _holds(np.isfinite(eta) & np.greater(eta, 0)):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+
+
+def _bound_value(raw, trivial) -> BoundValue:
+    """Wrap an elementwise result; a 0-d result becomes Python scalars."""
+    if np.ndim(raw) == 0:
+        return BoundValue(float(raw), trivial=bool(trivial))
+    return BoundValue(raw, trivial=trivial)
 
 
 def censored_term(part: RegionPartition, mass: MassSpec, eta: float,
                   lead: float = 2.0) -> BoundValue:
     """Censored-region error term of the two-region bound (constant in k)."""
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _check_eta(eta)
     frac = part.m / part.n
-    value, trivial = _term(part.m, mass.alpha, frac, eta, abs(mass.alpha - frac), lead)
-    return BoundValue(value, trivial=trivial)
+    return _bound_value(*_term(part.m, mass.alpha, frac, eta, abs(mass.alpha - frac), lead))
 
 
 def disclosed_term(part: RegionPartition, mass: MassSpec, eta: float,
                    lead: float = 2.0) -> BoundValue:
     """Disclosed-region error term; decreases with the new-sample count k."""
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _check_eta(eta)
     frac = part.m / part.n
-    value, trivial = _term(
+    return _bound_value(*_term(
         part.n - part.m + part.k,
         1.0 - mass.alpha,
         (part.n - part.m) / part.n,
         eta,
         2.0 * abs(mass.alpha - frac),
         lead,
-    )
-    return BoundValue(value, trivial=trivial)
+    ))
 
 
 def bound_two_region(part: RegionPartition, mass: MassSpec, eta: float,
@@ -206,7 +249,7 @@ def bound_two_region(part: RegionPartition, mass: MassSpec, eta: float,
         raise ValueError("partition is not in two-region mode")
     c = censored_term(part, mass, eta, lead)
     d = disclosed_term(part, mass, eta, lead)
-    return BoundValue(c.raw + d.raw, trivial=c.trivial or d.trivial)
+    return _bound_value(c.raw + d.raw, c.trivial | d.trivial)
 
 
 def bound_two_region_apriori(part: RegionPartition, mass: MassSpec, eta: float,
@@ -217,56 +260,28 @@ def bound_two_region_apriori(part: RegionPartition, mass: MassSpec, eta: float,
     The disclosed-region term is averaged over the binomial number of
     arrivals that land above theta (each lands there with probability
     1 - alpha).  Binomial weights are computed in log space; weights
-    below ``pmf_floor`` are skipped.
+    below ``pmf_floor`` are skipped.  ``wait`` is a scalar; the other
+    inputs may be arrays.
     """
     if not part.two_region:
         raise ValueError("partition is not in two-region mode")
-    if part.k:
+    if np.any(part.k):
         raise ValueError("expected-wait bound replaces k; pass a partition with k = 0")
     if wait < 0:
         raise ValueError("wait must be nonnegative")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
     c = censored_term(part, mass, eta, lead)
 
-    n, m = part.n, part.m
-    frac = m / n
-    mass_emp = (n - m) / n
-    denom = min(1.0 - mass.alpha, mass_emp)
-    eff = eta - 2.0 * abs(mass.alpha - frac)
-
-    if wait == 0:
-        d = disclosed_term(replace(part, k=0), mass, eta, lead)
-        return BoundValue(c.raw + d.raw, trivial=c.trivial or d.trivial)
-
-    p_disclosed = 1.0 - mass.alpha
+    # the binomial outcome kk runs along a new last axis
+    n, m, alpha, eta = (np.expand_dims(v, -1) for v in (part.n, part.m, mass.alpha, eta))
     kk = np.arange(wait + 1)
-    if p_disclosed <= 0.0:
-        pmf = (kk == 0).astype(float)
-    elif p_disclosed >= 1.0:
-        pmf = (kk == wait).astype(float)
-    else:
-        log_pmf = (
-            gammaln(wait + 1) - gammaln(kk + 1) - gammaln(wait - kk + 1)
-            + kk * math.log(p_disclosed) + (wait - kk) * math.log(1.0 - p_disclosed)
-        )
-        pmf = np.exp(log_pmf)
+    p_disclosed = 1.0 - alpha
+    pmf = np.exp(gammaln(wait + 1) - gammaln(kk + 1) - gammaln(wait - kk + 1)
+                 + xlogy(kk, p_disclosed) + xlogy(wait - kk, 1.0 - p_disclosed))
     keep = pmf >= pmf_floor
-
-    if denom <= 0.0:
-        # Degenerate disclosed region: deterministic contribution per k.
-        worst = max(1.0 - mass.alpha, mass_emp)
-        expected = 0.0 if worst <= eta else float(np.sum(pmf[keep]))
-        trivial = worst > eta
-    elif eff <= 0.0:
-        expected = float(np.sum(pmf[keep]))
-        trivial = True
-    else:
-        ratio = eff / denom
-        rate = 2.0 * ratio * ratio
-        expected = float(np.sum(pmf[keep] * lead * np.exp(-rate * (n - m + kk[keep]))))
-        trivial = False
-    return BoundValue(c.raw + expected, trivial=c.trivial or trivial)
+    value, trivial = _term(n - m + kk, p_disclosed, (n - m) / n, eta,
+                           2.0 * abs(alpha - m / n), lead)
+    expected = np.sum(np.where(keep, pmf * value, 0.0), axis=-1)
+    return _bound_value(c.raw + expected, c.trivial | np.any(keep & trivial, axis=-1))
 
 
 def bound_three_region(part: RegionPartition, mass: MassSpec, spec: RegionSpec,
@@ -275,38 +290,26 @@ def bound_three_region(part: RegionPartition, mass: MassSpec, spec: RegionSpec,
 
     Three terms: the still-censored region below LB (constant), the
     exploration region [LB, theta) (vanishing as k1 grows), and the
-    disclosed region (vanishing as k2 grows).  The estimator weight of
-    the regions at and above LB is re-estimated from the arrival counts,
-    with disclosed arrivals thinned by epsilon to stay comparable with
-    the epsilon-thinned exploration arrivals.
+    disclosed region (vanishing as k2 grows).  The estimator weights of
+    the regions at and above LB are re-estimated from the arrival counts
+    by ``region_weights``.
     """
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    _check_eta(eta)
     n, m, l, k1, k2 = part.n, part.m, part.l, part.k1, part.k2
-    eps = spec.epsilon
     alpha, beta = mass.alpha, mass.beta
-
-    l_frac = l / n
+    l_frac, explore_w, disclosed_w = region_weights(part, spec.epsilon)
     u1 = abs(beta - l_frac)
-
-    upper_total = (n - l) + k1 + eps * k2
-    if upper_total > 0:
-        explore_w = ((n - l) / n) * ((m - l + k1) / upper_total)
-        disclosed_w = ((n - l) / n) * ((n - m + eps * k2) / upper_total)
-    else:
-        explore_w = 0.0
-        disclosed_w = 0.0
     u2 = abs(alpha - beta - explore_w)
     u3 = abs(alpha - l_frac - explore_w)
 
     v1, t1 = _term(l, beta, l_frac, eta, u1, lead)
     v2, t2 = _term(m - l + k1, alpha - beta, explore_w, eta, u1 + u2, lead)
     v3, t3 = _term(n - m + k2, 1.0 - alpha, disclosed_w, eta, 2.0 * u3, lead)
-    return BoundValue(v1 + v2 + v3, trivial=t1 or t2 or t3)
+    return _bound_value(v1 + v2 + v3, t1 | t2 | t3)
 
 
 def eta_for_confidence(bound: Callable[[float], BoundValue], delta: float,
-                       hi: float = 1.0, tol: float = 1e-9) -> Optional[float]:
+                       hi: float = 1.0, tol: float = 1e-9):
     """Smallest eta with bound(eta).probability <= delta, or None.
 
     Bisection over [0, hi]; assumes the bound probability is nonincreasing
@@ -314,19 +317,25 @@ def eta_for_confidence(bound: Callable[[float], BoundValue], delta: float,
     it).  Returns None ("unreachable") when even eta = hi exceeds delta,
     which happens whenever delta lies below the constant censored-region
     floor of the bound.
+
+    A bound whose probability is an array is bisected elementwise, with
+    the same midpoints per element as a scalar bound; the result is then
+    an array that holds NaN where the level is unreachable.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if bound(hi).probability > delta:
+    reachable = np.asarray(bound(hi).probability <= delta)
+    if reachable.ndim == 0 and not reachable:
         return None
-    lo = 0.0
-    while hi - lo > tol:
+    # [()] turns 0-d arrays back into numpy scalars for scalar bounds
+    lo = np.zeros(reachable.shape)[()]
+    hi = np.full(reachable.shape, float(hi))[()]
+    while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        if bound(mid).probability <= delta:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        ok = bound(mid).probability <= delta
+        hi = np.where(ok, mid, hi)[()]
+        lo = np.where(ok, lo, mid)[()]
+    return float(hi) if reachable.ndim == 0 else np.where(reachable, hi, np.nan)
 
 
 @dataclass(frozen=True)
@@ -396,9 +405,8 @@ def check_prop2(part: RegionPartition, mass: MassSpec, spec: RegionSpec,
     All inputs are held fixed except epsilon and the induced exploration
     count k1(eps) = round(eps * k1_max).
     """
-    values = []
-    for eps in eps_grid:
-        p = replace(part, k1=int(round(eps * k1_max)))
-        s = RegionSpec(theta=spec.theta, lb=spec.lb, epsilon=eps)
-        values.append(bound_three_region(p, mass, s, eta).raw)
+    eps = np.asarray(eps_grid, dtype=float)
+    p = replace(part, k1=np.round(eps * k1_max).astype(int))
+    s = RegionSpec(theta=spec.theta, lb=spec.lb, epsilon=eps)
+    values = bound_three_region(p, mass, s, eta).raw
     return MonotonicityReport.from_values("nonincreasing", eps_grid, values, slack)

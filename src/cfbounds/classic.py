@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "BoundValue",
     "dkw_bound",
@@ -34,7 +36,9 @@ class BoundValue:
     formula failed (the deviation tolerance did not exceed the shift
     terms) and the probability was forced to 1.  ``approximate`` marks
     benchmark bounds implemented with standard textbook constants rather
-    than exactly specified ones.
+    than exactly specified ones.  ``raw`` and ``trivial`` may be arrays
+    of one shape (a bound evaluated elementwise); ``probability`` is then
+    an array too.
     """
 
     raw: float
@@ -42,12 +46,13 @@ class BoundValue:
     approximate: bool = False
 
     def __post_init__(self):
-        if self.raw < 0 or math.isnan(self.raw):
+        if not np.greater_equal(self.raw, 0).all():   # also rejects NaN
             raise ValueError(f"raw bound must be nonnegative, got {self.raw}")
 
     @property
     def probability(self) -> float:
-        return 1.0 if self.trivial else min(self.raw, 1.0)
+        p = np.where(self.trivial, 1.0, np.minimum(self.raw, 1.0))
+        return p if p.ndim else float(p)
 
 
 def _from_log(log_raw: float, approximate: bool = False) -> BoundValue:
@@ -57,8 +62,8 @@ def _from_log(log_raw: float, approximate: bool = False) -> BoundValue:
 def _check_n_eta(n: int, eta: float) -> None:
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not (eta > 0 and math.isfinite(eta)):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
 def dkw_bound(n: int, eta: float) -> BoundValue:

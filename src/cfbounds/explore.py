@@ -164,26 +164,27 @@ class BoundContext:
         return [(int(np.sum(x < self.theta)), int(np.sum(x < lb)))
                 for x in self.initial_samples]
 
-    def improvement(self, lb: float, epsilon: float) -> float:
-        """avg over the ensemble of B(theta) - B_e(lb, theta, epsilon)."""
+    def improvement(self, lb: float, epsilon):
+        """avg over the ensemble of B(theta) - B_e(lb, theta, epsilon).
+
+        Elementwise over an array of epsilon values.
+        """
         alpha = float(self.population.cdf(self.theta))
         beta = float(self.population.cdf(lb))
         T = self.arrivals
+        eps = np.asarray(epsilon, dtype=float)
         k = int(round(T * (1.0 - alpha)))
-        k1 = int(round(epsilon * T * (alpha - beta)))
-        k2 = k
+        k1 = np.round(eps * T * (alpha - beta)).astype(int)
+        spec = RegionSpec(self.theta, lb if lb < self.theta else None, eps)
         diffs = []
         for m, l in self._partitions(lb):
             base = bound_two_region(RegionPartition(n=self.n, m=m, k=k),
                                     MassSpec.theoretical(alpha), self.eta)
-            expl = bound_three_region(
-                RegionPartition(n=self.n, m=m, l=l, k1=k1, k2=k2),
-                MassSpec.theoretical(alpha, beta),
-                RegionSpec(self.theta, lb if lb < self.theta else None, epsilon),
-                self.eta,
-            )
+            expl = bound_three_region(RegionPartition(n=self.n, m=m, l=l, k1=k1, k2=k),
+                                      MassSpec.theoretical(alpha, beta), spec, self.eta)
             diffs.append(base.probability - expl.probability)
-        return float(np.mean(diffs))
+        mean = np.mean(diffs, axis=0)
+        return mean if mean.ndim else float(mean)
 
 
 @dataclass(frozen=True)
@@ -221,8 +222,7 @@ def optimize_exploration(ctx: BoundContext, model: CostModel,
     obj = np.empty((len(lb_grid), len(eps_grid)))
     for i, lb in enumerate(lb_grid):
         cost_full = cost_single(min(lb, ctx.theta), ctx.theta, 1.0, model)
-        for j, eps in enumerate(eps_grid):
-            obj[i, j] = ctx.improvement(lb, eps) - eps * cost_full
+        obj[i] = ctx.improvement(lb, eps_grid) - eps_grid * cost_full
     # scan in preference order (eps ascending, lb descending) so the first
     # point attaining the maximum is the cheapest policy among ties
     best = (len(lb_grid) - 1, 0)

@@ -24,6 +24,7 @@ __all__ = [
     "expected_risk",
     "empirical_risk",
     "optimal_threshold",
+    "train_thresholds",
     "gen_bound",
     "gen_bound_from_counts",
     "risks",
@@ -94,14 +95,7 @@ class LabeledDataset:
         cens = initial[initial < th]
         disc = np.concatenate([initial[initial >= th], new])
         w = len(cens) / len(initial)
-        return StitchedCdf(
-            edges=(th,),
-            weights=(w, 1.0 - w),
-            segments=(
-                EmpiricalCdf(cens) if len(cens) else None,
-                EmpiricalCdf(disc) if len(disc) else None,
-            ),
-        )
+        return StitchedCdf.from_samples((th,), (w, 1.0 - w), (cens, disc))
 
 
 @dataclass(frozen=True)
@@ -148,33 +142,48 @@ def empirical_risk(theta: float, data: LabeledDataset) -> float:
     return float((n1 / n) * part1 + (n0 / n) * (1.0 - part0))
 
 
+def train_thresholds(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise empirical-risk-minimizing thresholds and their risks.
+
+    Row r of ``x0`` and ``x1`` holds one dataset's label-0 and label-1
+    scores.  Candidates are midpoints between adjacent distinct sorted
+    scores plus -inf/+inf sentinels (risk is constant between adjacent
+    scores, and midpoints avoid the at-threshold admission ambiguity).
+    Ties break toward the smallest threshold.
+    """
+    R, n0 = x0.shape
+    n = n0 + x1.shape[1]
+    scores = np.concatenate([x0, x1], axis=1)
+    order = np.argsort(scores, axis=1, kind="stable")
+    xs = np.take_along_axis(scores, order, axis=1)
+    # errors[:, j]: threshold placed after the j smallest scores, which
+    # hold below1[:, j] label-1 scores (columns from n0 on are label 1)
+    below1 = np.zeros((R, n + 1), dtype=np.intp)
+    np.cumsum(order >= n0, axis=1, out=below1[:, 1:])
+    errors = below1 + (n0 - (np.arange(n + 1) - below1))
+    # positions between tied scores admit no strictly-between threshold
+    valid = np.ones((R, n + 1), dtype=bool)
+    valid[:, 1:n] = xs[:, 1:] > xs[:, :-1]
+    errors = np.where(valid, errors, n + 1)
+    j = np.argmin(errors, axis=1)
+    risks = errors[np.arange(R), j] / n
+    theta = np.empty(R)
+    interior = (j > 0) & (j < n)
+    theta[j == 0] = -np.inf
+    theta[j == n] = np.inf
+    ji = j[interior]
+    rows = np.arange(R)[interior]
+    theta[interior] = 0.5 * (xs[rows, ji - 1] + xs[rows, ji])
+    return theta, risks
+
+
 def optimal_threshold(data: LabeledDataset) -> float:
     """Threshold minimizing the empirical risk on the initial samples.
 
-    Candidates are midpoints between adjacent distinct sorted scores plus
-    -inf/+inf sentinels (risk is constant between adjacent scores, and
-    midpoints avoid the at-threshold admission ambiguity).  Ties break
-    toward the smallest threshold.
+    The one-row case of ``train_thresholds``.
     """
-    scores = np.concatenate([data.initial0, data.initial1])
-    labels = np.concatenate([np.zeros(data.n0, dtype=int), np.ones(data.n1, dtype=int)])
-    order = np.argsort(scores, kind="stable")
-    xs, ys = scores[order], labels[order]
-    n = len(xs)
-    # errors(j): threshold placed after the j smallest scores
-    cum1 = np.concatenate([[0], np.cumsum(ys == 1)])
-    cum0 = np.concatenate([[0], np.cumsum(ys == 0)])
-    errors = cum1 + (cum0[-1] - cum0)
-    # positions between tied scores admit no strictly-between threshold
-    valid = np.ones(n + 1, dtype=bool)
-    valid[1:n] = xs[1:] > xs[:-1]
-    errors = np.where(valid, errors, np.iinfo(np.int64).max)
-    j = int(np.argmin(errors))
-    if j == 0:
-        return -np.inf
-    if j == n:
-        return np.inf
-    return float(0.5 * (xs[j - 1] + xs[j]))
+    theta, _ = train_thresholds(data.initial0[None, :], data.initial1[None, :])
+    return float(theta[0])
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .censored import (
     MassSpec,
+    RegionPartition,
     RegionSpec,
     bound_three_region,
     bound_two_region,
@@ -173,34 +174,49 @@ class Fig3Curves:
         return abs(self.be_mean[idx] - self.b_lb_mean)
 
 
+def fig3_partitions(config: SimulationConfig, eps_grid) -> tuple[RegionPartition, ...]:
+    """Partitions of one member's runs for every epsilon, from one trace.
+
+    Runs sharing a seed share the initial scores, the arrivals and the
+    exploration coins, so only k1(eps) = #(exploration coins < eps)
+    depends on epsilon.  Returns the partitions of the theta-only run,
+    the lb-only run (lb as its threshold) and the exploration run, whose
+    k1 is an array over ``eps_grid``; ``config.epsilon`` is not used.
+    """
+    theta, lb = config.theta, config.lb
+    trace = run_simulation(config)
+    x, arrivals = trace.initial_scores, trace.arrival_scores
+    n, m, l = len(x), int(np.sum(x < theta)), int(np.sum(x < lb))
+    k2 = int(np.sum(arrivals >= theta))
+    coins = np.sort(trace.arrival_coins[trace.arrival_region == REGION_EXPLORE])
+    k1 = np.searchsorted(coins, np.asarray(eps_grid, dtype=float), side="left")
+    return (RegionPartition(n=n, m=m, k=k2),
+            RegionPartition(n=n, m=l, k=k2 + len(coins)),
+            RegionPartition(n=n, m=m, l=l, k1=k1, k2=k2))
+
+
 def fig3_curves(base_seed: int = FIG3_SEED, members: int = 5,
                 eps_step: float = 0.025, eta: float = 0.015,
                 theta: float = 8.0, lb: float = 6.0) -> Fig3Curves:
     """Average the three bound families over a fresh-seed ensemble.
 
     Region masses are the population values; the counts (m, l, k1, k2)
-    are realized per member through the simulator, with arrivals and
-    exploration coins shared across the epsilon grid inside a member.
+    are realized per member through one simulator trace, with arrivals
+    and exploration coins shared across the epsilon grid
+    (``fig3_partitions``).
     """
     alpha = float(_POP_73.cdf(theta))
     beta = float(_POP_73.cdf(lb))
     eps_grid = np.round(np.arange(0.0, 1.0 + eps_step / 2, eps_step), 6)
+    spec = RegionSpec(theta, lb, eps_grid)
     bt, bl, be = [], [], []
     for seed in run_seeds(base_seed, members):
-        trace_t = run_simulation(fig3_config(seed, 0.0, theta=theta, lb=None))
-        part_t = finalize(trace_t)[None].part
+        part_t, part_l, part = fig3_partitions(
+            fig3_config(seed, 0.0, theta=theta, lb=lb), eps_grid)
         bt.append(bound_two_region(part_t, MassSpec.theoretical(alpha), eta).probability)
-        trace_l = run_simulation(fig3_config(seed, 0.0, theta=lb, lb=None))
-        part_l = finalize(trace_l)[None].part
         bl.append(bound_two_region(part_l, MassSpec.theoretical(beta), eta).probability)
-        member_be = []
-        for eps in eps_grid:
-            trace = run_simulation(fig3_config(seed, float(eps), theta=theta, lb=lb))
-            part = finalize(trace)[None].part
-            member_be.append(bound_three_region(
-                part, MassSpec.theoretical(alpha, beta),
-                RegionSpec(theta, lb, float(eps)), eta).probability)
-        be.append(member_be)
+        be.append(bound_three_region(part, MassSpec.theoretical(alpha, beta), spec,
+                                     eta).probability)
     be_mean = np.mean(be, axis=0)
     b_theta = float(np.mean(bt))
     crossing = next((float(e) for e, v in zip(eps_grid, be_mean) if v < b_theta), None)

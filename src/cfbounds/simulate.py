@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .censored import RegionPartition
+from .censored import RegionPartition, region_weights
 from .generalization import LabeledDataset, optimal_threshold
 from .rng import SeededRng
 from .stats import (
@@ -435,10 +435,8 @@ def stitched_from_partition(initial: np.ndarray, new_explore: np.ndarray,
     """Region-weighted full-domain CDF estimate from observed samples.
 
     Two-region form (no lb): weights m/n and (n-m)/n.  Three-region form:
-    the censored weight stays l/n while the exploration/disclosed split of
-    the remaining mass is re-estimated from the arrival counts, with
-    disclosed arrivals thinned by epsilon so both regions are counted on
-    the same acceptance scale.
+    the weights of ``censored.region_weights``, which re-estimate the split
+    above lb from the arrival counts.
     """
     initial = np.asarray(initial, dtype=float)
     n = len(initial)
@@ -446,30 +444,14 @@ def stitched_from_partition(initial: np.ndarray, new_explore: np.ndarray,
         cens = initial[initial < theta]
         disc = np.concatenate([initial[initial >= theta], new_above])
         w = len(cens) / n
-        return StitchedCdf(
-            edges=(theta,),
-            weights=(w, 1.0 - w),
-            segments=(EmpiricalCdf(cens) if len(cens) else None,
-                      EmpiricalCdf(disc) if len(disc) else None),
-        )
+        return StitchedCdf.from_samples((theta,), (w, 1.0 - w), (cens, disc))
     cens = initial[initial < lb]
     expl = np.concatenate([initial[(initial >= lb) & (initial < theta)], new_explore])
     disc = np.concatenate([initial[initial >= theta], new_above])
-    l, m = len(cens), int(np.sum(initial < theta))
-    k1, k2 = len(new_explore), len(new_above)
-    upper_total = (n - l) + k1 + epsilon * k2
-    if upper_total > 0:
-        w_expl = ((n - l) / n) * ((m - l + k1) / upper_total)
-        w_disc = ((n - l) / n) * ((n - m + epsilon * k2) / upper_total)
-    else:
-        w_expl = w_disc = 0.0
-    return StitchedCdf(
-        edges=(lb, theta),
-        weights=(l / n, w_expl, w_disc),
-        segments=(EmpiricalCdf(cens) if len(cens) else None,
-                  EmpiricalCdf(expl) if len(expl) else None,
-                  EmpiricalCdf(disc) if len(disc) else None),
-    )
+    part = RegionPartition(n=n, m=int(np.sum(initial < theta)), l=len(cens),
+                           k1=len(new_explore), k2=len(new_above))
+    return StitchedCdf.from_samples((lb, theta), region_weights(part, epsilon),
+                                    (cens, expl, disc))
 
 
 def ingest_scores(path) -> tuple[np.ndarray, np.ndarray]:

@@ -53,6 +53,8 @@ class GaussianCdf:
     stddev: float = 1.0
 
     def __post_init__(self):
+        if not (np.isfinite(self.mean) and np.isfinite(self.stddev)):
+            raise ValueError(f"mean and stddev must be finite, got {self.mean}, {self.stddev}")
         if not self.stddev > 0:
             raise ValueError(f"stddev must be positive, got {self.stddev}")
 
@@ -91,6 +93,8 @@ class PiecewiseCdf:
         ps = np.asarray(self.ps, dtype=float)
         if xs.ndim != 1 or xs.shape != ps.shape or len(xs) < 2:
             raise ValueError("need matching 1-d tables with at least two points")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ps))):
+            raise ValueError("x and p tables must be finite")
         if np.any(np.diff(xs) < 0):
             raise ValueError("x table must be sorted")
         if np.any(np.diff(ps) < -1e-15):
@@ -265,6 +269,16 @@ class StitchedCdf:
             raise ValueError("negative region weight")
         if list(self.edges) != sorted(self.edges):
             raise ValueError("edges must be ascending")
+
+    @classmethod
+    def from_samples(cls, edges, weights, samples) -> "StitchedCdf":
+        """Estimate spending ``weights[i]`` along the eCDF of ``samples[i]``.
+
+        A region without samples gets a flat segment.
+        """
+        return cls(edges=tuple(edges),
+                   weights=tuple(float(w) for w in weights),
+                   segments=tuple(EmpiricalCdf(x) if len(x) else None for x in samples))
 
     def _offsets(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.weights)))

@@ -32,9 +32,10 @@ from .censored import (
     RegionSpec,
     bound_three_region,
     bound_two_region,
+    eta_for_confidence,
 )
 from .classic import dkw_eta, gc_eta, hoeffding_eta
-from .generalization import LabeledDataset, empirical_risk
+from .generalization import LabeledDataset, empirical_risk, train_thresholds
 from .rng import SeededRng, splitmix64
 from .simulate import SimulationConfig, finalize, run_simulation, stitched_from_partition
 from .stats import sup_deviation
@@ -270,79 +271,17 @@ def _with_seed(config: SimulationConfig, seed: int) -> SimulationConfig:
 # ---------------------------------------------------------------------------
 
 
-def _two_region_prob_vec(n: int, m, k, alpha, eta) -> np.ndarray:
-    """Vectorized two-region bound probability; mirrors the scalar path."""
-    m = np.asarray(m, dtype=float)
-    k = np.asarray(k, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    frac = m / n
-    u = np.abs(alpha - frac)
-
-    def term(count, mass_th, mass_emp, shift):
-        denom = np.minimum(mass_th, mass_emp)
-        degenerate = (count <= 0) | (denom <= 0)
-        worst = np.maximum(mass_th, mass_emp)
-        eff = eta - shift
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            body = 2.0 * np.exp(-2.0 * count * eff * eff / (denom * denom))
-        val = np.where(eff <= 0, 1.0, body)
-        return np.where(degenerate, np.where(worst <= eta, 0.0, 1.0), val)
-
-    raw = term(m, alpha, frac, u) + term(n - m + k, 1.0 - alpha, (n - m) / n, 2.0 * u)
-    return np.minimum(raw, 1.0)
-
-
-def _eta_two_region_vec(n: int, m, k, alpha, delta: float,
-                        tol: float = 1e-9) -> np.ndarray:
-    """Vectorized inverse of the two-region bound; 1.0 where unreachable.
+def _eta_two_region_vec(n: int, m, k, alpha, delta: float) -> np.ndarray:
+    """Per-replication inverse of the two-region bound; 1.0 where unreachable.
 
     The deterministic cap sup <= 1 makes eta = 1 a valid fallback bound
     whenever the requested confidence lies below the censored-region
     floor.
     """
-    m = np.asarray(m, dtype=float)
-    shape = np.broadcast_shapes(m.shape, np.shape(k), np.shape(alpha))
-    lo = np.zeros(shape)
-    hi = np.ones(shape)
-    reachable = _two_region_prob_vec(n, m, k, alpha, 1.0) <= delta
-    steps = int(np.ceil(np.log2(1.0 / tol)))
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        ok = _two_region_prob_vec(n, m, k, alpha, mid) <= delta
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    return np.where(reachable, hi, 1.0)
-
-
-def _train_thresholds(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise empirical-risk-minimizing thresholds and their risks."""
-    R, n0 = x0.shape
-    n1 = x1.shape[1]
-    n = n0 + n1
-    scores = np.concatenate([x0, x1], axis=1)
-    labels = np.concatenate([np.zeros((R, n0), dtype=np.int8),
-                             np.ones((R, n1), dtype=np.int8)], axis=1)
-    order = np.argsort(scores, axis=1, kind="stable")
-    xs = np.take_along_axis(scores, order, axis=1)
-    ys = np.take_along_axis(labels, order, axis=1)
-    zeros = np.zeros((R, 1))
-    cum1 = np.concatenate([zeros, np.cumsum(ys == 1, axis=1)], axis=1)
-    cum0 = np.concatenate([zeros, np.cumsum(ys == 0, axis=1)], axis=1)
-    errors = cum1 + (cum0[:, -1:] - cum0)
-    valid = np.ones((R, n + 1), dtype=bool)
-    valid[:, 1:n] = xs[:, 1:] > xs[:, :-1]
-    errors = np.where(valid, errors, n + 1)
-    j = np.argmin(errors, axis=1)
-    risks = errors[np.arange(R), j] / n
-    theta = np.empty(R)
-    interior = (j > 0) & (j < n)
-    theta[j == 0] = -np.inf
-    theta[j == n] = np.inf
-    ji = j[interior]
-    rows = np.arange(R)[interior]
-    theta[interior] = 0.5 * (xs[rows, ji - 1] + xs[rows, ji])
-    return theta, risks
+    part = RegionPartition(n=n, m=m, k=k)
+    mass = MassSpec.theoretical(alpha)
+    eta = eta_for_confidence(lambda e: bound_two_region(part, mass, e), delta)
+    return np.where(np.isnan(eta), 1.0, eta)
 
 
 def _gen_gap_samples(config: SimulationConfig, replications: int, seed: int,
@@ -362,7 +301,7 @@ def _gen_gap_samples(config: SimulationConfig, replications: int, seed: int,
             empirical_risk(config.theta, LabeledDataset(x0[r], x1[r]))
             for r in range(replications)])
     else:
-        theta, remp = _train_thresholds(x0, x1)
+        theta, remp = train_thresholds(x0, x1)
 
     a0 = np.asarray(model.cdf0.cdf(theta), dtype=float)
     a1 = np.asarray(model.cdf1.cdf(theta), dtype=float)

@@ -57,6 +57,13 @@ class TestPartition:
         with pytest.raises(ValueError):
             RegionSpec(theta=5.0, lb=5.0)
 
+    @pytest.mark.parametrize("kwargs", [dict(theta=math.nan), dict(theta=math.inf),
+                                        dict(theta=0.0, lb=-math.inf),
+                                        dict(theta=0.0, lb=math.nan)])
+    def test_non_finite_region_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            RegionSpec(**kwargs)
+
     def test_counts_invariants(self):
         with pytest.raises(ValueError):
             RegionPartition(n=10, m=4, l=5)
@@ -390,3 +397,97 @@ def test_apriori_rejects_realized_k():
     part = RegionPartition(n=50, m=24, k=3)
     with pytest.raises(ValueError, match="k = 0"):
         bound_two_region_apriori(part, MassSpec.theoretical(0.5), 0.3, 5)
+
+
+# ---------------------------------------------------------------------------
+# The one bound kernel: properties of scalar and array calls
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def region_configs(draw):
+    """Partitions, masses and levels that reach every branch of the kernel:
+    empty regions (m, l or n - m zero), masses at 0 and at the region
+    fractions, and eta both below and above the shift terms."""
+    n = draw(st.integers(1, 300))
+    m = draw(st.integers(0, n))
+    l = draw(st.integers(0, m))
+    counts = st.integers(0, 300)
+    alpha = draw(st.sampled_from([0.0, m / n, 1.0]) | st.floats(0.0, 1.0))
+    beta = draw(st.sampled_from([0.0, l / n, alpha]) | st.floats(0.0, alpha))
+    beta = min(beta, alpha)
+    return dict(n=n, m=m, l=l, k=draw(counts), k1=draw(counts), k2=draw(counts),
+                alpha=alpha, beta=beta, eps=draw(st.floats(0.0, 1.0)),
+                eta=draw(st.sampled_from([1.0, 1e-3]) | st.floats(1e-3, 1.0)))
+
+
+def _two(c, eta=None):
+    part = RegionPartition(n=c["n"], m=c["m"], k=c["k"])
+    return bound_two_region(part, MassSpec.theoretical(c["alpha"]),
+                            c["eta"] if eta is None else eta)
+
+
+def _three(c, eta=None):
+    part = RegionPartition(n=c["n"], m=c["m"], l=c["l"], k1=c["k1"], k2=c["k2"])
+    return bound_three_region(part, MassSpec.theoretical(c["alpha"], c["beta"]),
+                              RegionSpec(1.0, 0.0, c["eps"]),
+                              c["eta"] if eta is None else eta)
+
+
+def _stacked(configs):
+    return {key: np.array([c[key] for c in configs]) for key in configs[0]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(region_configs(), min_size=1, max_size=8),
+       st.integers(0, 40), st.floats(1e-6, 0.5))
+def test_array_call_equals_scalar_calls(configs, wait, delta):
+    arrays = _stacked(configs)
+    for bound in (_two, _three):
+        got = bound(arrays)
+        want = [bound(c) for c in configs]
+        assert all(type(w.raw) is float and type(w.trivial) is bool for w in want)
+        assert got.raw.tolist() == [w.raw for w in want]
+        assert got.trivial.tolist() == [w.trivial for w in want]
+        assert got.probability.tolist() == [w.probability for w in want]
+
+        got_eta = eta_for_confidence(lambda e: bound(arrays, e), delta)
+        want_eta = [eta_for_confidence(lambda e: bound(c, e), delta) for c in configs]
+        assert [None if np.isnan(e) else e for e in got_eta.tolist()] == want_eta
+
+    def apriori(c):
+        part = RegionPartition(n=c["n"], m=c["m"])
+        return bound_two_region_apriori(part, MassSpec.theoretical(c["alpha"]),
+                                        c["eta"], wait)
+
+    got = apriori(arrays)
+    want = [apriori(c) for c in configs]
+    assert got.raw.tolist() == [w.raw for w in want]
+    assert got.trivial.tolist() == [w.trivial for w in want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(region_configs())
+def test_bounds_nonincreasing_in_counts(c):
+    # the two-region bound in k; the three-region bound in k2 at eps = 0,
+    # where k2 is only the disclosed count (for eps > 0, and for k1, a
+    # count also moves the re-estimated weights and with them the shifts)
+    grid = np.arange(0, 600, 7)
+    two = _two(dict(c, k=grid)).probability
+    three = _three(dict(c, k2=grid, eps=0.0)).probability
+    for values in (two, three):
+        assert np.all(np.diff(values) <= 1e-15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(region_configs(), st.floats(1e-6, 0.5))
+def test_eta_inverse_attains_delta(c, delta):
+    tol = 1e-9
+    for bound in (_two, _three):
+        eta = eta_for_confidence(lambda e: bound(c, e), delta, tol=tol)
+        if eta is None:
+            assert bound(c, 1.0).probability > delta
+            continue
+        assert bound(c, eta).probability <= delta
+        if eta > tol:
+            assert bound(c, eta - tol).probability > delta

@@ -54,6 +54,17 @@ class TestBoundCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("eta", ["inf", "nan"])
+    @pytest.mark.parametrize("kind", [
+        ["three-region", "--n", "50", "--m", "27", "--l", "7", "--alpha", "0.5",
+         "--beta", "0.16", "--epsilon", "0.5"],
+        ["two-region", "--n", "50", "--m", "24", "--alpha", "0.5"],
+        ["dkw", "--n", "50"]], ids=["three-region", "two-region", "dkw"])
+    def test_non_finite_eta_exit_code(self, capsys, kind, eta):
+        code, out, err = run_cli(capsys, "bound", *kind, "--eta", eta)
+        assert code == 2
+        assert out == "" and "eta" in err
+
 
 class TestSimulateCommand:
     def test_outputs_and_manifest(self, capsys, tmp_path):

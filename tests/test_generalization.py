@@ -13,6 +13,7 @@ from cfbounds.generalization import (
     gen_bound,
     gen_bound_from_counts,
     optimal_threshold,
+    train_thresholds,
 )
 from cfbounds.classic import dkw_eta
 from cfbounds.rng import SeededRng
@@ -141,6 +142,23 @@ class TestOptimalThreshold:
         # both sides of the lone boundary give equal risk; prefer smaller
         data = LabeledDataset(initial0=[2.0], initial1=[1.0])
         assert optimal_threshold(data) == -np.inf
+
+    def test_batched_rows_match_candidate_scan(self):
+        # oracle: scan -inf, every midpoint of adjacent distinct scores and
+        # +inf in ascending order and keep the first minimum error count;
+        # integer scores make ties within and across labels common
+        gen = SeededRng(17).generator()
+        x0 = np.floor(gen.random((40, 7)) * 6)
+        x1 = np.floor(gen.random((40, 5)) * 6 + 1)
+        theta, risk = train_thresholds(x0, x1)
+        for r in range(len(x0)):
+            distinct = np.unique(np.concatenate([x0[r], x1[r]]))
+            candidates = [-np.inf, *(0.5 * (distinct[:-1] + distinct[1:])), np.inf]
+            errors = [np.sum(x1[r] < t) + np.sum(x0[r] >= t) for t in candidates]
+            best = int(np.argmin(errors))
+            assert theta[r] == candidates[best]
+            assert risk[r] == errors[best] / 12
+            assert optimal_threshold(LabeledDataset(x0[r], x1[r])) == theta[r]
 
 
 class TestGenBound:

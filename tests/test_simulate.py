@@ -97,6 +97,24 @@ class TestArrivals:
         assert abs(part.k2 - t * p2) < 3 * np.sqrt(t * p2 * (1 - p2))
         assert abs(part.k1 - t * p1) < 3 * np.sqrt(t * p1 * (1 - p1))
 
+    def test_shared_trace_partitions_match_per_epsilon_runs(self):
+        from dataclasses import replace
+
+        from cfbounds.censored import RegionPartition
+        from cfbounds.presets import fig3_partitions
+
+        config = SimulationConfig(population=GaussianCdf(7, 3), n=300, theta=8.0,
+                                  lb=6.0, epsilon=0.0, arrivals=3000, seed=5)
+        eps_grid = np.round(np.arange(0.0, 1.0001, 0.05), 6)
+        part_t, part_l, part = fig3_partitions(config, eps_grid)
+        assert part.k1[0] == 0 < part.k1[-1]
+        for i, eps in enumerate(eps_grid):
+            want = finalize(run_simulation(replace(config, epsilon=float(eps))))[None].part
+            assert replace(part, k1=int(part.k1[i])) == want
+        assert part_t == finalize(run_simulation(replace(config, lb=None)))[None].part
+        assert part_l == finalize(run_simulation(
+            replace(config, theta=config.lb, lb=None)))[None].part
+
     def test_coins_consumed_only_in_exploration_region(self):
         config = pooled_config(lb=6.0, epsilon=0.5)
         trace = run_simulation(config)

@@ -82,6 +82,12 @@ class TestGaussianCdf:
         with pytest.raises(ValueError):
             GaussianCdf(0, -1)
 
+    @pytest.mark.parametrize("mean, stddev", [(np.nan, 1.0), (np.inf, 1.0),
+                                              (0.0, np.inf), (0.0, np.nan)])
+    def test_non_finite_parameters_rejected(self, mean, stddev):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianCdf(mean, stddev)
+
     def test_inverse_round_trip(self):
         g = GaussianCdf(7, 3)
         ps = np.linspace(0.001, 0.999, 101)
@@ -111,6 +117,13 @@ class TestPiecewiseCdf:
     def test_inverse(self):
         uniform = PiecewiseCdf(np.array([2.0, 4.0]), np.array([0.0, 1.0]))
         assert uniform.inverse(0.5) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("xs, ps", [([0.0, np.nan, 2.0], [0.0, 0.5, 1.0]),
+                                        ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+                                        ([0.0, 1.0, np.inf], [0.0, 0.5, 1.0])])
+    def test_non_finite_table_rejected(self, xs, ps):
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseCdf(np.array(xs), np.array(ps))
 
 
 class TestRestrictedCdf:

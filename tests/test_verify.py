@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 import cfbounds.verify as verify
-from cfbounds.censored import MassSpec, RegionPartition, bound_two_region
+from cfbounds.censored import RegionPartition
 from cfbounds.rng import SeededRng
 from cfbounds.simulate import SimulationConfig
 from cfbounds.stats import GaussianCdf, MixtureModel
 from cfbounds.verify import (
     CoverageReport,
     _batch_sup_conditioned,
-    _eta_two_region_vec,
     _gen_gap_samples,
     _sup_chunk,
     _sup_risk_gap,
     _sup_tasks,
-    _two_region_prob_vec,
     _with_grid,
     _with_seed,
     compare_bounds,
@@ -28,7 +26,6 @@ from cfbounds.verify import (
     wilson_interval,
     wilson_stderr,
 )
-from cfbounds.censored import eta_for_confidence
 
 POP = GaussianCdf(7.0, 1.0)
 
@@ -133,38 +130,6 @@ class TestUnconditionedPath:
         assert report.meta["mode"] == "unconditioned"
         assert 0.0 <= report.frequency <= 1.0
         assert report.holds
-
-
-class TestVectorizedTwoRegion:
-    def test_prob_matches_scalar(self):
-        rng = SeededRng(6).generator()
-        n = 50
-        for _ in range(200):
-            m = int(rng.integers(0, n + 1))
-            k = int(rng.integers(0, 1000))
-            alpha = float(rng.random())
-            eta = float(rng.random() * 0.9 + 0.01)
-            part = RegionPartition(n=n, m=m, k=k)
-            want = bound_two_region(part, MassSpec.theoretical(alpha), eta).probability
-            got = float(_two_region_prob_vec(n, m, k, alpha, eta))
-            assert got == pytest.approx(want, abs=1e-14)
-
-    def test_eta_inverse_matches_scalar_bisection(self):
-        n, delta = 50, 0.05
-        rng = SeededRng(61).generator()
-        for _ in range(25):
-            m = int(rng.integers(1, n))
-            k = int(rng.integers(0, 500))
-            alpha = float(rng.random() * 0.9 + 0.05)
-            part = RegionPartition(n=n, m=m, k=k)
-            scalar = eta_for_confidence(
-                lambda e: bound_two_region(part, MassSpec.theoretical(alpha), e), delta)
-            vec = float(_eta_two_region_vec(n, np.array([m]), np.array([k]),
-                                            np.array([alpha]), delta)[0])
-            if scalar is None:
-                assert vec == 1.0
-            else:
-                assert vec == pytest.approx(scalar, abs=1e-6)
 
 
 class TestGenGap:

@@ -176,7 +176,7 @@ def region_weights(part: RegionPartition, epsilon) -> tuple:
     array counts and epsilon.
     """
     n, m, l, k1, k2 = part.n, part.m, part.l, part.k1, part.k2
-    upper_total = (n - l) + k1 + epsilon * k2
+    upper_total = np.asarray((n - l) + k1 + epsilon * k2, dtype=float)
     upper = (n - l) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         explore_w = np.where(upper_total > 0, upper * ((m - l + k1) / upper_total), 0.0)

@@ -284,15 +284,17 @@ def _eta_two_region_vec(n: int, m, k, alpha, delta: float) -> np.ndarray:
     return np.where(np.isnan(eta), 1.0, eta)
 
 
-def _gen_gap_samples(config: SimulationConfig, replications: int, seed: int,
-                     delta: float):
-    """Per-replication trained thresholds, gaps, and assembled bounds."""
+def _initial_samples(config: SimulationConfig, replications: int, seed: int):
+    """Per-replication initial samples and what they alone determine.
+
+    Returns the thresholds, the gaps |R - R_emp| at them, x0, x1, F0 and F1
+    at the thresholds, and the per-label counts below them.  All come from
+    ``SeededRng(seed).substream(0)``; ``config.arrivals`` does not enter.
+    """
     model = config.model
     n0, n1 = config.n0, config.n1
-    n = n0 + n1
-    root = SeededRng(seed)
-    gen = root.substream(0).generator()
-    u = gen.random((replications, n))
+    gen = SeededRng(seed).substream(0).generator()
+    u = gen.random((replications, n0 + n1))
     x0 = np.asarray(model.cdf0.inverse(u[:, :n0]), dtype=float)
     x1 = np.asarray(model.cdf1.inverse(u[:, n0:]), dtype=float)
     if config.theta is not None:
@@ -307,10 +309,25 @@ def _gen_gap_samples(config: SimulationConfig, replications: int, seed: int,
     a1 = np.asarray(model.cdf1.cdf(theta), dtype=float)
     rtrue = model.p1 * a1 + model.p0 * (1.0 - a0)
     gaps = np.abs(rtrue - remp)
-
     m0 = np.sum(x0 < theta[:, None], axis=1)
     m1 = np.sum(x1 < theta[:, None], axis=1)
-    bin_gen = root.substream(1).generator()
+    return theta, gaps, x0, x1, a0, a1, m0, m1
+
+
+def _gen_gap_samples(config: SimulationConfig, replications: int, seed: int,
+                     delta: float, initial=None):
+    """Per-replication trained thresholds, gaps, and assembled bounds.
+
+    ``initial`` is ``_initial_samples(config, replications, seed)``, computed
+    here when not given; a grid over ``config.arrivals`` can share one.
+    """
+    model = config.model
+    n0, n1 = config.n0, config.n1
+    n = n0 + n1
+    if initial is None:
+        initial = _initial_samples(config, replications, seed)
+    theta, gaps, x0, x1, a0, a1, m0, m1 = initial
+    bin_gen = SeededRng(seed).substream(1).generator()
     T = config.arrivals
     t1 = bin_gen.binomial(T, model.p1, size=replications) if T else np.zeros(replications, dtype=int)
     k1 = bin_gen.binomial(t1, 1.0 - a1) if T else np.zeros(replications, dtype=int)
@@ -364,27 +381,15 @@ def vc_gen_eta(n: int, delta: float, d: int = 2) -> float:
     return math.sqrt(8.0 * (math.log(4.0 / delta) + d * math.log(2.0 * n + 1.0)) / n)
 
 
-def _pool_counts(z: np.ndarray, n_label0: int):
-    """Distinct sorted values of one pool and the label counts between them.
+_BLOCK = 64         # every _BLOCK-th sample of each label cuts a side into blocks
+_MARGIN = 1e-9      # slack on a block's bound, far above CDF rounding
 
-    The first ``n_label0`` entries of ``z`` are label-0 samples and the
-    rest are label-1 samples.  One argsort merges them; running counts in
-    that order give, for each label, the number of samples strictly below
-    every distinct value (its left limit) and, one entry later, at or
-    below it (its right limit).  Tied values collapse to one point, so
-    both limits are exact under ties.
-    """
-    order = np.argsort(z)
-    z = z[order]
-    count0 = np.zeros(len(z) + 1, dtype=np.intp)
-    np.cumsum(order < n_label0, out=count0[1:])
-    counted = np.arange(len(z) + 1)
-    keep = np.ones(len(z) + 1, dtype=bool)
-    np.not_equal(z[1:], z[:-1], out=keep[1:-1])
-    if not keep.all():
-        z = z[keep[:-1]]
-        count0, counted = count0[keep], counted[keep]
-    return z, (count0, counted - count0)
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i] <= j < stops[i]`` of every i, in order
+    (none for an i with ``stops[i] <= starts[i]``)."""
+    lengths = np.maximum(stops - starts, 0)
+    return np.repeat(stops - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
 
 
 def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
@@ -397,50 +402,90 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
     upper-region distributions, label 0 first).  Label l's estimator
     spends weight w_l = #censored/len(x_l) evenly over its censored
     samples below ``theta`` and 1 - w_l evenly over its disclosed samples.
+    Admitted draws are clamped to at least ``theta``, so one that rounds
+    below it through the inverse CDF still lies on the disclosed side.
 
     The supremum is attained at a left or right limit at a pooled sample.
     Points below ``theta`` are evaluated against the censored samples and
-    the others against the disclosed ones, so each side is one pool
-    merged by ``_pool_counts``; the estimators are evaluated once per
-    count and once per distinct point.  Admitted draws are clamped to at
-    least ``theta``, so one that rounds below it through the inverse CDF
-    still lies on the disclosed side.
+    the others against the disclosed ones.  Each label's samples on a side
+    are sorted, and its left and right limits at a point are counts read
+    with ``searchsorted``.
+
+    A side with more than ``16 * _BLOCK`` samples is not evaluated at
+    every point.  Every ``_BLOCK``-th sample of each label, and each
+    label's last one, cut it into blocks of fewer than ``2 * _BLOCK``
+    points strictly between two cuts, and the gap is evaluated exactly at
+    the cuts.  The signed gap is p1*F1 - w1*fhat1 - (p0*F0 - w0*fhat0) +
+    const, and F0, F1, fhat0 and fhat1 are all nondecreasing, so inside a
+    block it lies between bounds built from F_l at the two cuts and fhat_l
+    at the right limit of the lower cut and the left limit of the upper
+    one.  Only a block whose bound plus ``_MARGIN`` reaches the best exact
+    value is evaluated point by point.  ``_MARGIN`` is far above the
+    rounding of these terms and any ulp-level non-monotonicity of a
+    computed CDF, so every skipped point's computed value lies below that
+    best value.  The result is therefore the maximum of the same
+    floating-point values as an evaluation at every point, and the draws
+    are the same.
     """
     n0, n1 = len(x0), len(x1)
     n = n0 + n1
     cens, disc = [], []
     for x, k, a, cdf in ((x0, k0, a0, model.cdf0), (x1, k1, a1, model.cdf1)):
-        cens.append(x[x < theta])
-        d = x[x >= theta]
+        x = np.sort(x)
+        cut = np.searchsorted(x, theta)
+        cens.append(x[:cut])
         if k:
             draws = np.asarray(cdf.inverse(a + (1.0 - a) * gen.random(k)), dtype=float)
-            d = np.concatenate([d, np.maximum(draws, theta)])
-        disc.append(d)
+            disc.append(np.sort(np.concatenate([x[cut:], np.maximum(draws, theta)])))
+        else:
+            disc.append(x[cut:])
     nc = [len(c) for c in cens]
     nd = [len(d) for d in disc]
     wc = [nc[0] / n0, nc[1] / n1]
 
-    zb, below = _pool_counts(np.concatenate(cens), nc[0])
-    za, above = _pool_counts(np.concatenate(disc), nd[0])
-
     def fhat_below(count, label):
-        return count / nc[label] * wc[label] if nc[label] else np.zeros(len(count))
+        return count / nc[label] * wc[label] if nc[label] else np.zeros(count.shape)
 
     def fhat_above(count, label):
         w = wc[label]
-        return w + count / nd[label] * (1.0 - w) if nd[label] else np.full(len(count), w)
+        return w + count / nd[label] * (1.0 - w) if nd[label] else np.full(count.shape, w)
 
     w1, w0 = n1 / n, n0 / n
     best = 0.0
-    for zs, (count0, count1), fhat in ((zb, below, fhat_below), (za, above, fhat_above)):
-        if not len(zs):
+    for samples, fhat in ((cens, fhat_below), (disc, fhat_above)):
+
+        def terms(z):
+            """Per label, the samples below ``z`` and at or below it (the
+            left and right limits, stacked), then p_l*F_l at ``z`` and
+            w_l*fhat_l at both limits."""
+            counts = [np.stack([np.searchsorted(s, z, "left"), np.searchsorted(s, z, "right")])
+                      for s in samples]
+            pf0 = model.p0 * np.asarray(model.cdf0.cdf(z), dtype=float)
+            pf1 = model.p1 * np.asarray(model.cdf1.cdf(z), dtype=float)
+            return counts, pf0, pf1, w0 * fhat(counts[0], 0), w1 * fhat(counts[1], 1)
+
+        def gap(pf0, pf1, wf0, wf1):
+            return (pf1 - wf1) - (pf0 - wf0) + (model.p0 - w0)
+
+        def exact(z):
+            return float(np.max(np.abs(gap(*terms(z)[1:]))))
+
+        size = len(samples[0]) + len(samples[1])
+        if size <= 16 * _BLOCK:
+            if size:
+                best = max(best, exact(np.concatenate(samples)))
             continue
-        pf0 = model.p0 * np.asarray(model.cdf0.cdf(zs), dtype=float)
-        pf1 = model.p1 * np.asarray(model.cdf1.cdf(zs), dtype=float)
-        wf0, wf1 = w0 * fhat(count0, 0), w1 * fhat(count1, 1)
-        for side in (slice(None, -1), slice(1, None)):   # left, right limits
-            diff = (pf1 - wf1[side]) - (pf0 - wf0[side]) + (model.p0 - w0)
-            best = max(best, float(np.max(np.abs(diff))))
+        cuts = np.sort(np.concatenate([s[::_BLOCK] for s in samples] + [s[-1:] for s in samples]))
+        counts, pf0, pf1, wf0, wf1 = terms(cuts)
+        best = max(best, float(np.max(np.abs(gap(pf0, pf1, wf0, wf1)))))
+        # the gap's range strictly between consecutive cuts
+        upper = gap(pf0[:-1], pf1[1:], wf0[0, 1:], wf1[1, :-1])
+        lower = gap(pf0[1:], pf1[:-1], wf0[1, :-1], wf1[0, 1:])
+        hit = np.flatnonzero(np.maximum(upper, -lower) + _MARGIN >= best)
+        z = np.concatenate([s[_ranges(c[1, hit], c[0, hit + 1])]
+                            for s, c in zip(samples, counts)])
+        if len(z):
+            best = max(best, exact(z))
     return best
 
 
@@ -518,12 +563,13 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
         part = RegionPartition(n=config.n, m=int(round(config.n * alpha)), k=0)
         sup = _batch_sup_conditioned((alpha, 1.0 - alpha), (part.m, part.n - part.m),
                                      replications, gen)
+        etas = np.asarray(eta_grid, dtype=float)
+        ours = bound_two_region(part, MassSpec.theoretical(alpha), etas).probability
         rows = []
-        for eta in eta_grid:
+        for eta, prob in zip(eta_grid, ours):
             freq = float(np.mean(sup >= eta))
-            ours = bound_two_region(part, MassSpec.theoretical(alpha), float(eta))
             rows.append((
-                float(eta), freq, ours.probability,
+                float(eta), freq, float(prob),
                 dkw_bound(config.n, float(eta)).probability,
                 gc_bound(config.n, float(eta)).probability,
                 vc_bound(config.n, float(eta), vc_dim).probability,
@@ -543,14 +589,12 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
     quant = 1.0 - 2.0 * delta
 
     stream = SeededRng(seed).substream(2)
+    initial = _initial_samples(config, replications, seed)
     tasks, ours, start = [], [], 0
-    gaps_all = []
-    for t_idx, T in enumerate(grid):
-        theta, gaps, totals, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
-            _with_grid(config, T), replications, seed, delta)
+    for T in grid:
+        theta, _, totals, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
+            _with_grid(config, T), replications, seed, delta, initial)
         ours.append(totals)
-        if t_idx == 0:
-            gaps_all = gaps
         chunks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, model)
         tasks.extend(chunks)
     workers = min(_cpu_count(), len(tasks))
@@ -590,7 +634,7 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
         rows=tuple(rows),
         meta={"mode": "gen", "replications": replications, "seed": seed,
               "delta": delta, "quantile": quant,
-              "gap_at_theta_mean": float(np.mean(gaps_all)) if len(gaps_all) else None},
+              "gap_at_theta_mean": float(np.mean(initial[1])) if grid else None},
     )
 
 

@@ -20,6 +20,7 @@ from cfbounds.censored import (
     disclosed_term,
     eta_for_confidence,
     partition,
+    region_weights,
 )
 from cfbounds.classic import dkw_bound, dkw_eta
 from cfbounds.rng import SeededRng
@@ -223,6 +224,13 @@ class TestThreeRegionBound:
         want = (mp_term(m + k1, eta - abs(0.5 - s), min(0.5, s))
                 + mp_term(n - m + k2, eta - 2 * abs(0.5 - s), min(0.5, w)))
         assert value.raw == pytest.approx(want, rel=1e-12)
+
+    def test_weights_without_samples_above_lb(self):
+        # every initial sample below LB and no arrivals: the upper weights are 0
+        part = RegionPartition(n=3, m=3, l=3, k1=0, k2=0)
+        assert tuple(map(float, region_weights(part, 0.0))) == (1.0, 0.0, 0.0)
+        assert bound_three_region(part, MassSpec.theoretical(0.5, 0.2),
+                                  RegionSpec(theta=7.0, lb=6.0, epsilon=0.0), 0.3).raw >= 0.0
 
     @settings(max_examples=300)
     @given(st.data())

@@ -238,6 +238,28 @@ class TestStitchedCdf:
         assert np.max(stitched.cdf(np.array([0.5, 1.0, 3.0]))) == 1.0
         assert stitched.cdf_left(1.0) == 0.25
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=40), st.floats(-3.0, 3.0),
+           st.one_of(st.none(), st.floats(0.0, 3.0)), st.floats(0.0, 1.0),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30),
+           st.lists(st.floats(0.0, 5.0), max_size=80))
+    def test_estimate_is_a_cdf(self, initial, theta, width, epsilon, explore, above):
+        from cfbounds.simulate import stitched_from_partition
+
+        lb = None if width is None else theta - width
+        explore = np.array(explore) * width + lb if lb is not None else np.empty(0)
+        explore = explore[explore < theta]
+        estimate = stitched_from_partition(np.round(initial, 1), explore,
+                                           theta + np.array(above), theta, lb, epsilon)
+        pts = np.unique(np.concatenate([estimate.jump_points(), [theta]]))
+        xs = np.unique(np.concatenate([pts, (pts[1:] + pts[:-1]) / 2,
+                                       [pts[0] - 1.0, pts[-1] + 1.0]]))
+        values = np.column_stack([estimate.cdf_left(xs), estimate.cdf(xs)]).ravel()
+        assert np.all(np.diff(values) >= 0.0)
+        assert values[0] == 0.0 and values.max() <= 1.0
+        # the region weights may sum to up to two ulps below 1
+        assert values[-1] >= 1.0 - 4 * np.finfo(float).eps
+
     def test_fig4_estimate_stays_in_unit_interval(self):
         # seed 101 at eps 0 has region weights summing one ulp above 1
         from cfbounds.presets import fig4_band

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 import cfbounds.verify as verify
-from cfbounds.censored import RegionPartition
+from cfbounds.censored import MassSpec, RegionPartition, bound_two_region
 from cfbounds.rng import SeededRng
 from cfbounds.simulate import SimulationConfig
-from cfbounds.stats import GaussianCdf, MixtureModel
+from cfbounds.stats import GaussianCdf, MixtureModel, PiecewiseCdf
 from cfbounds.verify import (
     CoverageReport,
     _batch_sup_conditioned,
     _gen_gap_samples,
+    _initial_samples,
     _sup_chunk,
     _sup_risk_gap,
     _sup_tasks,
@@ -175,6 +176,18 @@ class TestCompareBounds:
         hoeff = table.column("hoeffding")
         assert hoeff[0] > hoeff[1] > hoeff[2]
 
+    def test_cdf_mode_rows_equal_scalar_bound_calls(self):
+        config = fig1_like()
+        etas = [0.01, 0.05, 0.2, 0.35, 1.5]        # trivial, moderate and tiny bounds
+        table = compare_bounds(config, eta_grid=etas, replications=200, seed=5)
+        alpha = float(config.population.cdf(config.theta))
+        part = RegionPartition(n=config.n, m=int(round(config.n * alpha)), k=0)
+        want = [bound_two_region(part, MassSpec.theoretical(alpha), eta).probability
+                for eta in etas]
+        assert table.column("ours") == want
+        assert all(type(v) is float for v in table.column("ours"))
+        assert table.column("eta") == etas
+
     def test_mode_exclusivity(self):
         with pytest.raises(ValueError):
             compare_bounds(fig1_like(), replications=100, seed=0)
@@ -185,8 +198,12 @@ class TestCompareBounds:
             vc_gen_eta(0, 0.05)
 
 
-def _sup_risk_gap_oracle(theta, x0, x1, k0, k1, a0, a1, model, gen):
-    """Direct searchsorted evaluation of every left and right limit."""
+def _oracle_gaps(theta, x0, x1, k0, k1, a0, a1, model, gen):
+    """Direct searchsorted evaluation of every left and right limit.
+
+    Returns the sorted pooled points, |gap| at their left and right
+    limits, and each label's sorted disclosed samples.
+    """
     n0, n1 = len(x0), len(x1)
     n = n0 + n1
     segs = {}
@@ -211,12 +228,15 @@ def _sup_risk_gap_oracle(theta, x0, x1, k0, k1, a0, a1, model, gen):
         return np.where(zs < theta, below, w + above)
 
     w1, w0 = n1 / n, n0 / n
-    best = 0.0
-    for side in ("left", "right"):
-        diff = (model.p1 * f1 - w1 * fhat(1, side)) - (model.p0 * f0 - w0 * fhat(0, side)) \
-            + (model.p0 - w0)
-        best = max(best, float(np.max(np.abs(diff))))
-    return best
+    gaps = [np.abs((model.p1 * f1 - w1 * fhat(1, side)) - (model.p0 * f0 - w0 * fhat(0, side))
+                   + (model.p0 - w0))
+            for side in ("left", "right")]
+    return zs, gaps, (segs[0][1], segs[1][1])
+
+
+def _sup_risk_gap_oracle(theta, x0, x1, k0, k1, a0, a1, model, gen):
+    _, gaps, _ = _oracle_gaps(theta, x0, x1, k0, k1, a0, a1, model, gen)
+    return max(0.0, *(float(np.max(g)) for g in gaps))
 
 
 class _RoundedGaussian(GaussianCdf):
@@ -263,7 +283,7 @@ class TestSupRiskGapOracle:
         gen = SeededRng(seed).generator()
         return gen.normal(9.0, 1.0, n0), gen.normal(10.0, 1.0, n1)
 
-    @pytest.mark.parametrize("arrivals", [0, 2_000, 20_000])
+    @pytest.mark.parametrize("arrivals", [0, 2_000, 20_000, 50_000])
     def test_bench_mixture(self, arrivals):
         from cfbounds.presets import bench_config
 
@@ -319,6 +339,91 @@ class TestSupRiskGapOracle:
     def test_single_samples(self):
         self._check(9.5, np.array([9.0]), np.array([10.0]), 0, 0)
         self._check(9.5, np.array([9.7]), np.array([9.7]), 3, 0)
+
+    def test_supremum_strictly_inside_a_block(self):
+        # both labels share one CDF, so the gap is half the difference of the
+        # empirical CDFs; label 0's samples 160..199 are packed just below
+        # label 1's sample 160, which puts the supremum at the right limit of
+        # label 0's sample 199, which is none of the block cuts
+        model = MixtureModel(p1=0.5, cdf0=GaussianCdf(300, 100), cdf1=GaussianCdf(300, 100))
+        x1 = np.arange(600.0)
+        x0 = x1 + 0.5
+        x0[160:200] = np.linspace(159.6, 159.9, 40)
+        args = (-np.inf, x0, x1, 0, 0, 0.0, 0.0, model, SeededRng(0).generator())
+        zs, gaps, disc = _oracle_gaps(*args)
+        assert zs[np.argmax(np.maximum(*gaps))] == x0[199] and 199 % verify._BLOCK
+        cuts = np.concatenate([s[::verify._BLOCK] for s in disc] + [s[-1:] for s in disc])
+        assert x0[199] not in cuts
+        assert self._check(-np.inf, x0, x1, 0, 0, model) == pytest.approx(0.5 * 40 / 600)
+
+    def test_supremum_just_above_a_cut(self):
+        # with a nearly flat CDF, the gap at the left limit of label 1's
+        # sample 188 beats the one at the cut just below it (label 0's
+        # sample 192) by about 1e-8, and its block's bound beats that cut
+        # by less than 1e-6: only a nonnegative margin evaluates the block
+        model = MixtureModel(p1=0.6, cdf0=GaussianCdf(0, 1e6), cdf1=GaussianCdf(0, 1e6))
+        x0 = np.arange(600.0)
+        x1 = np.arange(600.0) + 0.5
+        x1[188:193] = [192.1, 192.2, 192.3, 192.4, 192.45]
+        args = (-np.inf, x0, x1, 0, 0, 0.0, 0.0, model, SeededRng(0).generator())
+        zs, gaps, disc = _oracle_gaps(*args)
+        assert zs[np.argmax(np.maximum(*gaps))] == x1[188]
+        cuts = np.concatenate([s[::verify._BLOCK] for s in disc] + [s[-1:] for s in disc])
+        assert x0[192] in cuts and x1[188] not in cuts
+        self._check(-np.inf, x0, x1, 0, 0, model)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_pool_sizes_at_the_pruning_cutoff(self, extra):
+        # sides of 16 * _BLOCK samples are evaluated at every point, larger ones by blocks
+        size = 16 * verify._BLOCK + extra
+        x0, x1 = self._initial(5)
+        self._check(-np.inf, x0, x1, 60, size - 160)          # disclosed side
+        self._check(9.5, x0[x0 >= 9.5], x1[x1 >= 9.5], 60,
+                    size - 60 - np.sum(x0 >= 9.5) - np.sum(x1 >= 9.5))
+        x0, x1 = self._initial(6, size // 2, size - size // 2)
+        self._check(np.inf, x0, x1, 0, 0)                     # censored side
+
+    @pytest.mark.parametrize("both", [False, True])
+    def test_blocks_of_tied_values(self, both):
+        # label 1's admitted draws all land at 9.5: several whole blocks of ties
+        cdf0 = _PointGaussian(9, 1) if both else GaussianCdf(9, 1)
+        model = MixtureModel(p1=0.5, cdf0=cdf0, cdf1=_PointGaussian(10, 1))
+        for seed in range(5):
+            x0, x1 = self._initial(seed)
+            self._check(9.0, x0, x1, 1000, 16 * verify._BLOCK, model, seed)
+
+    PIECEWISE = MixtureModel(
+        p1=0.4,
+        cdf0=PiecewiseCdf([5, 8, 8, 9, 11, 11, 14], [0, 0.3, 0.5, 0.5, 0.8, 0.9, 1.0]),
+        cdf1=PiecewiseCdf([6, 8, 9.5, 10, 11, 11, 15], [0, 0.1, 0.4, 0.4, 0.6, 0.85, 1.0]))
+
+    @pytest.mark.parametrize("theta", [7.0, 8.0, 8.5, 9.7, 11.0])
+    def test_piecewise_mixture_with_flats_and_jumps(self, theta):
+        # F0 is flat on [8, 9] and F1 on [9.5, 10]; both jump, so draws tie
+        model = self.PIECEWISE
+        for seed in range(5):
+            gen = SeededRng(seed).generator()
+            x0, x1 = model.cdf0.inverse(gen.random(50)), model.cdf1.inverse(gen.random(50))
+            self._check(theta, x0, x1, 700, 500, model, seed)
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_small_blocks(self, block, monkeypatch):
+        # small blocks send every one of these pools through the pruned path
+        from cfbounds.presets import bench_config
+
+        monkeypatch.setattr(verify, "_BLOCK", block)
+        config = _with_grid(bench_config(), 500)
+        theta, _, _, (x0, x1, _, _, k0, k1) = _gen_gap_samples(config, 40, 3, 0.015)
+        for r in range(40):
+            self._check(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]), seed=r)
+        rounded = MixtureModel(p1=0.4, cdf0=_RoundedGaussian(9, 1), cdf1=_RoundedGaussian(10, 1))
+        for seed in range(5):
+            x0, x1 = (np.round(x, 1) for x in self._initial(seed, 40, 60))
+            self._check(9.5, x0, x1, 300, 500, rounded, seed)
+            gen = SeededRng(seed).generator()
+            p0, p1 = self.PIECEWISE.cdf0, self.PIECEWISE.cdf1
+            self._check(8.5, p0.inverse(gen.random(30)), p1.inverse(gen.random(30)),
+                        70, 90, self.PIECEWISE, seed)
 
 
 def _shared_stream_sups(config, grid, replications, seed, delta):
@@ -379,6 +484,26 @@ class TestTruthColumnPool:
                                  x1[one], a0[one], a1[one], k0[one], k1[one], config.model)
                 assert got == [values[r]]
             start += int(draws.sum())
+
+    def test_table_equals_per_grid_point_loop(self, config, shared, monkeypatch):
+        # the grid shares one set of initial samples; a loop drawing them
+        # afresh at every grid point gives the same table
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        table = self._table(config)
+        initial = _initial_samples(config, self.R, self.SEED)
+        ours = []
+        for T in self.GRID:
+            theta, gaps, totals, rest = self._samples(config, T)
+            reused = _gen_gap_samples(_with_grid(config, T), self.R, self.SEED, self.DELTA,
+                                      initial)
+            for want, got in zip((theta, gaps, totals, *rest), (*reused[:3], *reused[3])):
+                assert np.array_equal(want, got)
+            ours.append(float(np.mean(totals)))
+        quant = 1.0 - 2.0 * self.DELTA
+        assert table.column("ours") == ours
+        assert table.column("gap_quantile") == [float(np.quantile(v, quant)) for v in shared]
+        assert table.column("gap_mean") == [float(np.mean(v)) for v in shared]
+        assert table.meta["gap_at_theta_mean"] == float(np.mean(self._samples(config, 0)[1]))
 
     def test_chunk_size_not_dividing_replications(self, config, shared, monkeypatch):
         monkeypatch.setattr(verify, "_SUP_CHUNK", 7)

@@ -380,21 +380,17 @@ def check_prop1(cdf, n: int, thetas: Sequence[float], c: float, eta: float,
     every grid point for the monotonicity claim to apply; the report
     flags whether it does.
     """
-    values = []
-    precondition = True
-    for theta in thetas:
-        alpha = float(cdf.cdf(theta))
-        m = int(round(n * alpha))
-        k = int(round(c * (n - m)))
-        part = RegionPartition(n=n, m=m, k=k)
-        mass = MassSpec.theoretical(alpha)
-        u = abs(alpha - m / n)
-        if m > 0 and eta > 2.0 * u:
-            c_min = (n - m) * (eta - u) ** 2 / (m * (eta - 2.0 * u) ** 2) - 1.0
-            precondition = precondition and (c >= c_min)
-        values.append(bound_two_region(part, mass, eta).raw)
+    alpha = np.asarray(cdf.cdf(np.asarray(thetas, dtype=float)), dtype=float)
+    m = np.round(n * alpha).astype(int)
+    k = np.round(c * (n - m)).astype(int)
+    u = np.abs(alpha - m / n)
+    applies = (m > 0) & (eta > 2.0 * u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_min = (n - m) * (eta - u) ** 2 / (m * (eta - 2.0 * u) ** 2) - 1.0
+    values = bound_two_region(RegionPartition(n=n, m=m, k=k), MassSpec.theoretical(alpha),
+                              eta).raw
     return MonotonicityReport.from_values("nondecreasing", thetas, values, slack,
-                                          precondition_met=precondition)
+                                          precondition_met=_holds(c >= c_min[applies]))
 
 
 def check_prop2(part: RegionPartition, mass: MassSpec, spec: RegionSpec,

@@ -125,10 +125,20 @@ class PiecewiseCdf:
         return out if out.ndim else float(out)
 
     def inverse(self, p):
-        p = np.asarray(p, dtype=float)
-        # Keep only strictly increasing p knots so the inverse is well defined.
-        keep = np.concatenate(([True], np.diff(self.ps) > 0))
-        out = np.interp(p, self.ps[keep], self.xs[keep])
+        """The generalized inverse inf{x : F(x) >= p}, with p clipped to the table.
+
+        A level that a knot attains maps to the first such knot.  Any other
+        level is interpolated between the last knot below it and the first
+        above it, so a flat stretch (equal p at distinct x) is left from its
+        right end and no value lands inside it.
+        """
+        xs, ps = self.xs, self.ps
+        p = np.clip(np.asarray(p, dtype=float), ps[0], ps[-1])
+        hi = np.minimum(np.searchsorted(ps, p, side="left"), len(ps) - 1)
+        lo = np.maximum(hi - 1, 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inside = xs[lo] + (p - ps[lo]) / (ps[hi] - ps[lo]) * (xs[hi] - xs[lo])
+        out = np.where(ps[hi] == p, xs[hi], inside)
         return out if out.ndim else float(out)
 
     def knots(self) -> np.ndarray:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import astuple, dataclass, field, replace
 from itertools import starmap
 from typing import Optional, Sequence
 
@@ -239,7 +240,7 @@ def mc_cdf_deviation(config: SimulationConfig, eta: float, replications: int,
     from .simulate import REGION_DISCLOSED, REGION_EXPLORE
 
     successes = 0
-    bounds = []
+    parts = []
     run_seed0 = splitmix64(seed)
     for r in range(replications):
         trace = run_simulation(_with_seed(config, run_seed0 ^ r))
@@ -251,12 +252,14 @@ def mc_cdf_deviation(config: SimulationConfig, eta: float, replications: int,
             theta, lb, eps)
         sup = sup_deviation(config.population, est)
         successes += sup >= eta
-        part = finalize(trace)[None].part
-        if lb is None:
-            bounds.append(bound_two_region(part, MassSpec.theoretical(alpha), eta).probability)
-        else:
-            bounds.append(bound_three_region(part, MassSpec.theoretical(alpha, beta),
-                                             RegionSpec(theta, lb, eps), eta).probability)
+        parts.append(astuple(finalize(trace)[None].part))
+    # one bound call over every replication's counts
+    part = RegionPartition(*(np.array(counts) for counts in zip(*parts)))
+    if lb is None:
+        bounds = bound_two_region(part, MassSpec.theoretical(alpha), eta).probability
+    else:
+        bounds = bound_three_region(part, MassSpec.theoretical(alpha, beta),
+                                    RegionSpec(theta, lb, eps), eta).probability
     return CoverageReport.build(int(successes), replications, seed, eta,
                                 float(np.mean(bounds)),
                                 meta={"mode": "unconditioned", "eta": eta})
@@ -392,9 +395,68 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(stops - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
 
 
+def _side_sup(samples, fhat, w0: float, w1: float, model, best: float) -> float:
+    """The largest |gap| at the points of one threshold side, or ``best`` if larger.
+
+    ``samples`` holds each label's sorted samples on the side, ``fhat(count,
+    label)`` is label l's estimator at that many of them, and w_l is label
+    l's share of the initial samples; ``_sup_risk_gap`` describes the rest.
+    """
+
+    def terms(z):
+        """Per label, the samples below ``z`` and at or below it (the left
+        and right limits, stacked), then p_l*F_l at ``z`` and w_l*fhat_l at
+        both limits."""
+        counts = [np.stack([np.searchsorted(s, z, "left"), np.searchsorted(s, z, "right")])
+                  for s in samples]
+        pf0 = model.p0 * np.asarray(model.cdf0.cdf(z), dtype=float)
+        pf1 = model.p1 * np.asarray(model.cdf1.cdf(z), dtype=float)
+        return counts, pf0, pf1, w0 * fhat(counts[0], 0), w1 * fhat(counts[1], 1)
+
+    def gap(pf0, pf1, wf0, wf1):
+        return (pf1 - wf1) - (pf0 - wf0) + (model.p0 - w0)
+
+    def exact(z):
+        return float(np.max(np.abs(gap(*terms(z)[1:]))))
+
+    size = len(samples[0]) + len(samples[1])
+    if size <= 16 * _BLOCK:
+        return max(best, exact(np.concatenate(samples))) if size else best
+    cuts = np.sort(np.concatenate([s[::_BLOCK] for s in samples] + [s[-1:] for s in samples]))
+    counts, pf0, pf1, wf0, wf1 = terms(cuts)
+    best = max(best, float(np.max(np.abs(gap(pf0, pf1, wf0, wf1)))))
+    # the gap's range strictly between consecutive cuts
+    upper = gap(pf0[:-1], pf1[1:], wf0[0, 1:], wf1[1, :-1])
+    lower = gap(pf0[1:], pf1[:-1], wf0[1, :-1], wf1[0, 1:])
+    hit = np.flatnonzero(np.maximum(upper, -lower) + _MARGIN >= best)
+    z = np.concatenate([s[_ranges(c[1, hit], c[0, hit + 1])] for s, c in zip(samples, counts)])
+    return max(best, exact(z)) if len(z) else best
+
+
+def _censored_sup(theta: float, x0: np.ndarray, x1: np.ndarray, model) -> float:
+    """``_sup_risk_gap``'s supremum over the points below ``theta``.
+
+    It reads only the initial samples, so a grid over the number of
+    arrivals can compute it once per replication and pass it on.
+    """
+    n0, n1 = len(x0), len(x1)
+    n = n0 + n1
+    cens = []
+    for x in (x0, x1):
+        x = np.sort(x)
+        cens.append(x[:np.searchsorted(x, theta)])
+    wc = [len(cens[0]) / n0, len(cens[1]) / n1]
+
+    def fhat_below(count, label):
+        nc = len(cens[label])
+        return count / nc * wc[label] if nc else np.zeros(count.shape)
+
+    return _side_sup(cens, fhat_below, n0 / n, n1 / n, model, 0.0)
+
+
 def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
                   k0: int, k1: int, a0: float, a1: float,
-                  model, gen: np.random.Generator) -> float:
+                  model, gen: np.random.Generator, censored: Optional[float] = None) -> float:
     """sup over thresholds of |expected - empirical| risk, region-weighted.
 
     Disclosed parts of the per-label estimators are extended with the
@@ -409,7 +471,10 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
     Points below ``theta`` are evaluated against the censored samples and
     the others against the disclosed ones.  Each label's samples on a side
     are sorted, and its left and right limits at a point are counts read
-    with ``searchsorted``.
+    with ``searchsorted``.  The censored side reads only the initial
+    samples: ``censored``, when given, is its supremum
+    ``_censored_sup(theta, x0, x1, model)``, and is computed here when not.
+    Either way the result and the draws are the same.
 
     A side with more than ``16 * _BLOCK`` samples is not evaluated at
     every point.  Every ``_BLOCK``-th sample of each label, and each
@@ -420,73 +485,33 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
     block it lies between bounds built from F_l at the two cuts and fhat_l
     at the right limit of the lower cut and the left limit of the upper
     one.  Only a block whose bound plus ``_MARGIN`` reaches the best exact
-    value is evaluated point by point.  ``_MARGIN`` is far above the
-    rounding of these terms and any ulp-level non-monotonicity of a
-    computed CDF, so every skipped point's computed value lies below that
-    best value.  The result is therefore the maximum of the same
-    floating-point values as an evaluation at every point, and the draws
-    are the same.
+    value (the censored side's included) is evaluated point by point.
+    ``_MARGIN`` is far above the rounding of these terms and any ulp-level
+    non-monotonicity of a computed CDF, so every skipped point's computed
+    value lies below that best value.  The result is therefore the maximum
+    of the same floating-point values as an evaluation at every point, and
+    the draws are the same.
     """
     n0, n1 = len(x0), len(x1)
     n = n0 + n1
-    cens, disc = [], []
+    if censored is None:
+        censored = _censored_sup(theta, x0, x1, model)
+    disc, wc = [], []
     for x, k, a, cdf in ((x0, k0, a0, model.cdf0), (x1, k1, a1, model.cdf1)):
         x = np.sort(x)
         cut = np.searchsorted(x, theta)
-        cens.append(x[:cut])
+        wc.append(cut / len(x))
         if k:
             draws = np.asarray(cdf.inverse(a + (1.0 - a) * gen.random(k)), dtype=float)
             disc.append(np.sort(np.concatenate([x[cut:], np.maximum(draws, theta)])))
         else:
             disc.append(x[cut:])
-    nc = [len(c) for c in cens]
-    nd = [len(d) for d in disc]
-    wc = [nc[0] / n0, nc[1] / n1]
-
-    def fhat_below(count, label):
-        return count / nc[label] * wc[label] if nc[label] else np.zeros(count.shape)
 
     def fhat_above(count, label):
-        w = wc[label]
-        return w + count / nd[label] * (1.0 - w) if nd[label] else np.full(count.shape, w)
+        w, nd = wc[label], len(disc[label])
+        return w + count / nd * (1.0 - w) if nd else np.full(count.shape, w)
 
-    w1, w0 = n1 / n, n0 / n
-    best = 0.0
-    for samples, fhat in ((cens, fhat_below), (disc, fhat_above)):
-
-        def terms(z):
-            """Per label, the samples below ``z`` and at or below it (the
-            left and right limits, stacked), then p_l*F_l at ``z`` and
-            w_l*fhat_l at both limits."""
-            counts = [np.stack([np.searchsorted(s, z, "left"), np.searchsorted(s, z, "right")])
-                      for s in samples]
-            pf0 = model.p0 * np.asarray(model.cdf0.cdf(z), dtype=float)
-            pf1 = model.p1 * np.asarray(model.cdf1.cdf(z), dtype=float)
-            return counts, pf0, pf1, w0 * fhat(counts[0], 0), w1 * fhat(counts[1], 1)
-
-        def gap(pf0, pf1, wf0, wf1):
-            return (pf1 - wf1) - (pf0 - wf0) + (model.p0 - w0)
-
-        def exact(z):
-            return float(np.max(np.abs(gap(*terms(z)[1:]))))
-
-        size = len(samples[0]) + len(samples[1])
-        if size <= 16 * _BLOCK:
-            if size:
-                best = max(best, exact(np.concatenate(samples)))
-            continue
-        cuts = np.sort(np.concatenate([s[::_BLOCK] for s in samples] + [s[-1:] for s in samples]))
-        counts, pf0, pf1, wf0, wf1 = terms(cuts)
-        best = max(best, float(np.max(np.abs(gap(pf0, pf1, wf0, wf1)))))
-        # the gap's range strictly between consecutive cuts
-        upper = gap(pf0[:-1], pf1[1:], wf0[0, 1:], wf1[1, :-1])
-        lower = gap(pf0[1:], pf1[:-1], wf0[1, :-1], wf1[0, 1:])
-        hit = np.flatnonzero(np.maximum(upper, -lower) + _MARGIN >= best)
-        z = np.concatenate([s[_ranges(c[1, hit], c[0, hit + 1])]
-                            for s, c in zip(samples, counts)])
-        if len(z):
-            best = max(best, exact(z))
-    return best
+    return _side_sup(disc, fhat_above, n0 / n, n1 / n, model, censored)
 
 
 _SUP_CHUNK = 50     # replications per truth-column task
@@ -498,30 +523,35 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _sup_tasks(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1, model):
+def _sup_tasks(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1, model,
+               censored=None):
     """Cut one grid point's replications into ``_sup_chunk`` argument tuples.
 
     Replication r draws ``k0[r] + k1[r]`` doubles from ``stream``, so each
     chunk starts at ``start`` plus the draws of the replications before
-    it.  Returns the tasks and the offset where the next grid point starts.
+    it.  ``censored``, when given, holds each replication's censored-side
+    supremum (``_censored_sup``).  Returns the tasks and the offset where
+    the next grid point starts.
     """
     offsets = start + np.concatenate([[0], np.cumsum(k0 + k1)])
     tasks = []
     for lo in range(0, len(theta), _SUP_CHUNK):
         part = slice(lo, lo + _SUP_CHUNK)
         tasks.append((stream, int(offsets[lo]), theta[part], x0[part], x1[part],
-                      a0[part], a1[part], k0[part], k1[part], model))
+                      a0[part], a1[part], k0[part], k1[part], model,
+                      None if censored is None else censored[part]))
     return tasks, int(offsets[-1])
 
 
 def _sup_chunk(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1,
-               model) -> list[float]:
+               model, censored=None) -> list[float]:
     """``_sup_risk_gap`` for consecutive replications, drawing from ``stream``
     after skipping its first ``start`` doubles."""
     gen = stream.generator()
     gen.bit_generator.advance(start)
     return [_sup_risk_gap(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
-                          float(a0[r]), float(a1[r]), model, gen)
+                          float(a0[r]), float(a1[r]), model, gen,
+                          None if censored is None else float(censored[r]))
             for r in range(len(theta))]
 
 
@@ -542,10 +572,15 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
     (T, r) draws ``k0[r] + k1[r]`` doubles, one 64-bit PCG64 output each.
     Those counts are known before any draw is made, so the pairs are cut
     into chunks that each jump ahead to their own offset in the stream.
-    With c available CPUs, a spawned pool of c - 1 processes takes chunks
-    from the front while the calling process takes them from the back (a
-    plain loop on one CPU).  The draws, and so the table, do not depend on
-    the worker count, on which process ran a chunk or on the chunk size.
+    With c available CPUs, a pool of c - 1 processes takes chunks from the
+    front while the calling process takes them from the back (a plain loop
+    on one CPU).  The draws, and so the table, do not depend on the worker
+    count, on which process ran a chunk or on the chunk size.  The pool
+    forks its workers on Linux and spawns them elsewhere; with spawned
+    workers a calling script must keep its top-level code under
+    ``if __name__ == "__main__":``.  The supremum's censored side depends
+    only on the initial samples, which the grid shares, so it is computed
+    once per replication (``_censored_sup``) and not at every grid point.
 
     CDF mode (``eta_grid``): the truth column is the empirical
     exceedance frequency P(sup >= eta) under the conditioned partition,
@@ -590,22 +625,28 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
 
     stream = SeededRng(seed).substream(2)
     initial = _initial_samples(config, replications, seed)
+    censored = np.array([_censored_sup(t, x0, x1, model)
+                         for t, x0, x1 in zip(initial[0], initial[2], initial[3])])
     tasks, ours, start = [], [], 0
     for T in grid:
         theta, _, totals, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
             _with_grid(config, T), replications, seed, delta, initial)
         ours.append(totals)
-        chunks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, model)
+        chunks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, model,
+                                   censored)
         tasks.extend(chunks)
     workers = min(_cpu_count(), len(tasks))
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # the calling process is one of the workers: it takes chunks from
-        # the end of the queue until it meets one the pool has started
+        # forked workers start with every module imported; fork is unsafe
+        # on macOS and missing on Windows, which spawn.  The calling process
+        # is one of the workers: it takes chunks from the end of the queue
+        # until it meets one the pool has started
+        method = "fork" if sys.platform.startswith("linux") else "spawn"
         with ProcessPoolExecutor(workers - 1,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+                                 mp_context=multiprocessing.get_context(method)) as pool:
             futures = [pool.submit(_sup_chunk, *task) for task in tasks]
             tail = []
             while futures and futures[-1].cancel():

@@ -332,6 +332,25 @@ class TestProp1:
         report = check_prop1(pop, 8000, thetas, c=0.0, eta=0.015)
         assert not report.precondition_met
 
+    @pytest.mark.parametrize("n, c, eta", [(8000, 10.0, 0.015), (8000, 0.0, 0.015),
+                                           (100, 10.0, 0.1), (37, 0.3, 0.4)])
+    def test_values_equal_scalar_bound_calls(self, n, c, eta):
+        # the sweep's one array call against one scalar call per theta
+        pop = GaussianCdf(7, 3)
+        thetas = np.concatenate([np.linspace(-5.0, 19.0, 41), [7.0, 7.5, 8.0]])
+        values, precondition = [], True
+        for theta in thetas:
+            alpha = float(pop.cdf(theta))
+            m = int(round(n * alpha))
+            part = RegionPartition(n=n, m=m, k=int(round(c * (n - m))))
+            values.append(bound_two_region(part, MassSpec.theoretical(alpha), eta).raw)
+            u = abs(alpha - m / n)
+            if m > 0 and eta > 2.0 * u:
+                precondition &= c >= (n - m) * (eta - u) ** 2 / (m * (eta - 2.0 * u) ** 2) - 1.0
+        report = check_prop1(pop, n, thetas, c=c, eta=eta)
+        assert report.values == tuple(values)
+        assert report.precondition_met == precondition
+
 
 class TestProp2:
     def _fig_setting(self):

@@ -118,6 +118,32 @@ class TestPiecewiseCdf:
         uniform = PiecewiseCdf(np.array([2.0, 4.0]), np.array([0.0, 1.0]))
         assert uniform.inverse(0.5) == pytest.approx(3.0)
 
+    FLATS = PiecewiseCdf([6, 8, 9.5, 10, 11, 11, 15], [0, 0.1, 0.4, 0.4, 0.6, 0.85, 1.0])
+
+    def test_inverse_leaves_a_flat_stretch_from_its_right_end(self):
+        # F is 0.4 on [9.5, 10], so a level just above 0.4 lies right of 10
+        got = self.FLATS.inverse(0.45)
+        assert 10.0 < got < 11.0 and self.FLATS.cdf(got) == pytest.approx(0.45)
+        assert self.FLATS.inverse(0.4) == 9.5              # inf{x : F(x) >= 0.4}
+        jumpy = PiecewiseCdf([5, 8, 8, 9, 11, 11, 14], [0, 0.3, 0.5, 0.5, 0.8, 0.9, 1.0])
+        assert jumpy.inverse(0.4) == 8.0                   # inside the jump at 8
+        assert 9.0 < jumpy.inverse(0.6) < 11.0
+
+    def test_inverse_is_the_generalized_inverse(self):
+        # inverse(p) = inf{x : F(x) >= p}: F reaches p there and not before it
+        for table in (self.FLATS, PiecewiseCdf([5, 8, 8, 9, 11, 11, 14],
+                                               [0, 0.3, 0.5, 0.5, 0.8, 0.9, 1.0])):
+            p = np.concatenate([np.linspace(0.0, 1.0, 2001), table.ps])
+            x = table.inverse(p)
+            assert np.all(table.cdf(x) >= p - 1e-12)
+            assert np.all(table.cdf_left(x) <= p + 1e-12)
+            assert np.all(np.diff(x[:2001]) >= 0)
+
+    def test_no_draw_lands_in_a_zero_mass_interval(self):
+        x = self.FLATS.inverse(SeededRng(0).generator().random(100_000))
+        assert not np.any((x > 9.5) & (x < 10.0))
+        assert np.all((x >= 6.0) & (x <= 15.0))
+
     @pytest.mark.parametrize("xs, ps", [([0.0, np.nan, 2.0], [0.0, 0.5, 1.0]),
                                         ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
                                         ([0.0, 1.0, np.inf], [0.0, 0.5, 1.0])])

@@ -1,18 +1,27 @@
 """Monte Carlo harness: Wilson intervals, kernels, coverage reports."""
 import os
+import subprocess
+import sys
 from itertools import chain, starmap
 
 import numpy as np
 import pytest
 
 import cfbounds.verify as verify
-from cfbounds.censored import MassSpec, RegionPartition, bound_two_region
-from cfbounds.rng import SeededRng
-from cfbounds.simulate import SimulationConfig
+from cfbounds.censored import (
+    MassSpec,
+    RegionPartition,
+    RegionSpec,
+    bound_three_region,
+    bound_two_region,
+)
+from cfbounds.rng import SeededRng, splitmix64
+from cfbounds.simulate import SimulationConfig, finalize, run_simulation
 from cfbounds.stats import GaussianCdf, MixtureModel, PiecewiseCdf
 from cfbounds.verify import (
     CoverageReport,
     _batch_sup_conditioned,
+    _censored_sup,
     _gen_gap_samples,
     _initial_samples,
     _sup_chunk,
@@ -131,6 +140,24 @@ class TestUnconditionedPath:
         assert report.meta["mode"] == "unconditioned"
         assert 0.0 <= report.frequency <= 1.0
         assert report.holds
+
+    @pytest.mark.parametrize("lb, epsilon", [(None, 0.0), (6.0, 0.5)])
+    def test_bound_is_the_mean_of_scalar_bound_calls(self, lb, epsilon):
+        # the bound column's one array call against one scalar call per replication
+        config = SimulationConfig(population=POP, n=40, theta=7.0, lb=lb,
+                                  epsilon=epsilon, arrivals=30, seed=4)
+        alpha, beta = float(POP.cdf(7.0)), float(POP.cdf(6.0))
+        bounds = []
+        for r in range(100):
+            part = finalize(run_simulation(_with_seed(config, splitmix64(8) ^ r)))[None].part
+            if lb is None:
+                bound = bound_two_region(part, MassSpec.theoretical(alpha), 0.35)
+            else:
+                bound = bound_three_region(part, MassSpec.theoretical(alpha, beta),
+                                           RegionSpec(7.0, lb, epsilon), 0.35)
+            bounds.append(bound.probability)
+        assert len(set(bounds)) > 1
+        assert mc_cdf_deviation(config, 0.35, 100, 8).bound == float(np.mean(bounds))
 
 
 class TestGenGap:
@@ -270,14 +297,17 @@ class TestSupRiskGapOracle:
     MODEL = MixtureModel(p1=0.5, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1))
 
     def _check(self, theta, x0, x1, k0, k1, model=None, seed=0):
+        # the kernel computes the censored side itself, then takes it hoisted
         model = model or self.MODEL
         a0, a1 = float(model.cdf0.cdf(theta)), float(model.cdf1.cdf(theta))
-        gen_new, gen_old = SeededRng(seed).generator(), SeededRng(seed).generator()
-        got = _sup_risk_gap(theta, x0, x1, k0, k1, a0, a1, model, gen_new)
-        want = _sup_risk_gap_oracle(theta, x0, x1, k0, k1, a0, a1, model, gen_old)
-        assert got == want
-        assert gen_new.bit_generator.state == gen_old.bit_generator.state
-        return got
+        args = (theta, x0, x1, k0, k1, a0, a1, model)
+        gen_old = SeededRng(seed).generator()
+        want = _sup_risk_gap_oracle(*args, gen_old)
+        for hoisted in ((), (_censored_sup(theta, x0, x1, model),)):
+            gen_new = SeededRng(seed).generator()
+            assert _sup_risk_gap(*args, gen_new, *hoisted) == want
+            assert gen_new.bit_generator.state == gen_old.bit_generator.state
+        return want
 
     def _initial(self, seed, n0=50, n1=50):
         gen = SeededRng(seed).generator()
@@ -504,6 +534,40 @@ class TestTruthColumnPool:
         assert table.column("gap_quantile") == [float(np.quantile(v, quant)) for v in shared]
         assert table.column("gap_mean") == [float(np.mean(v)) for v in shared]
         assert table.meta["gap_at_theta_mean"] == float(np.mean(self._samples(config, 0)[1]))
+
+    def test_hoisted_censored_side_gives_the_shared_stream_values(self, config, shared):
+        theta, _, x0, x1, *_ = _initial_samples(config, self.R, self.SEED)
+        censored = np.array([_censored_sup(*args, config.model) for args in zip(theta, x0, x1)])
+        stream = SeededRng(self.SEED).substream(2)
+        start = 0
+        for T, values in zip(self.GRID, shared):
+            theta, _, _, (x0, x1, a0, a1, k0, k1) = self._samples(config, T)
+            tasks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1,
+                                      config.model, censored)
+            assert np.array_equal(np.concatenate([task[-1] for task in tasks]), censored)
+            assert list(chain.from_iterable(starmap(_sup_chunk, tasks))) == values
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the pool forks its workers only on Linux")
+    def test_pooled_script_needs_no_main_guard(self, config, shared, tmp_path):
+        # a forked worker does not re-run the calling script's top level
+        script = tmp_path / "table.py"
+        script.write_text(
+            "import os\n"
+            "from cfbounds.presets import bench_config\n"
+            "from cfbounds.verify import compare_bounds\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            f"table = compare_bounds(bench_config(), arrival_grid={self.GRID!r},\n"
+            f"                       replications={self.R}, seed={self.SEED}, delta={self.DELTA})\n"
+            "print(repr(table.column('gap_quantile')))\n")
+        src = os.path.dirname(os.path.dirname(verify.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        quant = 1.0 - 2.0 * self.DELTA
+        assert run.stdout.strip() == repr([float(np.quantile(v, quant)) for v in shared])
 
     def test_chunk_size_not_dividing_replications(self, config, shared, monkeypatch):
         monkeypatch.setattr(verify, "_SUP_CHUNK", 7)

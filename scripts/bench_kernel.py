@@ -4,11 +4,10 @@
 Times the kernel in this one process on the ``bench`` preset's samples
 (``verify._gen_gap_samples`` at the pinned seed) at 0, 10 000 and 50 000
 arrivals, and prints one JSON object with the median and minimum time per
-call over the repeats, the repeat count and the machine facts.  Each
-arrival count is timed twice, interleaved: with the kernel computing the
-censored side itself (``hoisted`` false), and with that side's supremum
-passed in, as ``compare_bounds`` does (``hoisted`` true).  Every repeat
-replays the same replications from the start of the admitted-draw
+call over the repeats, the repeat count and the machine facts.  Each call
+gets its replication's censored-side supremum (``verify._censored_sup``,
+computed before the clock starts), as ``compare_bounds`` passes it.  Every
+repeat replays the same replications from the start of the admitted-draw
 stream, so each one does the same work.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--replications R] [--repeats N]
@@ -31,33 +30,30 @@ ARRIVALS = (0, 10_000, 50_000)
 DELTA = 0.015           # the bench preset's confidence parameter
 
 
-def time_kernel(arrivals: int, replications: int, repeats: int) -> list[dict]:
-    """Per-call times without and with the censored side passed in, interleaved."""
+def time_kernel(arrivals: int, replications: int, repeats: int) -> dict:
+    """Per-call times of the kernel at one arrival count."""
     config = _with_grid(bench_config(), arrivals)
     theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
         config, replications, BENCH_SEED, DELTA)
     args = [(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]), float(a0[r]), float(a1[r]),
              config.model) for r in range(replications)]
-    hoisted = [(_censored_sup(theta[r], x0[r], x1[r], config.model),)
-               for r in range(replications)]
-    variants = {False: [()] * replications, True: hoisted}
-    per_call = {variant: [] for variant in variants}
+    censored = [_censored_sup(theta[r], x0[r], x1[r], config.model)
+                for r in range(replications)]
+    times = []
     for _ in range(repeats):
-        for variant, extra in variants.items():
-            gen = SeededRng(BENCH_SEED).substream(2).generator()
-            start = time.perf_counter()
-            for arg, more in zip(args, extra):
-                _sup_risk_gap(*arg, gen, *more)
-            per_call[variant].append((time.perf_counter() - start) / replications * 1e6)
-    return [{
+        gen = SeededRng(BENCH_SEED).substream(2).generator()
+        start = time.perf_counter()
+        for arg, cens in zip(args, censored):
+            _sup_risk_gap(*arg, gen, cens)
+        times.append((time.perf_counter() - start) / replications * 1e6)
+    return {
         "arrivals": arrivals,
-        "hoisted": variant,
         "median_us": round(statistics.median(times), 1),
         "min_us": round(min(times), 1),
         "repeats": repeats,
         "calls_per_repeat": replications,
         "mean_pooled_points": float(np.mean(len(x0[0]) + len(x1[0]) + k0 + k1)),
-    } for variant, times in per_call.items()]
+    }
 
 
 def main() -> int:
@@ -72,8 +68,7 @@ def main() -> int:
         "kernel": "verify._sup_risk_gap",
         "machine": {"nproc": nproc, "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__},
-        "per_call": [row for t in ARRIVALS
-                     for row in time_kernel(t, opts.replications, opts.repeats)],
+        "per_call": [time_kernel(t, opts.replications, opts.repeats) for t in ARRIVALS],
     }
     print(json.dumps(out, indent=1))
     return 0

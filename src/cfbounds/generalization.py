@@ -91,11 +91,7 @@ class LabeledDataset:
         new = self.new1 if label else self.new0
         if len(new) == 0:
             return EmpiricalCdf(initial) if len(initial) else None
-        th = self.admission_threshold
-        cens = initial[initial < th]
-        disc = np.concatenate([initial[initial >= th], new])
-        w = len(cens) / len(initial)
-        return StitchedCdf.from_samples((th,), (w, 1.0 - w), (cens, disc))
+        return StitchedCdf.two_region(initial, new, self.admission_threshold)
 
 
 @dataclass(frozen=True)
@@ -188,21 +184,30 @@ def optimal_threshold(data: LabeledDataset) -> float:
 
 @dataclass(frozen=True)
 class GenBound:
-    """Assembled generalization-error bound and its pieces."""
+    """Assembled generalization-error bound and its pieces.
+
+    The contributions and the total are arrays, elementwise, when the
+    per-label deviation bounds are.
+    """
 
     prior_term: float
-    contributions: tuple[float, float]   # labels 0 and 1
-    total: float
+    contributions: tuple[float | np.ndarray, float | np.ndarray]   # labels 0 and 1
+    total: float | np.ndarray
     confidence: float
 
     def __post_init__(self):
-        if min(self.prior_term, *self.contributions) < 0:
+        if min(np.min(term) for term in (self.prior_term, *self.contributions)) < 0:
             raise ValueError("bound terms must be nonnegative")
 
 
 def gen_bound_from_counts(n0: int, n1: int, p1: float,
-                          sup_bounds: Mapping[int, float], delta: float) -> GenBound:
-    """Assemble the generalization bound from initial label counts."""
+                          sup_bounds: Mapping[int, float | np.ndarray],
+                          delta: float) -> GenBound:
+    """Assemble the generalization bound from initial label counts.
+
+    Each ``sup_bounds`` value may be an array; the bound is then evaluated
+    elementwise.
+    """
     if not 0.0 < p1 < 1.0:
         raise ValueError(f"p1 must be in (0, 1), got {p1}")
     if not 0.0 < delta < 0.5:

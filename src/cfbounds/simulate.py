@@ -434,21 +434,18 @@ def stitched_from_partition(initial: np.ndarray, new_explore: np.ndarray,
                             lb: Optional[float], epsilon: float) -> StitchedCdf:
     """Region-weighted full-domain CDF estimate from observed samples.
 
-    Two-region form (no lb): weights m/n and (n-m)/n.  Three-region form:
-    the weights of ``censored.region_weights``, which re-estimate the split
-    above lb from the arrival counts.
+    Two-region form (no lb): ``StitchedCdf.two_region``, with weights m/n
+    and (n-m)/n.  Three-region form: the weights of
+    ``censored.region_weights``, which re-estimate the split above lb from
+    the arrival counts.
     """
-    initial = np.asarray(initial, dtype=float)
-    n = len(initial)
     if lb is None:
-        cens = initial[initial < theta]
-        disc = np.concatenate([initial[initial >= theta], new_above])
-        w = len(cens) / n
-        return StitchedCdf.from_samples((theta,), (w, 1.0 - w), (cens, disc))
+        return StitchedCdf.two_region(initial, new_above, theta)
+    initial = np.asarray(initial, dtype=float)
     cens = initial[initial < lb]
     expl = np.concatenate([initial[(initial >= lb) & (initial < theta)], new_explore])
     disc = np.concatenate([initial[initial >= theta], new_above])
-    part = RegionPartition(n=n, m=int(np.sum(initial < theta)), l=len(cens),
+    part = RegionPartition(n=len(initial), m=int(np.sum(initial < theta)), l=len(cens),
                            k1=len(new_explore), k2=len(new_above))
     return StitchedCdf.from_samples((lb, theta), region_weights(part, epsilon),
                                     (cens, expl, disc))

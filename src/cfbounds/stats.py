@@ -290,6 +290,20 @@ class StitchedCdf:
                    weights=tuple(float(w) for w in weights),
                    segments=tuple(EmpiricalCdf(x) if len(x) else None for x in samples))
 
+    @classmethod
+    def two_region(cls, initial, new, theta: float) -> "StitchedCdf":
+        """Two-region estimate split at ``theta``, where ``new`` lies at or above it.
+
+        The m of the n ``initial`` samples below ``theta`` keep weight m/n;
+        the rest is spent over the initial samples at or above ``theta``
+        together with ``new``.
+        """
+        initial = np.asarray(initial, dtype=float)
+        cens = initial[initial < theta]
+        disc = np.concatenate([initial[initial >= theta], new])
+        w = len(cens) / len(initial)
+        return cls.from_samples((theta,), (w, 1.0 - w), (cens, disc))
+
     def _offsets(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.weights)))
 

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
-from itertools import starmap
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +37,12 @@ from .censored import (
     eta_for_confidence,
 )
 from .classic import dkw_eta, gc_eta, hoeffding_eta
-from .generalization import LabeledDataset, empirical_risk, train_thresholds
+from .generalization import (
+    LabeledDataset,
+    empirical_risk,
+    gen_bound_from_counts,
+    train_thresholds,
+)
 from .rng import SeededRng, splitmix64
 from .simulate import SimulationConfig, finalize, run_simulation, stitched_from_partition
 from .stats import sup_deviation
@@ -326,7 +332,6 @@ def _gen_gap_samples(config: SimulationConfig, replications: int, seed: int,
     """
     model = config.model
     n0, n1 = config.n0, config.n1
-    n = n0 + n1
     if initial is None:
         initial = _initial_samples(config, replications, seed)
     theta, gaps, x0, x1, a0, a1, m0, m1 = initial
@@ -338,8 +343,7 @@ def _gen_gap_samples(config: SimulationConfig, replications: int, seed: int,
 
     eta0 = _eta_two_region_vec(n0, m0, k0, a0, delta)
     eta1 = _eta_two_region_vec(n1, m1, k1, a1, delta)
-    prior = 3.0 * abs(model.p0 - n0 / n)
-    totals = prior + np.minimum(model.p0, n0 / n) * eta0 + np.minimum(model.p1, n1 / n) * eta1
+    totals = gen_bound_from_counts(n0, n1, model.p1, {0: eta0, 1: eta1}, delta).total
     return theta, gaps, totals, (x0, x1, a0, a1, k0, k1)
 
 
@@ -359,6 +363,8 @@ def mc_gen_gap(config: SimulationConfig, replications: int, seed: int,
         raise ValueError("generalization verification needs a labeled config")
     if config.lb is not None:
         raise ValueError("exploration-mode generalization verification is not supported")
+    if not 0.0 < delta < 0.5:
+        raise ValueError(f"delta must be in (0, 0.5), got {delta}")
     _, gaps, totals, _ = _gen_gap_samples(config, replications, seed, delta)
     successes = int(np.sum(gaps > totals))
     return CoverageReport.build(successes, replications, seed, delta,
@@ -456,7 +462,7 @@ def _censored_sup(theta: float, x0: np.ndarray, x1: np.ndarray, model) -> float:
 
 def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
                   k0: int, k1: int, a0: float, a1: float,
-                  model, gen: np.random.Generator, censored: Optional[float] = None) -> float:
+                  model, gen: np.random.Generator, censored: float) -> float:
     """sup over thresholds of |expected - empirical| risk, region-weighted.
 
     Disclosed parts of the per-label estimators are extended with the
@@ -472,9 +478,9 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
     the others against the disclosed ones.  Each label's samples on a side
     are sorted, and its left and right limits at a point are counts read
     with ``searchsorted``.  The censored side reads only the initial
-    samples: ``censored``, when given, is its supremum
-    ``_censored_sup(theta, x0, x1, model)``, and is computed here when not.
-    Either way the result and the draws are the same.
+    samples, so its supremum ``censored``, which is
+    ``_censored_sup(theta, x0, x1, model)``, is passed in and serves as the
+    starting best value of the disclosed side.
 
     A side with more than ``16 * _BLOCK`` samples is not evaluated at
     every point.  Every ``_BLOCK``-th sample of each label, and each
@@ -494,8 +500,6 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
     """
     n0, n1 = len(x0), len(x1)
     n = n0 + n1
-    if censored is None:
-        censored = _censored_sup(theta, x0, x1, model)
     disc, wc = [], []
     for x, k, a, cdf in ((x0, k0, a0, model.cdf0), (x1, k1, a1, model.cdf1)):
         x = np.sort(x)
@@ -524,13 +528,13 @@ def _cpu_count() -> int:
 
 
 def _sup_tasks(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1, model,
-               censored=None):
+               censored):
     """Cut one grid point's replications into ``_sup_chunk`` argument tuples.
 
     Replication r draws ``k0[r] + k1[r]`` doubles from ``stream``, so each
     chunk starts at ``start`` plus the draws of the replications before
-    it.  ``censored``, when given, holds each replication's censored-side
-    supremum (``_censored_sup``).  Returns the tasks and the offset where
+    it.  ``censored`` holds each replication's censored-side supremum
+    (``_censored_sup``).  Returns the tasks and the offset where
     the next grid point starts.
     """
     offsets = start + np.concatenate([[0], np.cumsum(k0 + k1)])
@@ -538,20 +542,18 @@ def _sup_tasks(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1, mod
     for lo in range(0, len(theta), _SUP_CHUNK):
         part = slice(lo, lo + _SUP_CHUNK)
         tasks.append((stream, int(offsets[lo]), theta[part], x0[part], x1[part],
-                      a0[part], a1[part], k0[part], k1[part], model,
-                      None if censored is None else censored[part]))
+                      a0[part], a1[part], k0[part], k1[part], model, censored[part]))
     return tasks, int(offsets[-1])
 
 
 def _sup_chunk(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1,
-               model, censored=None) -> list[float]:
+               model, censored) -> list[float]:
     """``_sup_risk_gap`` for consecutive replications, drawing from ``stream``
     after skipping its first ``start`` doubles."""
     gen = stream.generator()
     gen.bit_generator.advance(start)
     return [_sup_risk_gap(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
-                          float(a0[r]), float(a1[r]), model, gen,
-                          None if censored is None else float(censored[r]))
+                          float(a0[r]), float(a1[r]), model, gen, float(censored[r]))
             for r in range(len(theta))]
 
 
@@ -572,15 +574,16 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
     (T, r) draws ``k0[r] + k1[r]`` doubles, one 64-bit PCG64 output each.
     Those counts are known before any draw is made, so the pairs are cut
     into chunks that each jump ahead to their own offset in the stream.
-    With c available CPUs, a pool of c - 1 processes takes chunks from the
-    front while the calling process takes them from the back (a plain loop
-    on one CPU).  The draws, and so the table, do not depend on the worker
-    count, on which process ran a chunk or on the chunk size.  The pool
-    forks its workers on Linux and spawns them elsewhere; with spawned
-    workers a calling script must keep its top-level code under
-    ``if __name__ == "__main__":``.  The supremum's censored side depends
-    only on the initial samples, which the grid shares, so it is computed
-    once per replication (``_censored_sup``) and not at every grid point.
+    The calling process runs the first chunk while a pool with one worker
+    process per available CPU (at most one per remaining chunk) runs the
+    rest.  The draws, and so the table, do not depend on the worker count,
+    on which process ran a chunk or on the chunk size.  The pool forks its
+    workers on Linux and spawns them elsewhere; with spawned workers a
+    calling script must keep its top-level code under
+    ``if __name__ == "__main__":``, or the call fails with
+    ``BrokenProcessPool``.  The supremum's censored side depends only on
+    the initial samples, which the grid shares, so it is computed once per
+    replication (``_censored_sup``) and not at every grid point.
 
     CDF mode (``eta_grid``): the truth column is the empirical
     exceedance frequency P(sup >= eta) under the conditioned partition,
@@ -635,26 +638,13 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
         chunks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, model,
                                    censored)
         tasks.extend(chunks)
-    workers = min(_cpu_count(), len(tasks))
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # forked workers start with every module imported; fork is unsafe
-        # on macOS and missing on Windows, which spawn.  The calling process
-        # is one of the workers: it takes chunks from the end of the queue
-        # until it meets one the pool has started
-        method = "fork" if sys.platform.startswith("linux") else "spawn"
-        with ProcessPoolExecutor(workers - 1,
-                                 mp_context=multiprocessing.get_context(method)) as pool:
-            futures = [pool.submit(_sup_chunk, *task) for task in tasks]
-            tail = []
-            while futures and futures[-1].cancel():
-                futures.pop()
-                tail.append(_sup_chunk(*tasks[len(futures)]))
-            sups = [f.result() for f in futures] + tail[::-1]
-    else:
-        sups = list(starmap(_sup_chunk, tasks))
+    # forked workers start with every module imported; fork is unsafe on
+    # macOS and missing on Windows, which spawn
+    method = "fork" if sys.platform.startswith("linux") else "spawn"
+    with ProcessPoolExecutor(max(1, min(_cpu_count(), len(tasks) - 1)),
+                             mp_context=multiprocessing.get_context(method)) as pool:
+        rest = pool.map(_sup_chunk, *zip(*tasks[1:]))
+        sups = [_sup_chunk(*task) for task in tasks[:1]] + list(rest)
     sup_by_t = np.reshape([v for chunk in sups for v in chunk], (len(grid), replications))
     rows = []
     for T, sup, totals in zip(grid, sup_by_t, ours):

@@ -175,6 +175,14 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["bound"] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("delta", ["0.5", "0.6"])
+    def test_gen_delta_without_confidence_exit_code(self, capsys, delta):
+        # the bound holds at confidence 1 - 2*delta, which is not positive here
+        code, out, err = run_cli(capsys, "verify", "gen", "--preset", "bench",
+                                 "-R", "100", "--seed", "4", "--delta", delta)
+        assert code == 2
+        assert out == "" and "delta" in err
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         # a sound implementation never violates its own bounds, so the
         # exit-code path is exercised with a stubbed violated report

@@ -193,6 +193,17 @@ class TestGenBound:
         g_hi = gen_bound_from_counts(30, 70, 0.4, hi, 0.05)
         assert g_lo.total <= g_hi.total + 1e-15
 
+    def test_array_bounds_equal_scalar_calls(self):
+        gen = SeededRng(4).generator()
+        sup0, sup1 = gen.random(50), gen.random(50)
+        gb = gen_bound_from_counts(30, 70, 0.4, {0: sup0, 1: sup1}, 0.05)
+        for i in range(50):
+            one = gen_bound_from_counts(30, 70, 0.4, {0: sup0[i], 1: sup1[i]}, 0.05)
+            assert gb.total[i] == one.total
+            assert (gb.contributions[0][i], gb.contributions[1][i]) == one.contributions
+        with pytest.raises(ValueError):
+            gen_bound_from_counts(30, 70, 0.4, {0: sup0, 1: sup1 - 0.5}, 0.05)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_bound_from_counts(10, 10, 1.5, {0: 0.1, 1: 0.1}, 0.05)

@@ -286,6 +286,23 @@ class TestStitchedCdf:
         # the region weights may sum to up to two ulps below 1
         assert values[-1] >= 1.0 - 4 * np.finfo(float).eps
 
+    def test_two_region_is_the_labeled_and_pooled_estimator(self):
+        from cfbounds.generalization import LabeledDataset
+        from cfbounds.simulate import stitched_from_partition
+
+        gen = SeededRng(8).generator()
+        initial, new, theta = gen.normal(0.0, 1.0, 30), 0.2 + gen.random(45), 0.2
+        two = StitchedCdf.two_region(initial, new, theta)
+        m = int(np.sum(initial < theta))
+        assert two.edges == (theta,) and two.weights == (m / 30, 1.0 - m / 30)
+        labeled = LabeledDataset(initial, initial[:3], new, admission_threshold=theta)
+        pooled = stitched_from_partition(initial, np.empty(0), new, theta, None, 0.3)
+        xs = np.concatenate([initial, new, np.linspace(-4.0, 4.0, 81)])
+        for other in (labeled.estimator(0), pooled):
+            assert other.weights == two.weights
+            assert np.array_equal(other.cdf(xs), two.cdf(xs))
+            assert np.array_equal(other.cdf_left(xs), two.cdf_left(xs))
+
     def test_fig4_estimate_stays_in_unit_interval(self):
         # seed 101 at eps 0 has region weights summing one ulp above 1
         from cfbounds.presets import fig4_band

@@ -183,6 +183,15 @@ class TestGenGap:
         with pytest.raises(ValueError):
             mc_gen_gap(fig1_like(), 200, 0)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_delta_rejected_before_sampling(self, monkeypatch, delta):
+        def no_samples(*args):
+            raise AssertionError("sampled before checking delta")
+
+        monkeypatch.setattr(verify, "_initial_samples", no_samples)
+        with pytest.raises(ValueError, match="delta"):
+            mc_gen_gap(self._config(), 200, 0, delta=delta)
+
 
 class TestCompareBounds:
     def test_cdf_mode_single_point(self):
@@ -297,16 +306,14 @@ class TestSupRiskGapOracle:
     MODEL = MixtureModel(p1=0.5, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1))
 
     def _check(self, theta, x0, x1, k0, k1, model=None, seed=0):
-        # the kernel computes the censored side itself, then takes it hoisted
         model = model or self.MODEL
         a0, a1 = float(model.cdf0.cdf(theta)), float(model.cdf1.cdf(theta))
         args = (theta, x0, x1, k0, k1, a0, a1, model)
         gen_old = SeededRng(seed).generator()
         want = _sup_risk_gap_oracle(*args, gen_old)
-        for hoisted in ((), (_censored_sup(theta, x0, x1, model),)):
-            gen_new = SeededRng(seed).generator()
-            assert _sup_risk_gap(*args, gen_new, *hoisted) == want
-            assert gen_new.bit_generator.state == gen_old.bit_generator.state
+        gen_new = SeededRng(seed).generator()
+        assert _sup_risk_gap(*args, gen_new, _censored_sup(theta, x0, x1, model)) == want
+        assert gen_new.bit_generator.state == gen_old.bit_generator.state
         return want
 
     def _initial(self, seed, n0=50, n1=50):
@@ -324,7 +331,9 @@ class TestSupRiskGapOracle:
         for r in range(200):
             args = (theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
                     float(a0[r]), float(a1[r]), config.model)
-            assert _sup_risk_gap(*args, gen_new) == _sup_risk_gap_oracle(*args, gen_old)
+            censored = _censored_sup(theta[r], x0[r], x1[r], config.model)
+            assert (_sup_risk_gap(*args, gen_new, censored)
+                    == _sup_risk_gap_oracle(*args, gen_old))
             assert gen_new.bit_generator.state == gen_old.bit_generator.state
 
     @pytest.mark.parametrize("theta", [-np.inf, 3.0])
@@ -464,7 +473,8 @@ def _shared_stream_sups(config, grid, replications, seed, delta):
         theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
             _with_grid(config, T), replications, seed, delta)
         out.append([_sup_risk_gap(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
-                                  float(a0[r]), float(a1[r]), config.model, gen)
+                                  float(a0[r]), float(a1[r]), config.model, gen,
+                                  _censored_sup(theta[r], x0[r], x1[r], config.model))
                     for r in range(replications)])
     return out
 
@@ -483,6 +493,11 @@ class TestTruthColumnPool:
     def shared(self, config):
         return _shared_stream_sups(config, self.GRID, self.R, self.SEED, self.DELTA)
 
+    @pytest.fixture(scope="class")
+    def censored(self, config):
+        theta, _, x0, x1, *_ = _initial_samples(config, self.R, self.SEED)
+        return np.array([_censored_sup(*args, config.model) for args in zip(theta, x0, x1)])
+
     def _table(self, config):
         return compare_bounds(config, arrival_grid=self.GRID, replications=self.R,
                               seed=self.SEED, delta=self.DELTA)
@@ -500,7 +515,7 @@ class TestTruthColumnPool:
         assert pooled.column("gap_quantile") == [float(np.quantile(v, quant)) for v in shared]
         assert pooled.column("gap_mean") == [float(np.mean(v)) for v in shared]
 
-    def test_replay_one_replication_at_its_offset(self, config, shared):
+    def test_replay_one_replication_at_its_offset(self, config, shared, censored):
         stream = SeededRng(self.SEED).substream(2)
         start = 0
         for T, values in zip(self.GRID, shared):
@@ -511,7 +526,8 @@ class TestTruthColumnPool:
             for r in (0, 1, 117, self.R - 1):
                 one = slice(r, r + 1)
                 got = _sup_chunk(stream, start + int(draws[:r].sum()), theta[one], x0[one],
-                                 x1[one], a0[one], a1[one], k0[one], k1[one], config.model)
+                                 x1[one], a0[one], a1[one], k0[one], k1[one], config.model,
+                                 censored[one])
                 assert got == [values[r]]
             start += int(draws.sum())
 
@@ -535,9 +551,8 @@ class TestTruthColumnPool:
         assert table.column("gap_mean") == [float(np.mean(v)) for v in shared]
         assert table.meta["gap_at_theta_mean"] == float(np.mean(self._samples(config, 0)[1]))
 
-    def test_hoisted_censored_side_gives_the_shared_stream_values(self, config, shared):
-        theta, _, x0, x1, *_ = _initial_samples(config, self.R, self.SEED)
-        censored = np.array([_censored_sup(*args, config.model) for args in zip(theta, x0, x1)])
+    def test_hoisted_censored_side_gives_the_shared_stream_values(self, config, shared,
+                                                                   censored):
         stream = SeededRng(self.SEED).substream(2)
         start = 0
         for T, values in zip(self.GRID, shared):
@@ -547,35 +562,83 @@ class TestTruthColumnPool:
             assert np.array_equal(np.concatenate([task[-1] for task in tasks]), censored)
             assert list(chain.from_iterable(starmap(_sup_chunk, tasks))) == values
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="the pool forks its workers only on Linux")
-    def test_pooled_script_needs_no_main_guard(self, config, shared, tmp_path):
-        # a forked worker does not re-run the calling script's top level
+    def test_calling_process_runs_the_first_chunk(self, config, shared, monkeypatch):
+        # forked workers' calls never reach this process's list
+        calls, workers = [], []
+        kernel = verify._sup_risk_gap
+
+        def counted(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        class Pool(verify.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(verify, "_sup_risk_gap", counted)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        table = self._table(config)
+        assert len(calls) == verify._SUP_CHUNK
+        assert workers == [8]
+        quant = 1.0 - 2.0 * self.DELTA
+        assert table.column("gap_quantile") == [float(np.quantile(v, quant)) for v in shared]
+        # two chunks: the calling process runs one and one worker the other
+        calls.clear()
+        table = compare_bounds(config, arrival_grid=self.GRID[:1], replications=100,
+                               seed=self.SEED, delta=self.DELTA)
+        assert len(calls) == 50 and workers == [8, 1]
+        # no chunk: nothing runs
+        calls.clear()
+        table = compare_bounds(config, arrival_grid=[], replications=100,
+                               seed=self.SEED, delta=self.DELTA)
+        assert table.rows == () and calls == [] and workers == [8, 1, 1]
+
+    def _run_script(self, tmp_path, setup):
+        """Run a guard-less script calling gen mode after ``setup``, in a subprocess."""
         script = tmp_path / "table.py"
         script.write_text(
-            "import os\n"
+            "import os, sys\n"
             "from cfbounds.presets import bench_config\n"
             "from cfbounds.verify import compare_bounds\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            f"{setup}\n"
             f"table = compare_bounds(bench_config(), arrival_grid={self.GRID!r},\n"
             f"                       replications={self.R}, seed={self.SEED}, delta={self.DELTA})\n"
             "print(repr(table.column('gap_quantile')))\n")
         src = os.path.dirname(os.path.dirname(verify.__file__))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        run = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                             env=env, timeout=60)
+        return subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              env=env, timeout=60)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the pool forks its workers only on Linux")
+    def test_pooled_script_needs_no_main_guard(self, config, shared, tmp_path):
+        # a forked worker does not re-run the calling script's top level
+        run = self._run_script(tmp_path, "os.sched_getaffinity = lambda pid: {0, 1}")
         assert run.returncode == 0, run.stderr
         quant = 1.0 - 2.0 * self.DELTA
         assert run.stdout.strip() == repr([float(np.quantile(v, quant)) for v in shared])
 
-    def test_chunk_size_not_dividing_replications(self, config, shared, monkeypatch):
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the spawned workers are forced through sys.platform")
+    def test_spawned_pool_without_main_guard_fails_fast(self, tmp_path):
+        # a spawned worker re-runs the script's top level, which tries to
+        # start another pool; the call must fail, not hang
+        run = self._run_script(tmp_path, "sys.platform = 'darwin'")
+        assert run.returncode != 0
+        assert "if __name__ == '__main__'" in run.stderr
+
+    def test_chunk_size_not_dividing_replications(self, config, shared, censored,
+                                                  monkeypatch):
         monkeypatch.setattr(verify, "_SUP_CHUNK", 7)
         stream = SeededRng(self.SEED).substream(2)
         start = 0
         for T, values in zip(self.GRID, shared):
             theta, _, _, (x0, x1, a0, a1, k0, k1) = self._samples(config, T)
-            tasks, end = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, config.model)
+            tasks, end = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, config.model,
+                                    censored)
             draws = k0 + k1
             assert [len(task[2]) for task in tasks] == [7] * 28 + [4]
             assert [task[1] for task in tasks] == [start + int(draws[:lo].sum())

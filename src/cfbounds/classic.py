@@ -68,8 +68,7 @@ def _check_n_eta(n: int, eta: float) -> None:
 
 def dkw_bound(n: int, eta: float) -> BoundValue:
     """Two-sided uniform eCDF deviation bound 2*exp(-2*n*eta^2)."""
-    _check_n_eta(n, eta)
-    return _from_log(math.log(2.0) - 2.0 * n * eta * eta)
+    return multivariate_dkw_bound(n, eta, 1)
 
 
 def dkw_eta(n: int, delta: float) -> float:
@@ -93,16 +92,12 @@ def gc_bound(n: int, eta: float) -> BoundValue:
     approximate because it is used here as a benchmark whose exact
     constants vary across statements in the literature.
     """
-    _check_n_eta(n, eta)
-    return _from_log(math.log(8.0) + math.log(n + 1.0) - n * eta * eta / 32.0, approximate=True)
+    return vc_bound(n, eta, 1)
 
 
 def gc_eta(n: int, delta: float) -> float:
     """Inverse of gc_bound in eta at confidence level delta."""
-    if n < 1 or not delta > 0:
-        raise ValueError("need n >= 1 and delta > 0")
-    arg = 32.0 * (math.log(8.0 / delta) + math.log(n + 1.0)) / n
-    return math.sqrt(max(arg, 0.0))
+    return vc_eta(n, delta, 1)
 
 
 def vc_bound(n: int, eta: float, d: int = 2) -> BoundValue:
@@ -128,8 +123,7 @@ def hoeffding_bound(n: int, eta: float) -> BoundValue:
     martingale-style benchmark bounds whose exact constants are not
     pinned down here.
     """
-    _check_n_eta(n, eta)
-    return _from_log(math.log(2.0) - 2.0 * n * eta * eta, approximate=True)
+    return BoundValue(dkw_bound(n, eta).raw, approximate=True)
 
 
 def hoeffding_eta(n: int, delta: float) -> float:

@@ -13,8 +13,9 @@ them recording the resolved configuration, seed, outputs and duration.
 Randomized commands never default to wall-clock seeds: a seed comes from
 an explicit flag, a config file, or a documented preset constant.
 
-Exit codes: 0 success, 1 usage error, 2 runtime error, 3 verification
-violation.
+Exit codes: 0 success; 1 usage error, when argparse rejects the command
+line; 2 a bad value or file (an invalid config, input file or parameter)
+or another runtime error; 3 verification violation.
 """
 from __future__ import annotations
 
@@ -272,19 +273,10 @@ def _cmd_verify(args) -> int:
             config = _load_config(args.config, None)
             condition = None
         if args.eta == "auto":
-            theta = float(config.theta)
-            alpha = float(config.population.cdf(theta))
             if condition is None:
                 raise ValueError("--eta auto needs a preset with a conditioned partition")
-            if config.lb is None:
-                bound_fn = lambda e: bound_two_region(
-                    condition, MassSpec.theoretical(alpha), e)
-            else:
-                beta = float(config.population.cdf(config.lb))
-                spec = RegionSpec(theta, config.lb, config.epsilon)
-                bound_fn = lambda e: bound_three_region(
-                    condition, MassSpec.theoretical(alpha, beta), spec, e)
-            eta = eta_for_confidence(bound_fn, args.delta)
+            eta = eta_for_confidence(lambda e: config.deviation_bound(condition, e),
+                                     args.delta)
             if eta is None:
                 raise ValueError("requested confidence is unreachable for this bound")
         else:

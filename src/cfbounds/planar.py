@@ -18,7 +18,14 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .censored import MassSpec, RegionPartition, RegionSpec, bound_three_region, bound_two_region
+from .censored import (
+    MassSpec,
+    RegionPartition,
+    RegionSpec,
+    bound_three_region,
+    bound_two_region,
+    partition,
+)
 from .classic import BoundValue
 from .stats import GaussianCdf
 
@@ -44,6 +51,10 @@ class Boundary2D:
 
     def __post_init__(self):
         w = (float(self.w[0]), float(self.w[1]))
+        lines = (self.b,) if self.b_lb is None else (self.b, self.b_lb)
+        if not np.all(np.isfinite(w + lines)):
+            raise ValueError(f"w, b and b_lb must be finite, got w={self.w} b={self.b} "
+                             f"b_lb={self.b_lb}")
         if w[0] == 0.0 and w[1] == 0.0:
             raise ValueError("weight vector must be nonzero")
         object.__setattr__(self, "w", w)
@@ -110,19 +121,12 @@ def partition_2d(points, boundary: Boundary2D,
                  new_in_explore: int = 0, new_above: int = 0) -> RegionPartition:
     """Count points per region by the sign of w.x - b (and w.x - b_lb).
 
-    Points exactly on a line count as the upper (disclosed/explored)
-    side, matching the 1D at-threshold admission rule.
+    ``censored.partition`` on the projections w.x: points exactly on a
+    line count as the upper (disclosed/explored) side, matching the 1D
+    at-threshold admission rule.
     """
-    proj = boundary.project(points)
-    if proj.size == 0:
-        raise ValueError("empty sample")
-    m = int(np.sum(proj < boundary.b))
-    if boundary.b_lb is None:
-        if new_in_explore:
-            raise ValueError("exploration samples require an exploration line")
-        return RegionPartition(n=len(proj), m=m, k=new_above)
-    l = int(np.sum(proj < boundary.b_lb))
-    return RegionPartition(n=len(proj), m=m, l=l, k1=new_in_explore, k2=new_above)
+    return partition(boundary.project(points), new_in_explore, new_above,
+                     RegionSpec(boundary.b, boundary.b_lb))
 
 
 def adjusted_cdf_empirical(points, boundary: Boundary2D, b_prime: float) -> float:

@@ -30,14 +30,7 @@ from .censored import (
 from .classic import dkw_bound, dkw_eta, gc_eta, vc_eta
 from .explore import BoundContext, CostModel, default_eps_grid, optimize_exploration
 from .rng import splitmix64
-from .simulate import (
-    REGION_DISCLOSED,
-    REGION_EXPLORE,
-    SimulationConfig,
-    finalize,
-    run_simulation,
-    stitched_from_partition,
-)
+from .simulate import REGION_EXPLORE, SimulationConfig, finalize, run_simulation
 from .stats import GaussianCdf, MixtureModel, RestrictedCdf
 from .verify import compare_bounds
 
@@ -255,25 +248,14 @@ def fig4_band(epsilon: float, seed: int = FIG4_SEED, delta: float = 0.015,
               xs: Optional[np.ndarray] = None) -> dict:
     """One exploration level's confidence band around the weighted estimate."""
     config = fig4_config(epsilon, seed)
-    trace = run_simulation(config)
-    part = finalize(trace)[None].part
-    alpha = float(_POP_71.cdf(7.0))
-    beta = float(_POP_71.cdf(6.0))
-    spec = RegionSpec(7.0, 6.0, epsilon)
-    mass = MassSpec.theoretical(alpha, beta)
-    eta = eta_for_confidence(lambda e: bound_three_region(part, mass, spec, e), delta)
-    adm = trace.arrival_admitted
-    est = stitched_from_partition(
-        trace.initial_scores,
-        trace.arrival_scores[adm & (trace.arrival_region == REGION_EXPLORE)],
-        trace.arrival_scores[adm & (trace.arrival_region == REGION_DISCLOSED)],
-        7.0, 6.0, epsilon)
+    final = finalize(run_simulation(config))[None]
+    eta = eta_for_confidence(lambda e: config.deviation_bound(final.part, e), delta)
     if xs is None:
         xs = np.round(np.arange(3.0, 11.0001, 0.02), 6)
-    fhat = np.asarray(est.cdf(xs))
+    fhat = np.asarray(final.estimate.cdf(xs))
     return {
         "eta": eta,
-        "part": part,
+        "part": final.part,
         "xs": xs,
         "f_true": np.asarray(_POP_71.cdf(xs)),
         "estimate": fhat,
@@ -329,25 +311,16 @@ def reproduce_appendixJ(outdir: Path, seed: int = FIG4_SEED, delta: float = 0.01
     """No-exploration band comparison: weighted estimate vs naive IID bands."""
     config = SimulationConfig(population=_POP_71, n=50, theta=7.0,
                               arrivals=200, seed=seed)
-    trace = run_simulation(config)
-    part = finalize(trace)[None].part
-    alpha = float(_POP_71.cdf(7.0))
-    mass = MassSpec.theoretical(alpha)
-    eta_ours = eta_for_confidence(lambda e: bound_two_region(part, mass, e), delta)
-    adm = trace.arrival_admitted
-    est = stitched_from_partition(trace.initial_scores, np.empty(0),
-                                  trace.arrival_scores[adm], 7.0, None, 0.0)
-    observed = np.concatenate([trace.initial_scores, trace.arrival_scores[adm]])
-    from .stats import EmpiricalCdf
-
-    naive = EmpiricalCdf(observed)
+    final = finalize(run_simulation(config))[None]
+    eta_ours = eta_for_confidence(lambda e: config.deviation_bound(final.part, e), delta)
+    naive = final.ecdf
     n_obs = naive.n
     eta_dkw = dkw_eta(n_obs, delta)
     eta_gc = gc_eta(n_obs, delta)
     eta_vc = vc_eta(n_obs, delta, 2)
     xs = np.round(np.arange(3.0, 11.0001, 0.02), 6)
     f_true = np.asarray(_POP_71.cdf(xs))
-    fhat = np.asarray(est.cdf(xs))
+    fhat = np.asarray(final.estimate.cdf(xs))
     fnaive = np.asarray(naive.cdf(xs))
     rows = zip(xs.tolist(), f_true.tolist(), fhat.tolist(),
                np.clip(fhat - eta_ours, 0, 1).tolist(),

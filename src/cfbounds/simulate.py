@@ -6,7 +6,8 @@ the threshold is always admitted; a score in the exploration range
 [LB, theta) is admitted with probability epsilon (one coin per eligible
 arrival, consumed in arrival order); anything else is rejected and its
 label is never observed.  Stage 3 tallies the admitted samples into
-per-region counts and empirical CDFs.
+per-region counts, the plain empirical CDF and the region-weighted
+estimate.
 
 Labels of rejected arrivals are recorded in the trace for auditing but
 are never used by any estimate built from it.
@@ -22,7 +23,15 @@ from typing import Optional
 
 import numpy as np
 
-from .censored import RegionPartition, region_weights
+from .censored import (
+    MassSpec,
+    RegionPartition,
+    RegionSpec,
+    bound_three_region,
+    bound_two_region,
+    region_weights,
+)
+from .classic import BoundValue
 from .generalization import LabeledDataset, optimal_threshold
 from .rng import SeededRng
 from .stats import (
@@ -98,6 +107,22 @@ class SimulationConfig:
     @property
     def pooled(self) -> bool:
         return self.population is not None
+
+    def deviation_bound(self, part: RegionPartition, eta) -> BoundValue:
+        """Deviation bound of this pooled config's estimate at the counts ``part``.
+
+        The two-region bound without ``lb``, the three-region bound with
+        it, both at the population's true region masses.  ``part`` and
+        ``eta`` may be arrays.  A labeled config raises ``ValueError``.
+        """
+        if not self.pooled:
+            raise ValueError("deviation bounds need a pooled config")
+        alpha = float(self.population.cdf(self.theta))
+        if self.lb is None:
+            return bound_two_region(part, MassSpec.theoretical(alpha), eta)
+        beta = float(self.population.cdf(self.lb))
+        return bound_three_region(part, MassSpec.theoretical(alpha, beta),
+                                  RegionSpec(self.theta, self.lb, self.epsilon), eta)
 
     def to_dict(self) -> dict:
         out = {
@@ -390,42 +415,52 @@ def run_simulation(config: SimulationConfig,
 
 @dataclass(frozen=True)
 class FinalEstimate:
-    """Per-population outcome: region counts plus the empirical CDF."""
+    """Per-population outcome of a run.
+
+    ``part`` holds the region counts, ``ecdf`` the plain empirical CDF of
+    every observed sample, and ``estimate`` the region-weighted estimate
+    (``stitched_from_partition``) that the deviation bounds describe at
+    those counts.
+    """
 
     part: RegionPartition
     ecdf: EmpiricalCdf
+    estimate: StitchedCdf
 
 
 def _finalize_one(initial: np.ndarray, admitted: np.ndarray, admitted_region: np.ndarray,
-                  theta: float, lb: Optional[float]) -> FinalEstimate:
+                  theta: float, lb: Optional[float], epsilon: float) -> FinalEstimate:
+    new_explore = admitted[admitted_region == REGION_EXPLORE]
+    new_above = admitted[admitted_region == REGION_DISCLOSED]
     m = int(np.sum(initial < theta))
-    new_explore = int(np.sum(admitted_region == REGION_EXPLORE))
-    new_above = int(np.sum(admitted_region == REGION_DISCLOSED))
     if lb is None:
-        part = RegionPartition(n=len(initial), m=m, k=new_above)
+        part = RegionPartition(n=len(initial), m=m, k=len(new_above))
     else:
         part = RegionPartition(n=len(initial), m=m, l=int(np.sum(initial < lb)),
-                               k1=new_explore, k2=new_above)
-    return FinalEstimate(part=part, ecdf=EmpiricalCdf(np.concatenate([initial, admitted])))
+                               k1=len(new_explore), k2=len(new_above))
+    return FinalEstimate(
+        part=part, ecdf=EmpiricalCdf(np.concatenate([initial, admitted])),
+        estimate=stitched_from_partition(initial, new_explore, new_above, theta, lb, epsilon))
 
 
 def finalize(trace: SimulationTrace) -> dict:
-    """Tally the trace into per-label (or pooled) partitions and CDFs.
+    """Tally the trace into per-label (or pooled) partitions and estimates.
 
     Counts are taken against the final threshold; only admitted arrivals
-    enter the empirical CDFs.
+    enter the estimates, each in the region recorded when it was admitted.
+    The region-weighted estimate uses the configured lb and epsilon.
     """
     theta = trace.final_theta
-    lb = trace.config.lb
+    lb, eps = trace.config.lb, trace.config.epsilon
     adm = trace.arrival_admitted
     if trace.config.pooled:
         return {None: _finalize_one(trace.initial_scores, trace.arrival_scores[adm],
-                                    trace.arrival_region[adm], theta, lb)}
+                                    trace.arrival_region[adm], theta, lb, eps)}
     out = {}
     for label, initial in ((0, trace.initial0), (1, trace.initial1)):
         mask = adm & (trace.arrival_labels == label)
         out[label] = _finalize_one(initial, trace.arrival_scores[mask],
-                                   trace.arrival_region[mask], theta, lb)
+                                   trace.arrival_region[mask], theta, lb, eps)
     return out
 
 
@@ -437,7 +472,8 @@ def stitched_from_partition(initial: np.ndarray, new_explore: np.ndarray,
     Two-region form (no lb): ``StitchedCdf.two_region``, with weights m/n
     and (n-m)/n.  Three-region form: the weights of
     ``censored.region_weights``, which re-estimate the split above lb from
-    the arrival counts.
+    the arrival counts.  As for any ``StitchedCdf``, the estimate's top
+    value may lie up to 4 ulps (4 * 2**-52) below 1.
     """
     if lb is None:
         return StitchedCdf.two_region(initial, new_above, theta)

@@ -266,6 +266,9 @@ class StitchedCdf:
     weights, and E_i is the empirical CDF of the samples observed in
     region i.  A region with weight w but no samples contributes a flat
     segment.
+
+    The weights sum to 1 only up to rounding: values are clamped at 1,
+    and the top value may lie up to 4 ulps (4 * 2**-52) below it.
     """
 
     edges: tuple[float, ...]          # interior boundaries, ascending

@@ -31,8 +31,6 @@ import numpy as np
 from .censored import (
     MassSpec,
     RegionPartition,
-    RegionSpec,
-    bound_three_region,
     bound_two_region,
     eta_for_confidence,
 )
@@ -44,7 +42,7 @@ from .generalization import (
     train_thresholds,
 )
 from .rng import SeededRng, splitmix64
-from .simulate import SimulationConfig, finalize, run_simulation, stitched_from_partition
+from .simulate import SimulationConfig, finalize, run_simulation
 from .stats import sup_deviation
 
 __all__ = [
@@ -197,12 +195,6 @@ def _batch_sup_conditioned(masses: Sequence[float], counts: Sequence[int],
     return sup
 
 
-def _config_region(config: SimulationConfig) -> tuple[float, Optional[float], float]:
-    if config.theta is None:
-        raise ValueError("CDF-deviation verification needs a fixed threshold")
-    return float(config.theta), config.lb, config.epsilon
-
-
 def mc_cdf_deviation(config: SimulationConfig, eta: float, replications: int,
                      seed: int, condition: Optional[RegionPartition] = None,
                      ) -> CoverageReport:
@@ -219,53 +211,35 @@ def mc_cdf_deviation(config: SimulationConfig, eta: float, replications: int,
         raise ValueError("need at least 100 replications")
     if not config.pooled:
         raise ValueError("CDF-deviation verification runs on pooled configs")
-    theta, lb, eps = _config_region(config)
-    alpha = float(config.population.cdf(theta))
-    beta = float(config.population.cdf(lb)) if lb is not None else 0.0
 
     if condition is not None:
         if config.arrivals:
             raise ValueError("conditioned verification requires zero arrivals")
         part = condition
-        if lb is None:
-            masses = (alpha, 1.0 - alpha)
-            counts = (part.m, part.n - part.m)
-            bound = bound_two_region(part, MassSpec.theoretical(alpha), eta)
-        else:
-            masses = (beta, alpha - beta, 1.0 - alpha)
-            counts = (part.l, part.m - part.l, part.n - part.m)
-            bound = bound_three_region(part, MassSpec.theoretical(alpha, beta),
-                                       RegionSpec(theta, lb, eps), eta)
+        bound = config.deviation_bound(part, eta)
+        # without lb the region below it is empty (beta = l = 0), and an
+        # empty region draws nothing
+        alpha = float(config.population.cdf(config.theta))
+        beta = 0.0 if config.lb is None else float(config.population.cdf(config.lb))
         gen = SeededRng(seed).substream(0).generator()
-        sup = _batch_sup_conditioned(masses, counts, replications, gen)
+        sup = _batch_sup_conditioned((beta, alpha - beta, 1.0 - alpha),
+                                     (part.l, part.m - part.l, part.n - part.m),
+                                     replications, gen)
         successes = int(np.sum(sup >= eta))
         return CoverageReport.build(successes, replications, seed, eta,
                                     bound.probability,
                                     meta={"mode": "conditioned", "eta": eta})
 
-    from .simulate import REGION_DISCLOSED, REGION_EXPLORE
-
     successes = 0
     parts = []
     run_seed0 = splitmix64(seed)
     for r in range(replications):
-        trace = run_simulation(_with_seed(config, run_seed0 ^ r))
-        adm = trace.arrival_admitted
-        est = stitched_from_partition(
-            trace.initial_scores,
-            trace.arrival_scores[adm & (trace.arrival_region == REGION_EXPLORE)],
-            trace.arrival_scores[adm & (trace.arrival_region == REGION_DISCLOSED)],
-            theta, lb, eps)
-        sup = sup_deviation(config.population, est)
-        successes += sup >= eta
-        parts.append(astuple(finalize(trace)[None].part))
+        final = finalize(run_simulation(_with_seed(config, run_seed0 ^ r)))[None]
+        successes += sup_deviation(config.population, final.estimate) >= eta
+        parts.append(astuple(final.part))
     # one bound call over every replication's counts
     part = RegionPartition(*(np.array(counts) for counts in zip(*parts)))
-    if lb is None:
-        bounds = bound_two_region(part, MassSpec.theoretical(alpha), eta).probability
-    else:
-        bounds = bound_three_region(part, MassSpec.theoretical(alpha, beta),
-                                    RegionSpec(theta, lb, eps), eta).probability
+    bounds = config.deviation_bound(part, eta).probability
     return CoverageReport.build(int(successes), replications, seed, eta,
                                 float(np.mean(bounds)),
                                 meta={"mode": "unconditioned", "eta": eta})
@@ -593,8 +567,9 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
         raise ValueError("exactly one of arrival_grid/eta_grid must be given")
 
     if eta_grid is not None:
-        theta, lb, eps = _config_region(config)
-        alpha = float(config.population.cdf(theta))
+        if not config.pooled:
+            raise ValueError("CDF comparison needs a pooled config")
+        alpha = float(config.population.cdf(config.theta))
         gen = SeededRng(seed).substream(0).generator()
         from .classic import dkw_bound, gc_bound, hoeffding_bound, vc_bound
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cfbounds.cli import main
-from cfbounds.presets import fig4_config
+from cfbounds.presets import bench_config, fig4_config
 
 
 def run_cli(capsys, *argv):
@@ -278,3 +278,13 @@ class TestVerifyConfigFile:
                                "--eta", "auto", "-R", "120", "--seed", "6")
         assert code == 2
         assert "auto" in err
+
+    @pytest.mark.parametrize("theta", [None, 9.5])
+    def test_labeled_config_exit_code(self, capsys, tmp_path, theta):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(bench_config(arrivals=10).to_dict() | {"theta": theta}))
+        code, _, err = run_cli(capsys, "verify", "cdf", "--config", str(cfg),
+                               "-R", "120", "--seed", "6")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

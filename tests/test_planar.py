@@ -34,6 +34,17 @@ class TestBoundary:
         with pytest.raises(ValueError):
             Boundary2D(w=(1.0, 1.0), b=10.0, b_lb=10.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(w=(1.0, 1.0), b=np.nan),
+        dict(w=(1.0, 1.0), b=np.inf),
+        dict(w=(np.inf, 1.0), b=0.0),
+        dict(w=(1.0, np.nan), b=0.0),
+        dict(w=(1.0, 1.0), b=1.0, b_lb=-np.inf),
+    ])
+    def test_non_finite_line_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            Boundary2D(**kwargs)
+
     def test_projection(self):
         boundary = Boundary2D(w=(2.0, -1.0), b=0.0)
         assert np.allclose(boundary.project([[1.0, 1.0], [3.0, 2.0]]), [1.0, 4.0])

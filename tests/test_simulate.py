@@ -4,6 +4,13 @@ import json
 import numpy as np
 import pytest
 
+from cfbounds.censored import (
+    MassSpec,
+    RegionPartition,
+    RegionSpec,
+    bound_three_region,
+    bound_two_region,
+)
 from cfbounds.classic import dkw_eta
 from cfbounds.rng import SeededRng, splitmix64
 from cfbounds.simulate import (
@@ -203,6 +210,52 @@ class TestFinalize:
         trace = run_simulation(pooled_config(seed=2, arrivals=0))
         part = finalize(trace)[None].part
         assert (part.n, part.m) == (50, 24)
+
+    @pytest.mark.parametrize("kwargs", [dict(), dict(lb=6.0, epsilon=0.0),
+                                        dict(lb=6.0, epsilon=0.5), dict(lb=6.0, epsilon=1.0)])
+    def test_estimate_is_the_stitched_estimator_of_the_admitted_arrivals(self, kwargs):
+        trace = run_simulation(pooled_config(**kwargs))
+        adm = trace.arrival_admitted
+        want = stitched_from_partition(
+            trace.initial_scores,
+            trace.arrival_scores[adm & (trace.arrival_region == REGION_EXPLORE)],
+            trace.arrival_scores[adm & (trace.arrival_region == REGION_DISCLOSED)],
+            7.0, kwargs.get("lb"), kwargs.get("epsilon", 0.0))
+        got = finalize(trace)[None].estimate
+        xs = np.union1d(want.jump_points(), got.jump_points())
+        assert np.array_equal(got.cdf(xs), want.cdf(xs))
+        assert np.array_equal(got.cdf_left(xs), want.cdf_left(xs))
+
+
+class TestDeviationBound:
+    ALPHA, BETA = float(POP.cdf(7.0)), float(POP.cdf(6.0))
+
+    @pytest.mark.parametrize("part", [
+        RegionPartition(n=50, m=24, k=30),
+        RegionPartition(n=50, m=np.array([20, 24, 31]), k=np.array([0, 30, 150])),
+    ])
+    def test_two_region_without_lb(self, part):
+        got = pooled_config().deviation_bound(part, 0.2)
+        want = bound_two_region(part, MassSpec.theoretical(self.ALPHA), 0.2)
+        assert np.array_equal(got.raw, want.raw)
+        assert np.array_equal(got.trivial, want.trivial)
+
+    @pytest.mark.parametrize("part", [
+        RegionPartition(n=50, m=27, l=7, k1=12, k2=90),
+        RegionPartition(n=50, m=np.array([20, 27, 31]), l=np.array([5, 7, 9]),
+                        k1=np.array([0, 12, 40]), k2=np.array([0, 90, 150])),
+    ])
+    def test_three_region_with_lb(self, part):
+        got = pooled_config(lb=6.0, epsilon=0.5).deviation_bound(part, 0.2)
+        want = bound_three_region(part, MassSpec.theoretical(self.ALPHA, self.BETA),
+                                  RegionSpec(7.0, 6.0, 0.5), 0.2)
+        assert np.array_equal(got.raw, want.raw)
+        assert np.array_equal(got.trivial, want.trivial)
+
+    @pytest.mark.parametrize("theta", [None, 9.5])
+    def test_labeled_config_rejected(self, theta):
+        with pytest.raises(ValueError, match="pooled"):
+            labeled_config(theta=theta).deviation_bound(RegionPartition(n=50, m=24), 0.2)
 
 
 class TestAdaptive:

@@ -2,13 +2,16 @@
 """Per-call time of the bench truth-column kernel, ``verify._sup_risk_gap``.
 
 Times the kernel in this one process on the ``bench`` preset's samples
-(``verify._gen_gap_samples`` at the pinned seed) at 0, 10 000 and 50 000
-arrivals, and prints one JSON object with the median and minimum time per
-call over the repeats, the repeat count and the machine facts.  Each call
-gets its replication's censored-side supremum (``verify._censored_sup``,
-computed before the clock starts), as ``compare_bounds`` passes it.  Every
-repeat replays the same replications from the start of the admitted-draw
-stream, so each one does the same work.
+(``verify._gen_gap_samples`` at the pinned seed) at 0, 1000, 2000, 5000,
+10 000 and 50 000 arrivals, and prints one JSON object with the median and
+minimum time per call over the repeats, the repeat count and the machine
+facts.  Each call gets its replication's censored-side supremum
+(``verify._censored_sup``, computed before the clock starts), as
+``compare_bounds`` passes it.  Every repeat replays the same replications
+from the start of the admitted-draw stream, so each one does the same work.
+An untimed pass before the repeats counts the calls that took the
+probability-space path and those of them that fell back to scoring every
+draw because a window check failed.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--replications R] [--repeats N]
 """
@@ -22,12 +25,39 @@ import time
 import numpy as np
 import scipy
 
+from cfbounds import verify
 from cfbounds.presets import BENCH_SEED, bench_config
 from cfbounds.rng import SeededRng
 from cfbounds.verify import _censored_sup, _gen_gap_samples, _sup_risk_gap, _with_grid
 
-ARRIVALS = (0, 10_000, 50_000)
+ARRIVALS = (0, 1000, 2000, 5000, 10_000, 50_000)
 DELTA = 0.015           # the bench preset's confidence parameter
+
+
+def path_counts(args, censored) -> tuple[int, int]:
+    """Calls that took the probability-space path, and those that fell back."""
+    outcomes = []
+
+    def spy(real):
+        def wrapped(*a):
+            out = real(*a)
+            outcomes.append(out is None)
+            return out
+        return wrapped
+
+    real = verify._levels, verify._probability_sup
+    verify._levels, verify._probability_sup = map(spy, real)
+    taken = fell_back = 0
+    try:
+        gen = SeededRng(BENCH_SEED).substream(2).generator()
+        for arg, cens in zip(args, censored):
+            outcomes.clear()
+            _sup_risk_gap(*arg, gen, cens)
+            taken += bool(outcomes)
+            fell_back += any(outcomes)
+    finally:
+        verify._levels, verify._probability_sup = real
+    return taken, fell_back
 
 
 def time_kernel(arrivals: int, replications: int, repeats: int) -> dict:
@@ -39,6 +69,7 @@ def time_kernel(arrivals: int, replications: int, repeats: int) -> dict:
              config.model) for r in range(replications)]
     censored = [_censored_sup(theta[r], x0[r], x1[r], config.model)
                 for r in range(replications)]
+    taken, fell_back = path_counts(args, censored)
     times = []
     for _ in range(repeats):
         gen = SeededRng(BENCH_SEED).substream(2).generator()
@@ -53,6 +84,8 @@ def time_kernel(arrivals: int, replications: int, repeats: int) -> dict:
         "repeats": repeats,
         "calls_per_repeat": replications,
         "mean_pooled_points": float(np.mean(len(x0[0]) + len(x1[0]) + k0 + k1)),
+        "probability_path_calls": taken,
+        "fallback_calls": fell_back,
     }
 
 

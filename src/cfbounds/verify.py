@@ -43,7 +43,7 @@ from .generalization import (
 )
 from .rng import SeededRng, splitmix64
 from .simulate import SimulationConfig, finalize, run_simulation
-from .stats import sup_deviation
+from .stats import GaussianCdf, sup_deviation
 
 __all__ = [
     "CoverageReport",
@@ -375,6 +375,28 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(stops - np.cumsum(lengths), lengths) + np.arange(lengths.sum())
 
 
+def _gap(terms, shift: float) -> np.ndarray:
+    """The signed gap p1*F1 - w1*fhat1 - (p0*F0 - w0*fhat0) + shift from its
+    terms (p0*F0, p1*F1, w0*fhat0, w1*fhat1), with shift = p0 - w0."""
+    pf0, pf1, wf0, wf1 = terms
+    return (pf1 - wf1) - (pf0 - wf0) + shift
+
+
+def _pruned_blocks(terms, shift: float, best: float):
+    """The largest |gap| at the cuts, or ``best`` if larger, and the blocks
+    strictly between consecutive cuts whose bound plus ``_MARGIN`` reaches it.
+
+    ``terms`` are the gap's terms at the cuts in score order, with each
+    fhat_l at both limits; block i lies between cuts i and i + 1.
+    """
+    pf0, pf1, wf0, wf1 = terms
+    best = max(best, float(np.abs(_gap(terms, shift)).max()))
+    # the gap's range strictly between consecutive cuts
+    upper = _gap((pf0[:-1], pf1[1:], wf0[0, 1:], wf1[1, :-1]), shift)
+    lower = _gap((pf0[1:], pf1[:-1], wf0[1, :-1], wf1[0, 1:]), shift)
+    return best, np.flatnonzero(np.maximum(upper, -lower) + _MARGIN >= best)
+
+
 def _side_sup(samples, fhat, w0: float, w1: float, model, best: float) -> float:
     """The largest |gap| at the points of one threshold side, or ``best`` if larger.
 
@@ -382,6 +404,7 @@ def _side_sup(samples, fhat, w0: float, w1: float, model, best: float) -> float:
     label)`` is label l's estimator at that many of them, and w_l is label
     l's share of the initial samples; ``_sup_risk_gap`` describes the rest.
     """
+    shift = model.p0 - w0
 
     def terms(z):
         """Per label, the samples below ``z`` and at or below it (the left
@@ -391,24 +414,17 @@ def _side_sup(samples, fhat, w0: float, w1: float, model, best: float) -> float:
                   for s in samples]
         pf0 = model.p0 * np.asarray(model.cdf0.cdf(z), dtype=float)
         pf1 = model.p1 * np.asarray(model.cdf1.cdf(z), dtype=float)
-        return counts, pf0, pf1, w0 * fhat(counts[0], 0), w1 * fhat(counts[1], 1)
-
-    def gap(pf0, pf1, wf0, wf1):
-        return (pf1 - wf1) - (pf0 - wf0) + (model.p0 - w0)
+        return counts, (pf0, pf1, w0 * fhat(counts[0], 0), w1 * fhat(counts[1], 1))
 
     def exact(z):
-        return float(np.max(np.abs(gap(*terms(z)[1:]))))
+        return float(np.max(np.abs(_gap(terms(z)[1], shift))))
 
     size = len(samples[0]) + len(samples[1])
     if size <= 16 * _BLOCK:
         return max(best, exact(np.concatenate(samples))) if size else best
     cuts = np.sort(np.concatenate([s[::_BLOCK] for s in samples] + [s[-1:] for s in samples]))
-    counts, pf0, pf1, wf0, wf1 = terms(cuts)
-    best = max(best, float(np.max(np.abs(gap(pf0, pf1, wf0, wf1)))))
-    # the gap's range strictly between consecutive cuts
-    upper = gap(pf0[:-1], pf1[1:], wf0[0, 1:], wf1[1, :-1])
-    lower = gap(pf0[1:], pf1[:-1], wf0[1, :-1], wf1[0, 1:])
-    hit = np.flatnonzero(np.maximum(upper, -lower) + _MARGIN >= best)
+    counts, values = terms(cuts)
+    best, hit = _pruned_blocks(values, shift, best)
     z = np.concatenate([s[_ranges(c[1, hit], c[0, hit + 1])] for s, c in zip(samples, counts)])
     return max(best, exact(z)) if len(z) else best
 
@@ -434,6 +450,87 @@ def _censored_sup(theta: float, x0: np.ndarray, x1: np.ndarray, model) -> float:
     return _side_sup(cens, fhat_below, n0 / n, n1 / n, model, 0.0)
 
 
+def _window(cdf: GaussianCdf) -> float:
+    """Distance in probability beyond which two levels keep their order
+    through ``cdf.inverse``; |cdf(inverse(v)) - v| stays far below it.
+
+    A score mean + stddev*ndtri(v) is rounded to a few ulps of
+    |mean| + 40*stddev, which moves its standardized value, and so its CDF
+    value, by a few 2^-52 * (|mean|/stddev + 40).
+    """
+    return 1e-12 + 16 * 2.0**-52 * (abs(cdf.mean) / cdf.stddev + 40.0)
+
+
+def _levels(v: np.ndarray, cdf: GaussianCdf) -> Optional[np.ndarray]:
+    """The admitted draws' levels ``v``, sorted in place, or None when two
+    lie within ``_window(cdf)`` of each other."""
+    v.sort()
+    if len(v) > 1 and not (v[1:] - v[:-1]).min() > _window(cdf):
+        return None
+    return v
+
+
+def _probability_sup(theta: float, samples, levels, fhat, w0: float, w1: float, model,
+                     best: float) -> Optional[float]:
+    """``_side_sup`` over the disclosed side, with each label's draws kept as levels.
+
+    ``samples[l]`` holds label l's sorted disclosed initial samples and
+    ``levels[l]`` its sorted draws' levels (``_levels``).  A draw's score
+    is ``inverse`` of its level, computed only where it is read: at the
+    cuts, which are every sample and every ``_BLOCK``-th draw of each label
+    and its last one, and at the draws of the evaluated blocks, which hold
+    no samples.  Samples are counted by their scores.  At a point z, label
+    l has as many draws below z as levels below F_l(z) - W/2, and at or
+    below z as levels below F_l(z) + W/2, with W = ``_window(cdf_l)``.
+    Levels lie more than W apart and a draw's own level within W/100 of
+    F_l at its score, so the two counts differ by one at each draw of label
+    l; they must be equal at every other point, which the sum of the
+    differences checks, or the result is None.  The lowest draw's score
+    must lie above ``theta``, so that no draw is clamped to it.  Blocks are
+    pruned as in ``_side_sup`` (``_pruned_blocks``), and every point's value
+    is the same expression (``_gap``).
+    """
+    cdfs = (model.cdf0, model.cdf1)
+    half = [_window(cdf) / 2 for cdf in cdfs]
+
+    def terms(z, draws):
+        """Per label, the draws below ``z`` and at or below it, and the gap's
+        terms at ``z``; None unless the two counts differ at ``draws[l]``
+        points, the number of label l's draws among ``z``."""
+        f = [cdf.cdf(z) for cdf in cdfs]
+        drawn, counts = [], []
+        for v, x, fl, h, k in zip(levels, samples, f, half, draws):
+            lo, hi = v.searchsorted(fl - h), v.searchsorted(fl + h)
+            if (hi - lo).sum() != k:
+                return None
+            drawn.append((lo, hi))
+            counts.append(np.stack([lo + x.searchsorted(z, "left"),
+                                    hi + x.searchsorted(z, "right")]))
+        return drawn, (model.p0 * f[0], model.p1 * f[1],
+                       w0 * fhat(counts[0], 0), w1 * fhat(counts[1], 1))
+
+    # every sample and every _BLOCK-th draw of each label and its last one
+    cut_levels = [np.concatenate([v[::_BLOCK], v[-1:]]) for v in levels]
+    cut_scores = [cdf.inverse(c) for cdf, c in zip(cdfs, cut_levels)]
+    # the lowest draw's score lies above theta, so no draw is clamped to it
+    if any(len(s) and not s[0] > theta for s in cut_scores):
+        return None
+    cut = terms(np.sort(np.concatenate([*samples, *cut_scores])), [len(c) for c in cut_levels])
+    if cut is None:
+        return None
+    drawn, values = cut
+    best, hit = _pruned_blocks(values, model.p0 - w0, best)
+    # only draws lie strictly between two cuts
+    inside = [v[_ranges(hi[hit], lo[hit + 1])] for v, (lo, hi) in zip(levels, drawn)]
+    if not len(inside[0]) + len(inside[1]):
+        return best
+    z = np.concatenate([cdf.inverse(c) for cdf, c in zip(cdfs, inside)])
+    point = terms(z, [len(c) for c in inside])
+    if point is None:
+        return None
+    return max(best, float(np.abs(_gap(point[1], model.p0 - w0)).max()))
+
+
 def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
                   k0: int, k1: int, a0: float, a1: float,
                   model, gen: np.random.Generator, censored: float) -> float:
@@ -441,11 +538,13 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
 
     Disclosed parts of the per-label estimators are extended with the
     realized numbers of admitted arrivals (drawn from the restricted
-    upper-region distributions, label 0 first).  Label l's estimator
-    spends weight w_l = #censored/len(x_l) evenly over its censored
-    samples below ``theta`` and 1 - w_l evenly over its disclosed samples.
-    Admitted draws are clamped to at least ``theta``, so one that rounds
-    below it through the inverse CDF still lies on the disclosed side.
+    upper-region distributions, label 0 first).  An admitted draw of label
+    l has the level v = a_l + (1 - a_l)*u for a uniform u and the score
+    max(inverse_l(v), theta): it is clamped to at least ``theta``, so one
+    that rounds below it through the inverse CDF still lies on the
+    disclosed side.  Label l's estimator spends weight w_l =
+    #censored/len(x_l) evenly over its censored samples below ``theta``
+    and 1 - w_l evenly over its disclosed samples.
 
     The supremum is attained at a left or right limit at a pooled sample.
     Points below ``theta`` are evaluated against the censored samples and
@@ -469,26 +568,54 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
     ``_MARGIN`` is far above the rounding of these terms and any ulp-level
     non-monotonicity of a computed CDF, so every skipped point's computed
     value lies below that best value.  The result is therefore the maximum
-    of the same floating-point values as an evaluation at every point, and
-    the draws are the same.
+    of the same floating-point values as an evaluation at every point,
+    whichever points cut the blocks, and the draws are the same.
+
+    When both label CDFs are exactly ``GaussianCdf`` and such a side has
+    admitted draws, the draws stay in probability space
+    (``_probability_sup``): each label's levels are sorted, and a score is
+    computed only at a cut or in an evaluated block, not at every draw.
+    Counts of draws are read among the levels at F_l of a point, which the
+    gap evaluates anyway.  This is exact only away from the ulp-level
+    non-monotonicity of ndtri and ndtr, so it relies on a window W
+    (``_window``): at least 1e-12, far above |F(inverse(v)) - v|, and wide
+    enough that levels more than W apart keep their order as scores
+    (``tests/test_verify.py::TestProbabilityWindow`` sweeps it).  Two
+    levels of a label within W of each other, or the CDF value at a point
+    within W/2 of a level of a label the point does not belong to, send
+    the call back to computing every draw's score and ``_side_sup``, from
+    the same levels, so the value and the generator state do not depend on
+    the path.  On the ``bench`` grid about 1 call in 1500 does so.  Other
+    CDFs (``PiecewiseCdf``, subclasses of ``GaussianCdf``), the censored
+    side, sides of at most ``16 * _BLOCK`` samples and sides without
+    draws always take that path.
     """
     n0, n1 = len(x0), len(x1)
     n = n0 + n1
-    disc, wc = [], []
-    for x, k, a, cdf in ((x0, k0, a0, model.cdf0), (x1, k1, a1, model.cdf1)):
+    samples, draws, wc = [], [], []
+    for x, k, a in ((x0, k0, a0), (x1, k1, a1)):
         x = np.sort(x)
         cut = np.searchsorted(x, theta)
         wc.append(cut / len(x))
-        if k:
-            draws = np.asarray(cdf.inverse(a + (1.0 - a) * gen.random(k)), dtype=float)
-            disc.append(np.sort(np.concatenate([x[cut:], np.maximum(draws, theta)])))
-        else:
-            disc.append(x[cut:])
+        samples.append(x[cut:])
+        draws.append(a + (1.0 - a) * gen.random(k) if k else np.empty(0))
+    sizes = [len(x) + len(v) for x, v in zip(samples, draws)]
 
     def fhat_above(count, label):
-        w, nd = wc[label], len(disc[label])
+        w, nd = wc[label], sizes[label]
         return w + count / nd * (1.0 - w) if nd else np.full(count.shape, w)
 
+    cdfs = (model.cdf0, model.cdf1)
+    if (k0 + k1 and sum(sizes) > 16 * _BLOCK
+            and type(cdfs[0]) is GaussianCdf and type(cdfs[1]) is GaussianCdf):
+        levels = [_levels(v, cdf) for v, cdf in zip(draws, cdfs)]
+        if levels[0] is not None and levels[1] is not None:
+            sup = _probability_sup(theta, samples, levels, fhat_above, n0 / n, n1 / n, model,
+                                   censored)
+            if sup is not None:
+                return sup
+    disc = [np.sort(np.concatenate([x, np.maximum(cdf.inverse(v), theta)])) if len(v) else x
+            for x, v, cdf in zip(samples, draws, cdfs)]
     return _side_sup(disc, fhat_above, n0 / n, n1 / n, model, censored)
 
 
@@ -561,7 +688,9 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
 
     CDF mode (``eta_grid``): the truth column is the empirical
     exceedance frequency P(sup >= eta) under the conditioned partition,
-    compared against our bound and the classic forms.
+    compared against our bound and the classic forms.  It samples the
+    two-region estimator and reports ``bound_two_region``, so a config
+    with an exploration region (``lb``) is rejected.
     """
     if (arrival_grid is None) == (eta_grid is None):
         raise ValueError("exactly one of arrival_grid/eta_grid must be given")
@@ -569,6 +698,9 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
     if eta_grid is not None:
         if not config.pooled:
             raise ValueError("CDF comparison needs a pooled config")
+        if config.lb is not None:
+            raise ValueError("CDF comparison covers the two-region estimator only; "
+                             "got a config with an exploration region (lb)")
         alpha = float(config.population.cdf(config.theta))
         gen = SeededRng(seed).substream(0).generator()
         from .classic import dkw_bound, gc_bound, hoeffding_bound, vc_bound

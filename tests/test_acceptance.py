@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS lines.
 Budgets: the slowest criteria (Monte Carlo soundness) stay well inside
 their stated runtime limits on commodity hardware.
 """
+import hashlib
 import math
 import time
 
@@ -237,12 +238,20 @@ def test_criterion_09_mc_soundness_generalization():
            f"{elapsed:.1f}s")
 
 
-def test_criterion_10_benchmark_crossings():
+# sha256 of the bench preset's bench_bounds.csv (`cfbounds reproduce bench`)
+BENCH_CSV_SHA256 = "9415ecef38bfe0ae5ee98f9f329310af3cc56ef62da82bbc84a45bdff82dbc4f"
+
+
+def test_criterion_10_benchmark_crossings(tmp_path):
     """IID-world benchmarks undershoot the realized uniform risk deviation."""
     start = time.perf_counter()
     grid = [0, 10_000, 20_000, 30_000, 40_000, 50_000]
     table = compare_bounds(bench_config(), arrival_grid=grid, replications=1000,
                            seed=BENCH_SEED, delta=0.015)
+    # the same table as the bench preset, so the same bytes
+    table.write_csv(tmp_path / "bench_bounds.csv")
+    digest = hashlib.sha256((tmp_path / "bench_bounds.csv").read_bytes()).hexdigest()
+    assert digest == BENCH_CSV_SHA256
     truth = table.column("gap_quantile")
     crossings = {}
     for name in ("hoeffding", "gc", "vc_gen"):

@@ -228,6 +228,13 @@ class TestCompareBounds:
         with pytest.raises(ValueError):
             compare_bounds(fig1_like(), replications=100, seed=0)
 
+    def test_cdf_mode_rejects_exploration_region(self):
+        # the CDF mode samples the two-region estimator only
+        from cfbounds.presets import fig2_config
+
+        with pytest.raises(ValueError, match="lb"):
+            compare_bounds(fig2_config(), eta_grid=[0.2], replications=200, seed=5)
+
     def test_vc_gen_eta_decreasing(self):
         assert vc_gen_eta(100, 0.05) > vc_gen_eta(10_000, 0.05)
         with pytest.raises(ValueError):
@@ -302,6 +309,35 @@ class _BelowGaussian(_PointGaussian):
     point = 9.0
 
 
+@pytest.fixture
+def paths(monkeypatch):
+    """One entry per ``_sup_risk_gap`` call that tries the probability-space
+    path: None when it served the call, else the check that sent the call to
+    score every draw ("levels": two levels of a label within the window;
+    "points": a point's CDF value near a level of a label it does not belong
+    to, or a draw's score at or below theta)."""
+    out, pair = [], []
+    levels, probability_sup = verify._levels, verify._probability_sup
+
+    def spy_levels(v, cdf):
+        got = levels(v, cdf)
+        pair.append(got is None)
+        if len(pair) == 2:
+            out.append("levels" if any(pair) else None)
+            pair.clear()
+        return got
+
+    def spy_sup(*args):
+        got = probability_sup(*args)
+        if got is None:
+            out[-1] = "points"
+        return got
+
+    monkeypatch.setattr(verify, "_levels", spy_levels)
+    monkeypatch.setattr(verify, "_probability_sup", spy_sup)
+    return out
+
+
 class TestSupRiskGapOracle:
     MODEL = MixtureModel(p1=0.5, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1))
 
@@ -320,21 +356,82 @@ class TestSupRiskGapOracle:
         gen = SeededRng(seed).generator()
         return gen.normal(9.0, 1.0, n0), gen.normal(10.0, 1.0, n1)
 
-    @pytest.mark.parametrize("arrivals", [0, 2_000, 20_000, 50_000])
-    def test_bench_mixture(self, arrivals):
+    def _check_bench(self, arrivals, replications=200):
         from cfbounds.presets import bench_config
 
         config = _with_grid(bench_config(), arrivals)
-        theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(config, 200, 3, 0.015)
+        theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(config, replications, 3, 0.015)
         gen_new = SeededRng(3).substream(2).generator()
         gen_old = SeededRng(3).substream(2).generator()
-        for r in range(200):
+        for r in range(replications):
             args = (theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
                     float(a0[r]), float(a1[r]), config.model)
             censored = _censored_sup(theta[r], x0[r], x1[r], config.model)
             assert (_sup_risk_gap(*args, gen_new, censored)
                     == _sup_risk_gap_oracle(*args, gen_old))
             assert gen_new.bit_generator.state == gen_old.bit_generator.state
+
+    @pytest.mark.parametrize("arrivals", [0, 2_000, 20_000, 50_000])
+    def test_bench_mixture(self, arrivals, paths):
+        self._check_bench(arrivals)
+        # with draws, the probability-space path serves every side above the cutoff
+        assert paths == [] if arrivals == 0 else paths and set(paths) == {None}
+
+    @pytest.mark.parametrize("arrivals", [2_000, 50_000])
+    def test_window_of_one_always_falls_back(self, arrivals, paths, monkeypatch):
+        # every two levels lie within a window of 1, so each call scores every draw
+        monkeypatch.setattr(verify, "_window", lambda cdf: 1.0)
+        self._check_bench(arrivals, 50)
+        assert paths and set(paths) == {"levels"}
+
+    def test_cross_label_check_falls_back(self, paths, monkeypatch):
+        # a window just below a replication's closest two levels passes the
+        # pairwise check; in some replications a point's level of the other
+        # label then lies within half of it
+        from cfbounds.presets import bench_config
+
+        config = _with_grid(bench_config(), 50_000)
+        theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(config, 200, 3, 0.015)
+        gen = SeededRng(3).substream(2).generator()
+        for r in range(200):
+            state = gen.bit_generator.state
+            # the levels as the kernel draws them
+            levels = [a + (1.0 - a) * gen.random(k) for a, k in ((a0[r], k0[r]), (a1[r], k1[r]))]
+            closest = min(np.min(np.diff(np.sort(v))) for v in levels)
+            monkeypatch.setattr(verify, "_window", lambda cdf, w=0.99 * closest: w)
+            gen.bit_generator.state = state
+            gen_old = SeededRng(0).generator()
+            gen_old.bit_generator.state = state
+            args = (theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
+                    float(a0[r]), float(a1[r]), config.model)
+            censored = _censored_sup(theta[r], x0[r], x1[r], config.model)
+            assert _sup_risk_gap(*args, gen, censored) == _sup_risk_gap_oracle(*args, gen_old)
+            assert gen.bit_generator.state == gen_old.bit_generator.state
+        assert len(paths) == 200 and "levels" not in paths and "points" in paths
+
+    def test_levels_below_the_threshold(self, paths):
+        # with a = 0, a share of the draws lands below theta and is clamped to
+        # it, so their scores tie; such a call must not count them by level
+        x0, x1 = self._initial(7)
+        for seed in range(3):
+            args = (9.5, x0, x1, 900, 1100, 0.0, 0.0, self.MODEL)
+            gen_new, gen_old = SeededRng(seed).generator(), SeededRng(seed).generator()
+            assert (_sup_risk_gap(*args, gen_new, _censored_sup(9.5, x0, x1, self.MODEL))
+                    == _sup_risk_gap_oracle(*args, gen_old))
+            assert gen_new.bit_generator.state == gen_old.bit_generator.state
+        assert paths == ["points"] * 3
+
+    def test_tiny_stddev_mixture(self, paths):
+        # scores of 1000 +- a few stddevs of 1e-3 are only 1e-10 stddevs
+        # apart per ulp, so the window grows with mean/stddev
+        model = MixtureModel(p1=0.5, cdf0=GaussianCdf(1e3, 1e-3),
+                             cdf1=GaussianCdf(1e3 + 1e-3, 1e-3))
+        for seed in range(5):
+            gen = SeededRng(seed).generator()
+            x0, x1 = gen.normal(1e3, 1e-3, 50), gen.normal(1e3 + 1e-3, 1e-3, 50)
+            self._check(1e3 + 5e-4, x0, x1, 1500, 2500, model, seed)
+            self._check(1e3 - 2e-3, x0, x1, 2500, 1500, model, seed)
+        assert len(paths) == 10 and paths.count(None) >= 8
 
     @pytest.mark.parametrize("theta", [-np.inf, 3.0])
     def test_theta_below_every_score(self, theta):
@@ -423,13 +520,15 @@ class TestSupRiskGapOracle:
         self._check(np.inf, x0, x1, 0, 0)                     # censored side
 
     @pytest.mark.parametrize("both", [False, True])
-    def test_blocks_of_tied_values(self, both):
+    def test_blocks_of_tied_values(self, both, paths):
         # label 1's admitted draws all land at 9.5: several whole blocks of ties
         cdf0 = _PointGaussian(9, 1) if both else GaussianCdf(9, 1)
         model = MixtureModel(p1=0.5, cdf0=cdf0, cdf1=_PointGaussian(10, 1))
         for seed in range(5):
             x0, x1 = self._initial(seed)
             self._check(9.0, x0, x1, 1000, 16 * verify._BLOCK, model, seed)
+        # a subclass of GaussianCdf keeps every draw's score
+        assert paths == []
 
     PIECEWISE = MixtureModel(
         p1=0.4,
@@ -437,13 +536,14 @@ class TestSupRiskGapOracle:
         cdf1=PiecewiseCdf([6, 8, 9.5, 10, 11, 11, 15], [0, 0.1, 0.4, 0.4, 0.6, 0.85, 1.0]))
 
     @pytest.mark.parametrize("theta", [7.0, 8.0, 8.5, 9.7, 11.0])
-    def test_piecewise_mixture_with_flats_and_jumps(self, theta):
+    def test_piecewise_mixture_with_flats_and_jumps(self, theta, paths):
         # F0 is flat on [8, 9] and F1 on [9.5, 10]; both jump, so draws tie
         model = self.PIECEWISE
         for seed in range(5):
             gen = SeededRng(seed).generator()
             x0, x1 = model.cdf0.inverse(gen.random(50)), model.cdf1.inverse(gen.random(50))
             self._check(theta, x0, x1, 700, 500, model, seed)
+        assert paths == []
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_small_blocks(self, block, monkeypatch):
@@ -463,6 +563,46 @@ class TestSupRiskGapOracle:
             p0, p1 = self.PIECEWISE.cdf0, self.PIECEWISE.cdf1
             self._check(8.5, p0.inverse(gen.random(30)), p1.inverse(gen.random(30)),
                         70, 90, self.PIECEWISE, seed)
+
+
+class TestProbabilityWindow:
+    """``verify._window`` against scipy's ndtri and ndtr, which are not
+    monotone at the ulp level near ndtri's branch points."""
+
+    COUNT = 2**20
+
+    @classmethod
+    def _sweep(cls, place, a, stride):
+        """COUNT doubles ``stride`` ulps apart in one binade: centred on e^-2
+        or 1 - e^-2, starting at ``a`` or ending just below 1."""
+        ref = {"e^-2": np.exp(-2.0), "1 - e^-2": 1.0 - np.exp(-2.0), "above a": a,
+               "below 1": 0.5}[place]
+        step = stride * np.spacing(ref)
+        start = {"above a": a, "below 1": 1.0 - cls.COUNT * step}.get(
+            place, ref - cls.COUNT // 2 * step)
+        v = start + np.arange(cls.COUNT) * step
+        assert np.spacing(v[0]) == np.spacing(v[-1]) == np.spacing(ref)
+        return v
+
+    @pytest.mark.parametrize("cdf", [GaussianCdf(9, 1), GaussianCdf(10, 1), GaussianCdf(300, 100),
+                                     GaussianCdf(0, 1e6), GaussianCdf(1e3, 1e-3)], ids=str)
+    @pytest.mark.parametrize("place", ["e^-2", "1 - e^-2", "above a", "below 1"])
+    def test_window_orders_levels_and_bounds_the_round_trip(self, cdf, place):
+        window = verify._window(cdf)
+        a = float(cdf.cdf(cdf.mean - 0.5 * cdf.stddev))
+        consecutive = self._sweep(place, a, 1)
+        assert np.array_equal(np.nextafter(consecutive[:-1], 1.0), consecutive[1:])
+        # a second sweep spans several windows where the consecutive one does not
+        stride = max(1, int(np.ceil(4 * window / (self.COUNT * np.spacing(consecutive[0])))))
+        for v in (consecutive, self._sweep(place, a, stride)):
+            scores = cdf.inverse(v)
+            assert np.max(np.abs(cdf.cdf(scores) - v)) <= window / 100
+            # each score lies above every score of a level more than a window below
+            below = np.searchsorted(v, v - window) - 1
+            apart = below >= 0
+            assert apart.any() or v is consecutive
+            highest = np.maximum.accumulate(scores)
+            assert np.all(highest[below[apart]] < scores[apart])
 
 
 def _shared_stream_sups(config, grid, replications, seed, delta):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-call time of the bench truth-column kernel, ``verify._sup_risk_gap``.
+"""Per-call time of the bench truth-column kernel, ``verify._sup_risk_gap``,
+and of the simulator, ``simulate.run_arrivals``.
 
 Times the kernel in this one process on the ``bench`` preset's samples
 (``verify._gen_gap_samples`` at the pinned seed) at 0, 1000, 2000, 5000,
@@ -11,7 +12,9 @@ facts.  Each call gets its replication's censored-side supremum
 from the start of the admitted-draw stream, so each one does the same work.
 An untimed pass before the repeats counts the calls that took the
 probability-space path and those of them that fell back to scoring every
-draw because a window check failed.
+draw because a window check failed.  The ``arrivals`` entry gives the time
+of one ``run_arrivals`` call over 100 000 arrivals of the bench model, with
+no retraining and with ``retrain_every=500``, from the same stage-1 state.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--replications R] [--repeats N]
 """
@@ -21,6 +24,7 @@ import os
 import platform
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy
@@ -28,10 +32,12 @@ import scipy
 from cfbounds import verify
 from cfbounds.presets import BENCH_SEED, bench_config
 from cfbounds.rng import SeededRng
+from cfbounds.simulate import run_arrivals, run_stage1
 from cfbounds.verify import _censored_sup, _gen_gap_samples, _sup_risk_gap, _with_grid
 
 ARRIVALS = (0, 1000, 2000, 5000, 10_000, 50_000)
 DELTA = 0.015           # the bench preset's confidence parameter
+SIM_ARRIVALS = 100_000
 
 
 def path_counts(args, censored) -> tuple[int, int]:
@@ -89,6 +95,22 @@ def time_kernel(arrivals: int, replications: int, repeats: int) -> dict:
     }
 
 
+def time_arrivals(repeats: int) -> dict:
+    """Time of one ``run_arrivals`` call per 1e5 arrivals, static and retraining."""
+    out = {"arrivals": SIM_ARRIVALS, "repeats": repeats}
+    for name, retrain_every in (("static", None), ("retrain_every_500", 500)):
+        config = replace(bench_config(SIM_ARRIVALS), retrain_every=retrain_every)
+        state = run_stage1(config)
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            run_arrivals(state, config)
+            times.append((time.perf_counter() - start) * 1e6)
+        out[name] = {"median_us": round(statistics.median(times), 1),
+                     "min_us": round(min(times), 1)}
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--replications", type=int, default=100)
@@ -102,6 +124,7 @@ def main() -> int:
         "machine": {"nproc": nproc, "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__},
         "per_call": [time_kernel(t, opts.replications, opts.repeats) for t in ARRIVALS],
+        "arrivals": time_arrivals(opts.repeats),
     }
     print(json.dumps(out, indent=1))
     return 0

@@ -223,14 +223,10 @@ def optimize_exploration(ctx: BoundContext, model: CostModel,
     for i, lb in enumerate(lb_grid):
         cost_full = cost_single(min(lb, ctx.theta), ctx.theta, 1.0, model)
         obj[i] = ctx.improvement(lb, eps_grid) - eps_grid * cost_full
-    # scan in preference order (eps ascending, lb descending) so the first
-    # point attaining the maximum is the cheapest policy among ties
-    best = (len(lb_grid) - 1, 0)
-    for j in range(len(eps_grid)):
-        for i in range(len(lb_grid) - 1, -1, -1):
-            if obj[i, j] > obj[best]:
-                best = (i, j)
-    i, j = best
+    # the first maximum in preference order (eps ascending, lb descending)
+    # is the cheapest policy among ties
+    j, r = np.unravel_index(np.argmax(obj[::-1].T), (len(eps_grid), len(lb_grid)))
+    i = len(lb_grid) - 1 - r
     return OptimizationResult(
         lb=float(lb_grid[i]),
         epsilon=float(eps_grid[j]),

@@ -1,13 +1,17 @@
 """Sequential data-collection process with censored feedback.
 
 Stage 1 draws the initial sample(s) and fixes (or trains) the decision
-threshold.  Stage 2 processes arrivals one by one: a score at or above
-the threshold is always admitted; a score in the exploration range
+threshold.  Stage 2 decides each arrival: a score at or above the
+threshold is always admitted; a score in the exploration range
 [LB, theta) is admitted with probability epsilon (one coin per eligible
 arrival, consumed in arrival order); anything else is rejected and its
-label is never observed.  Stage 3 tallies the admitted samples into
-per-region counts, the plain empirical CDF and the region-weighted
-estimate.
+label is never observed.  With ``retrain_every = B`` the threshold is
+refit after every B arrivals on the initial samples and every arrival
+admitted so far.  The threshold is fixed between refits, so arrivals are
+decided a batch of B at a time (the whole stream without retraining),
+which gives exactly the decisions and coins of deciding them one by one.
+Stage 3 tallies the admitted samples into per-region counts, the plain
+empirical CDF and the region-weighted estimate.
 
 Labels of rejected arrivals are recorded in the trace for auditing but
 are never used by any estimate built from it.
@@ -328,70 +332,75 @@ def _region_of(scores, theta, lb):
     return region
 
 
+def _checked_stream(scores, labels, pooled: bool):
+    """The arrival stream as arrays; malformed streams raise ``ValueError``."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 1:
+        raise ValueError(f"arrival scores must be 1-d, got shape {scores.shape}")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("arrival scores must be finite")
+    if labels is None:
+        if not pooled:
+            raise ValueError("labeled configs need labels in the arrival stream")
+        return scores, None
+    labels = np.asarray(labels)
+    if labels.shape != scores.shape:
+        raise ValueError(f"arrival stream has {len(scores)} scores "
+                         f"but labels of shape {labels.shape}")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("arrival labels must be 0 or 1")
+    return scores, labels
+
+
 def run_arrivals(state: Stage1State, config: SimulationConfig,
                  arrival_stream: Optional[tuple[np.ndarray, Optional[np.ndarray]]] = None,
                  ) -> SimulationTrace:
     """Process the arrival sequence and record every decision.
 
     ``arrival_stream`` replaces synthetic draws with externally supplied
-    (scores, labels), consumed in order.  Exploration coins are drawn
-    from their own stream and consumed only for arrivals that fall in
-    [LB, theta) at decision time, so runs sharing a seed see identical
+    (scores, labels), consumed in order; scores must be 1-d and finite and
+    labels, when given, 0 or 1 with one per score.  Exploration coins are
+    drawn from their own stream and consumed only for arrivals that fall
+    in [LB, theta) at decision time, so runs sharing a seed see identical
     coins for those arrivals regardless of epsilon.
+
+    Arrivals are decided in batches of ``retrain_every`` (the whole stream
+    when it is None).  Theta is fixed within a batch, so deciding a batch
+    at once, with its coins drawn in arrival order, equals deciding its
+    arrivals one by one.  After each full batch a retraining config refits
+    theta on the initial samples plus every arrival admitted so far.
     """
     root = SeededRng(config.seed)
-    T = config.arrivals
     if arrival_stream is not None:
-        scores, labels = arrival_stream
-        scores = np.asarray(scores, dtype=float)
-        if labels is not None:
-            labels = np.asarray(labels)
-        elif not config.pooled:
-            raise ValueError("labeled configs need labels in the arrival stream")
-        T = len(scores)
+        scores, labels = _checked_stream(*arrival_stream, config.pooled)
     elif config.pooled:
         gen = root.substream(1).generator()
-        scores = np.asarray(config.population.inverse(gen.random(T)), dtype=float)
+        scores = np.asarray(config.population.inverse(gen.random(config.arrivals)),
+                            dtype=float)
         labels = None
     else:
-        scores, labels = sample_labeled(config.model, T, root.substream(1))
+        scores, labels = sample_labeled(config.model, config.arrivals, root.substream(1))
 
+    T = len(scores)
     coin_gen = root.substream(2).generator()
     coins = np.full(T, np.nan)
-    adaptive = config.retrain_every is not None and T > 0
-
-    if not adaptive:
-        region = _region_of(scores, state.theta0, config.lb)
-        explore = region == REGION_EXPLORE
-        coins[explore] = coin_gen.random(int(np.sum(explore)))
-        admitted = (region == REGION_DISCLOSED) | (explore & (coins < config.epsilon))
-        history = ((0, state.theta0),)
-    else:
-        theta = state.theta0
-        history = [(0, state.theta0)]
-        region = np.empty(T, dtype=np.uint8)
-        admitted = np.zeros(T, dtype=bool)
-        obs0 = [state.initial0]
-        obs1 = [state.initial1]
-        B = config.retrain_every
-        for t in range(T):
-            x = scores[t]
-            if x >= theta:
-                region[t] = REGION_DISCLOSED
-                admitted[t] = True
-            elif config.lb is not None and x >= config.lb:
-                region[t] = REGION_EXPLORE
-                coins[t] = coin_gen.random()
-                admitted[t] = coins[t] < config.epsilon
-            else:
-                region[t] = REGION_CENSORED
-            if admitted[t]:
-                (obs1 if labels[t] == 1 else obs0).append(scores[t: t + 1])
-            if (t + 1) % B == 0:
-                theta = optimal_threshold(
-                    LabeledDataset(np.concatenate(obs0), np.concatenate(obs1)))
-                history.append((t + 1, theta))
-        history = tuple(history)
+    region = np.empty(T, dtype=np.uint8)
+    admitted = np.empty(T, dtype=bool)
+    theta, history = state.theta0, [(0, state.theta0)]
+    seen0, seen1 = state.initial0, state.initial1
+    B = config.retrain_every or max(T, 1)
+    for start in range(0, T, B):
+        batch = slice(start, min(start + B, T))
+        region[batch] = _region_of(scores[batch], theta, config.lb)
+        explore = region[batch] == REGION_EXPLORE
+        coins[batch][explore] = coin_gen.random(int(np.sum(explore)))
+        admitted[batch] = (region[batch] == REGION_DISCLOSED) | (coins[batch] < config.epsilon)
+        if config.retrain_every is not None and batch.stop - start == B:
+            kept = admitted[batch]
+            seen0 = np.concatenate([seen0, scores[batch][kept & (labels[batch] == 0)]])
+            seen1 = np.concatenate([seen1, scores[batch][kept & (labels[batch] == 1)]])
+            theta = optimal_threshold(LabeledDataset(seen0, seen1))
+            history.append((batch.stop, theta))
 
     return SimulationTrace(
         config=config,
@@ -402,7 +411,7 @@ def run_arrivals(state: Stage1State, config: SimulationConfig,
         arrival_scores=scores,
         arrival_labels=labels,
         arrival_region=region,
-        arrival_admitted=np.asarray(admitted, dtype=bool),
+        arrival_admitted=admitted,
         arrival_coins=coins,
         threshold_history=tuple(history),
     )

@@ -131,6 +131,51 @@ class TestOptimizer:
         assert result.epsilon == 0.0
         assert result.lb == 6.0
 
+    @staticmethod
+    def _scan_in_preference_order(obj):
+        best = (obj.shape[0] - 1, 0)
+        for j in range(obj.shape[1]):
+            for i in range(obj.shape[0] - 1, -1, -1):
+                if obj[i, j] > obj[best]:
+                    best = (i, j)
+        return best
+
+    @staticmethod
+    def _optimize_table(obj):
+        """Optimize a given objective table: zero cost, improvement read from ``obj``."""
+        class TableContext:
+            theta = 0.0      # every lb >= theta, so the exploration cost is 0
+
+            @staticmethod
+            def improvement(lb, epsilon):
+                return obj[int(lb)]
+
+        lb_grid = np.arange(obj.shape[0], dtype=float)
+        eps_grid = np.linspace(0.0, 1.0, obj.shape[1])
+        result = optimize_exploration(TableContext(), _model(), lb_grid, eps_grid)
+        assert np.array_equal(result.objective_grid, obj)
+        return int(result.lb), int(np.flatnonzero(eps_grid == result.epsilon)[0])
+
+    @pytest.mark.parametrize("obj, want", [
+        (np.zeros((3, 4)), (2, 0)),                          # flat: largest lb, eps 0
+        (np.array([[1.0, 2.0], [2.0, 1.0], [2.0, 2.0]]), (2, 0)),
+        (np.array([[0.0, 5.0, 5.0], [0.0, 5.0, 5.0]]), (1, 1)),
+        (np.array([[0.0, 5.0], [0.0, 4.0], [0.0, 5.0]]), (2, 1)),
+        (np.array([[3.0, 0.0], [0.0, 3.0]]), (0, 0)),        # smaller eps beats larger lb
+        (np.array([[7.0]]), (0, 0)),
+        (np.array([[1.0, 1.0, 1.0]]), (0, 0)),
+        (np.array([[1.0], [1.0], [0.0]]), (1, 0)),
+    ])
+    def test_ties_pick_cheapest(self, obj, want):
+        assert self._optimize_table(obj) == want == self._scan_in_preference_order(obj)
+
+    def test_random_tie_heavy_grids_match_the_preference_scan(self):
+        gen = SeededRng(44).generator()
+        for _ in range(300):
+            shape = tuple(gen.integers(1, 8, size=2))
+            obj = gen.integers(0, 3, size=shape).astype(float)
+            assert self._optimize_table(obj) == self._scan_in_preference_order(obj)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             optimize_exploration(self._ctx(), _model(), [], [0.5])

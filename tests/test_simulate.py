@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfbounds.censored import (
     MassSpec,
@@ -12,12 +14,14 @@ from cfbounds.censored import (
     bound_two_region,
 )
 from cfbounds.classic import dkw_eta
+from cfbounds.generalization import LabeledDataset, optimal_threshold
 from cfbounds.rng import SeededRng, splitmix64
 from cfbounds.simulate import (
     REGION_CENSORED,
     REGION_DISCLOSED,
     REGION_EXPLORE,
     SimulationConfig,
+    SimulationTrace,
     finalize,
     ingest_scores,
     run_arrivals,
@@ -25,7 +29,7 @@ from cfbounds.simulate import (
     run_stage1,
     stitched_from_partition,
 )
-from cfbounds.stats import GaussianCdf, MixtureModel, sup_deviation
+from cfbounds.stats import GaussianCdf, MixtureModel, sample_labeled, sup_deviation
 
 POP = GaussianCdf(7.0, 1.0)
 MODEL = MixtureModel(p1=0.5, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1))
@@ -41,6 +45,122 @@ def labeled_config(**kw):
     base = dict(model=MODEL, n0=50, n1=50, arrivals=100, seed=3)
     base.update(kw)
     return SimulationConfig(**base)
+
+
+def _replay(trace):
+    """Recompute decisions from scores, threshold history, and coins."""
+    config = trace.config
+    thetas = dict(trace.threshold_history)
+    theta = thetas[0]
+    admitted = np.zeros(len(trace.arrival_scores), dtype=bool)
+    region = np.zeros(len(trace.arrival_scores), dtype=np.uint8)
+    for t, x in enumerate(trace.arrival_scores):
+        if t in thetas:
+            theta = thetas[t]
+        if x >= theta:
+            region[t] = REGION_DISCLOSED
+            admitted[t] = True
+        elif config.lb is not None and x >= config.lb:
+            region[t] = REGION_EXPLORE
+            admitted[t] = trace.arrival_coins[t] < config.epsilon
+        else:
+            region[t] = REGION_CENSORED
+    return region, admitted
+
+
+def _per_arrival_reference(config, arrival_stream=None):
+    """The admission process decided one arrival at a time.
+
+    One scalar coin per exploration arrival, and after every
+    ``retrain_every`` arrivals a refit on the initial samples plus the
+    admitted arrivals of each label.
+    """
+    state = run_stage1(config)
+    root = SeededRng(config.seed)
+    if arrival_stream is not None:
+        scores, labels = np.asarray(arrival_stream[0], dtype=float), arrival_stream[1]
+    elif config.pooled:
+        gen = root.substream(1).generator()
+        scores = np.asarray(config.population.inverse(gen.random(config.arrivals)))
+        labels = None
+    else:
+        scores, labels = sample_labeled(config.model, config.arrivals, root.substream(1))
+    T = len(scores)
+    coin_gen = root.substream(2).generator()
+    coins = np.full(T, np.nan)
+    theta = state.theta0
+    history = [(0, state.theta0)]
+    region = np.empty(T, dtype=np.uint8)
+    admitted = np.zeros(T, dtype=bool)
+    obs0 = [state.initial0]
+    obs1 = [state.initial1]
+    for t in range(T):
+        x = scores[t]
+        if x >= theta:
+            region[t] = REGION_DISCLOSED
+            admitted[t] = True
+        elif config.lb is not None and x >= config.lb:
+            region[t] = REGION_EXPLORE
+            coins[t] = coin_gen.random()
+            admitted[t] = coins[t] < config.epsilon
+        else:
+            region[t] = REGION_CENSORED
+        if config.retrain_every is None:
+            continue
+        if admitted[t]:
+            (obs1 if labels[t] == 1 else obs0).append(scores[t: t + 1])
+        if (t + 1) % config.retrain_every == 0:
+            theta = optimal_threshold(
+                LabeledDataset(np.concatenate(obs0), np.concatenate(obs1)))
+            history.append((t + 1, theta))
+    return SimulationTrace(
+        config=config, theta0=state.theta0, initial_scores=state.initial_scores,
+        initial0=state.initial0, initial1=state.initial1, arrival_scores=scores,
+        arrival_labels=labels, arrival_region=region, arrival_admitted=admitted,
+        arrival_coins=coins, threshold_history=tuple(history))
+
+
+@st.composite
+def admission_runs(draw):
+    """A config and an optional labeled arrival stream for it."""
+    T = draw(st.integers(0, 240))
+    divisors = [b for b in range(1, T + 1) if T % b == 0]
+    retrain_every = draw(st.one_of(
+        st.none(), st.just(1), st.sampled_from(divisors or [1]),
+        st.integers(T + 1, T + 40), st.integers(1, max(T, 1))))
+    pooled = retrain_every is None and draw(st.booleans())
+    theta = draw(st.floats(8.5, 10.5)) if pooled or draw(st.booleans()) else None
+    if theta is None:
+        # a trained theta lies near 9.5; lb may land at or above it
+        lb = draw(st.one_of(st.none(), st.floats(8.0, 11.0)))
+    else:
+        lb = draw(st.one_of(st.none(), st.floats(theta - 2.0, theta, exclude_max=True)))
+    epsilon = draw(st.one_of(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0)))
+    seed = draw(st.integers(0, 2**32))
+    kwargs = dict(arrivals=T, seed=seed, theta=theta, lb=lb, epsilon=epsilon,
+                  retrain_every=retrain_every)
+    if pooled:
+        config = SimulationConfig(population=GaussianCdf(9.0, 1.5), n=30, **kwargs)
+    else:
+        config = SimulationConfig(model=MODEL, n0=draw(st.integers(1, 30)),
+                                  n1=draw(st.integers(1, 30)), **kwargs)
+    stream = None
+    if draw(st.booleans()):
+        scores = draw(st.lists(st.floats(7.0, 12.0), min_size=T, max_size=T))
+        labels = draw(st.lists(st.integers(0, 1), min_size=T, max_size=T))
+        stream = (np.array(scores), np.array(labels, dtype=np.int8))
+    return config, stream
+
+
+@settings(max_examples=150, deadline=None)
+@given(admission_runs())
+def test_batches_equal_the_per_arrival_process(run):
+    config, stream = run
+    trace = run_simulation(config, stream)
+    assert trace.to_json_dict() == _per_arrival_reference(config, stream).to_json_dict()
+    region, admitted = _replay(trace)
+    assert np.array_equal(region, trace.arrival_region)
+    assert np.array_equal(admitted, trace.arrival_admitted)
 
 
 class TestStage1:
@@ -144,37 +264,17 @@ class TestArrivals:
 
 
 class TestReplayAndIntegrity:
-    def _replay(self, trace):
-        """Recompute decisions from scores, threshold history, and coins."""
-        config = trace.config
-        thetas = dict(trace.threshold_history)
-        theta = thetas[0]
-        admitted = np.zeros(len(trace.arrival_scores), dtype=bool)
-        region = np.zeros(len(trace.arrival_scores), dtype=np.uint8)
-        for t, x in enumerate(trace.arrival_scores):
-            if t in thetas:
-                theta = thetas[t]
-            if x >= theta:
-                region[t] = REGION_DISCLOSED
-                admitted[t] = True
-            elif config.lb is not None and x >= config.lb:
-                region[t] = REGION_EXPLORE
-                admitted[t] = trace.arrival_coins[t] < config.epsilon
-            else:
-                region[t] = REGION_CENSORED
-        return region, admitted
-
     def test_replay_reproduces_decisions(self):
         for kwargs in (dict(lb=6.0, epsilon=0.5), dict(), dict(lb=5.0, epsilon=1.0)):
             trace = run_simulation(pooled_config(**kwargs))
-            region, admitted = self._replay(trace)
+            region, admitted = _replay(trace)
             assert np.array_equal(region, trace.arrival_region)
             assert np.array_equal(admitted, trace.arrival_admitted)
 
     def test_adaptive_replay(self):
         trace = run_simulation(labeled_config(lb=8.0, epsilon=0.5, theta=None,
                                               retrain_every=25, arrivals=100))
-        region, admitted = self._replay(trace)
+        region, admitted = _replay(trace)
         assert np.array_equal(admitted, trace.arrival_admitted)
 
     def test_no_rejected_label_in_estimates(self):
@@ -443,3 +543,40 @@ def test_labeled_config_rejects_unlabeled_stream():
     with pytest.raises(ValueError, match="labels"):
         run_arrivals(run_stage1(config), config,
                      arrival_stream=(np.array([9.9, 8.0]), None))
+
+
+class TestMalformedStream:
+    @pytest.mark.parametrize("scores, labels, match", [
+        (np.array([[9.9, 8.0], [9.0, 10.0]]), np.array([1, 0]), "1-d"),
+        (np.float64(9.9), np.array([1]), "1-d"),
+        (np.array([9.9, np.nan, 8.0]), np.array([1, 0, 1]), "finite"),
+        (np.array([9.9, np.inf, 8.0]), np.array([1, 0, 1]), "finite"),
+        (np.array([9.9, 8.0, 12.0]), np.array([1, 0]), "labels of shape"),
+        (np.array([9.9, 8.0]), np.array([1, 0, 1]), "labels of shape"),
+        (np.array([9.9, 8.0]), np.array([[1, 0]]), "labels of shape"),
+        (np.array([9.9, 8.0, 12.0]), np.array([1, 2, 0]), "0 or 1"),
+        (np.array([9.9, 8.0, 12.0]), np.array([1, -1, 0]), "0 or 1"),
+        (np.array([9.9, 8.0, 12.0]), np.array([1.0, 0.5, 0.0]), "0 or 1"),
+    ])
+    @pytest.mark.parametrize("retrain_every", [None, 2])
+    def test_labeled_config_rejects(self, scores, labels, match, retrain_every):
+        config = labeled_config(theta=9.5, arrivals=3, retrain_every=retrain_every)
+        with pytest.raises(ValueError, match=match):
+            run_arrivals(run_stage1(config), config, arrival_stream=(scores, labels))
+
+    def test_pooled_config_checks_optional_labels(self):
+        config = pooled_config(arrivals=2)
+        with pytest.raises(ValueError, match="finite"):
+            run_arrivals(run_stage1(config), config, arrival_stream=([7.5, np.nan], None))
+        with pytest.raises(ValueError, match="0 or 1"):
+            run_arrivals(run_stage1(config), config, arrival_stream=([7.5, 6.0], [0, 2]))
+
+    def test_boolean_and_float_labels_accepted(self):
+        config = labeled_config(theta=9.5, arrivals=3, retrain_every=2)
+        scores = np.array([9.9, 8.0, 12.0])
+        want = run_arrivals(run_stage1(config), config,
+                            arrival_stream=(scores, np.array([1, 0, 1])))
+        for labels in (np.array([True, False, True]), np.array([1.0, 0.0, 1.0])):
+            got = run_arrivals(run_stage1(config), config, arrival_stream=(scores, labels))
+            assert got.threshold_history == want.threshold_history
+            assert np.array_equal(got.arrival_admitted, want.arrival_admitted)

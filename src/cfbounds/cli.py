@@ -156,6 +156,7 @@ def _cmd_simulate(args) -> int:
     config = _load_config(args.config, args.seed)
     stream = ingest_scores(args.arrivals_csv) if args.arrivals_csv else None
     trace = run_simulation(config, arrival_stream=stream)
+    finals = finalize(trace)    # may raise; nothing is written before it
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     trace_path = outdir / "trace.json"
@@ -163,7 +164,7 @@ def _cmd_simulate(args) -> int:
         fh.write(trace.to_json(indent=None, sort_keys=True))
         fh.write("\n")
     summary = {}
-    for label, final in finalize(trace).items():
+    for label, final in finals.items():
         key = "pooled" if label is None else f"label{label}"
         part = final.part
         summary[key] = {

@@ -24,7 +24,9 @@ __all__ = [
     "expected_risk",
     "empirical_risk",
     "optimal_threshold",
+    "sort_labeled",
     "train_thresholds",
+    "thresholds_from_sorted",
     "gen_bound",
     "gen_bound_from_counts",
     "risks",
@@ -138,24 +140,44 @@ def empirical_risk(theta: float, data: LabeledDataset) -> float:
     return float((n1 / n) * part1 + (n0 / n) * (1.0 - part0))
 
 
+def sort_labeled(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label-0 and label-1 scores sorted together, with label-1 flags.
+
+    Works on one dataset (1-d) or row-wise on several (2-d); the sort is
+    stable along the last axis.
+    """
+    scores = np.concatenate([x0, x1], axis=-1)
+    order = np.argsort(scores, axis=-1, kind="stable")
+    return np.take_along_axis(scores, order, axis=-1), order >= x0.shape[-1]
+
+
 def train_thresholds(x0: np.ndarray, x1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise empirical-risk-minimizing thresholds and their risks.
 
     Row r of ``x0`` and ``x1`` holds one dataset's label-0 and label-1
-    scores.  Candidates are midpoints between adjacent distinct sorted
-    scores plus -inf/+inf sentinels (risk is constant between adjacent
-    scores, and midpoints avoid the at-threshold admission ambiguity).
-    Ties break toward the smallest threshold.
+    scores; ``thresholds_from_sorted`` of the rows sorted by
+    ``sort_labeled``.
     """
-    R, n0 = x0.shape
-    n = n0 + x1.shape[1]
-    scores = np.concatenate([x0, x1], axis=1)
-    order = np.argsort(scores, axis=1, kind="stable")
-    xs = np.take_along_axis(scores, order, axis=1)
+    return thresholds_from_sorted(*sort_labeled(x0, x1))
+
+
+def thresholds_from_sorted(xs: np.ndarray, is1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ERM thresholds and risks from ascending scores and label-1 flags.
+
+    Candidates are midpoints between adjacent distinct scores plus
+    -inf/+inf sentinels (risk is constant between adjacent scores, and
+    midpoints avoid the at-threshold admission ambiguity).  Ties break
+    toward the smallest threshold.  Only positions between distinct scores
+    are scored, and a midpoint reads only the two neighbouring values, so
+    the result does not depend on how tied scores are ordered.
+    """
+    R, n = xs.shape
     # errors[:, j]: threshold placed after the j smallest scores, which
-    # hold below1[:, j] label-1 scores (columns from n0 on are label 1)
+    # hold below1[:, j] label-1 scores; the n0 - (j - below1) label-0
+    # scores above it are errors too
     below1 = np.zeros((R, n + 1), dtype=np.intp)
-    np.cumsum(order >= n0, axis=1, out=below1[:, 1:])
+    np.cumsum(is1, axis=1, out=below1[:, 1:])
+    n0 = n - below1[:, -1:]
     errors = below1 + (n0 - (np.arange(n + 1) - below1))
     # positions between tied scores admit no strictly-between threshold
     valid = np.ones((R, n + 1), dtype=bool)

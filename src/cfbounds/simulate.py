@@ -36,7 +36,7 @@ from .censored import (
     region_weights,
 )
 from .classic import BoundValue
-from .generalization import LabeledDataset, optimal_threshold
+from .generalization import sort_labeled, thresholds_from_sorted
 from .rng import SeededRng
 from .stats import (
     EmpiricalCdf,
@@ -273,15 +273,9 @@ class SimulationTrace:
     def final_theta(self) -> float:
         return self.threshold_history[-1][1]
 
-    def admitted_scores(self, label: Optional[int] = None) -> np.ndarray:
-        mask = self.arrival_admitted.copy()
-        if label is not None:
-            if self.arrival_labels is None:
-                raise ValueError("pooled trace has no labels")
-            mask &= self.arrival_labels == label
-        return self.arrival_scores[mask]
-
     def to_json_dict(self) -> dict:
+        coins = self.arrival_coins.astype(object)
+        coins[np.isnan(self.arrival_coins)] = None
         return {
             "config": self.config.to_dict(),
             "theta0": self.theta0,
@@ -293,7 +287,7 @@ class SimulationTrace:
             "arrival_labels": None if self.arrival_labels is None else self.arrival_labels.tolist(),
             "arrival_region": self.arrival_region.tolist(),
             "arrival_admitted": self.arrival_admitted.tolist(),
-            "arrival_coins": [None if np.isnan(c) else c for c in self.arrival_coins],
+            "arrival_coins": coins.tolist(),
             "threshold_history": [[t, _json_float(th)] for t, th in self.threshold_history],
         }
 
@@ -320,8 +314,14 @@ def run_stage1(config: SimulationConfig) -> Stage1State:
     if config.theta is not None:
         theta0 = float(config.theta)
     else:
-        theta0 = optimal_threshold(LabeledDataset(x0, x1))
+        theta0 = _erm_threshold(*sort_labeled(x0, x1))
     return Stage1State(theta0=theta0, initial_scores=np.empty(0), initial0=x0, initial1=x1)
+
+
+def _erm_threshold(pool: np.ndarray, pool1: np.ndarray) -> float:
+    """ERM threshold of one sorted pool of scores with label-1 flags."""
+    theta, _ = thresholds_from_sorted(pool[None, :], pool1[None, :])
+    return float(theta[0])
 
 
 def _region_of(scores, theta, lb):
@@ -368,7 +368,10 @@ def run_arrivals(state: Stage1State, config: SimulationConfig,
     when it is None).  Theta is fixed within a batch, so deciding a batch
     at once, with its coins drawn in arrival order, equals deciding its
     arrivals one by one.  After each full batch a retraining config refits
-    theta on the initial samples plus every arrival admitted so far.
+    theta on the initial samples plus every arrival admitted so far.  Those
+    are kept as one sorted pool with label-1 flags: a refit merges the
+    batch's sorted admissions into it and reads the ERM threshold off it
+    (``thresholds_from_sorted``) without sorting the pool again.
     """
     root = SeededRng(config.seed)
     if arrival_stream is not None:
@@ -387,7 +390,7 @@ def run_arrivals(state: Stage1State, config: SimulationConfig,
     region = np.empty(T, dtype=np.uint8)
     admitted = np.empty(T, dtype=bool)
     theta, history = state.theta0, [(0, state.theta0)]
-    seen0, seen1 = state.initial0, state.initial1
+    pool, pool1 = sort_labeled(state.initial0, state.initial1)
     B = config.retrain_every or max(T, 1)
     for start in range(0, T, B):
         batch = slice(start, min(start + B, T))
@@ -396,10 +399,12 @@ def run_arrivals(state: Stage1State, config: SimulationConfig,
         coins[batch][explore] = coin_gen.random(int(np.sum(explore)))
         admitted[batch] = (region[batch] == REGION_DISCLOSED) | (coins[batch] < config.epsilon)
         if config.retrain_every is not None and batch.stop - start == B:
-            kept = admitted[batch]
-            seen0 = np.concatenate([seen0, scores[batch][kept & (labels[batch] == 0)]])
-            seen1 = np.concatenate([seen1, scores[batch][kept & (labels[batch] == 1)]])
-            theta = optimal_threshold(LabeledDataset(seen0, seen1))
+            kept, x = admitted[batch], scores[batch]
+            new, new1 = sort_labeled(x[kept & (labels[batch] == 0)],
+                                     x[kept & (labels[batch] == 1)])
+            at = np.searchsorted(pool, new, side="right")
+            pool, pool1 = np.insert(pool, at, new), np.insert(pool1, at, new1)
+            theta = _erm_threshold(pool, pool1)
             history.append((batch.stop, theta))
 
     return SimulationTrace(
@@ -458,9 +463,19 @@ def finalize(trace: SimulationTrace) -> dict:
     Counts are taken against the final threshold; only admitted arrivals
     enter the estimates, each in the region recorded when it was admitted.
     The region-weighted estimate uses the configured lb and epsilon.
+
+    The deviation and generalization bounds are claimed for fixed-threshold
+    runs only.  A retrained run's partition counts the initial samples
+    against the final theta but the arrivals by the region recorded when
+    each was decided, and no bound is claimed for it.  A retrained run
+    whose final theta lies at or below lb has no exploration region and
+    raises ``ValueError``.
     """
     theta = trace.final_theta
     lb, eps = trace.config.lb, trace.config.epsilon
+    if lb is not None and not theta > lb:
+        raise ValueError(f"final theta {theta} is at or below lb {lb}; "
+                         "the exploration region [lb, theta) is empty")
     adm = trace.arrival_admitted
     if trace.config.pooled:
         return {None: _finalize_one(trace.initial_scores, trace.arrival_scores[adm],

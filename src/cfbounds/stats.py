@@ -238,10 +238,6 @@ class EmpiricalCdf:
         sel = self.sorted_scores[(self.sorted_scores >= lo) & (self.sorted_scores < hi)]
         return EmpiricalCdf(sel)
 
-    def count_below(self, x: float) -> int:
-        """Number of scores strictly below x."""
-        return int(np.searchsorted(self.sorted_scores, x, side="left"))
-
 
 def make_empirical_cdf(scores: Sequence[float]) -> EmpiricalCdf:
     """Build the empirical CDF of a nonempty score sample (ties allowed)."""

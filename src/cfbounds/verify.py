@@ -688,19 +688,21 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
 
     CDF mode (``eta_grid``): the truth column is the empirical
     exceedance frequency P(sup >= eta) under the conditioned partition,
-    compared against our bound and the classic forms.  It samples the
-    two-region estimator and reports ``bound_two_region``, so a config
-    with an exploration region (``lb``) is rejected.
+    compared against our bound and the classic forms.
+
+    Both modes sample the two-region estimator (CDF mode reports
+    ``bound_two_region``), so a config with an exploration region
+    (``lb``) is rejected.
     """
     if (arrival_grid is None) == (eta_grid is None):
         raise ValueError("exactly one of arrival_grid/eta_grid must be given")
+    if config.lb is not None:
+        raise ValueError("bound comparison covers the two-region estimator only; "
+                         "got a config with an exploration region (lb)")
 
     if eta_grid is not None:
         if not config.pooled:
             raise ValueError("CDF comparison needs a pooled config")
-        if config.lb is not None:
-            raise ValueError("CDF comparison covers the two-region estimator only; "
-                             "got a config with an exploration region (lb)")
         alpha = float(config.population.cdf(config.theta))
         gen = SeededRng(seed).substream(0).generator()
         from .classic import dkw_bound, gc_bound, hoeffding_bound, vc_bound

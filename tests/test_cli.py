@@ -117,6 +117,21 @@ class TestSimulateCommand:
         assert (tmp_path / "a/trace.json").read_bytes() == \
             (tmp_path / "b/trace.json").read_bytes()
 
+    def test_final_theta_below_lb_fails_before_writing(self, capsys, tmp_path):
+        # lb with a trained theta: the refits end below lb, which finalize
+        # rejects before any output file is opened
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(bench_config(arrivals=1000).to_dict() | {
+            "theta": None, "lb": 9.8, "epsilon": 0.5, "retrain_every": 500}))
+        out_dir = tmp_path / "run"
+        out_dir.mkdir()
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                                 "--out", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert "final theta" in err and "at or below lb 9.8" in err
+        assert list(out_dir.iterdir()) == []
+
     def test_arrivals_csv(self, capsys, tmp_path):
         cfg_dict = fig4_config(1.0).to_dict()
         cfg = tmp_path / "config.json"

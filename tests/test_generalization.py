@@ -13,6 +13,8 @@ from cfbounds.generalization import (
     gen_bound,
     gen_bound_from_counts,
     optimal_threshold,
+    sort_labeled,
+    thresholds_from_sorted,
     train_thresholds,
 )
 from cfbounds.classic import dkw_eta
@@ -159,6 +161,30 @@ class TestOptimalThreshold:
             assert theta[r] == candidates[best]
             assert risk[r] == errors[best] / 12
             assert optimal_threshold(LabeledDataset(x0[r], x1[r])) == theta[r]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_merged_pool_equals_train_thresholds(self, seed):
+        # a pool grown by merging sorted batches, as the simulator's refit
+        # keeps it, and the same pool in a random order among tied scores
+        # give == thresholds and risks to sorting the concatenation; grid
+        # scores make ties within and across labels common, and one-label
+        # parts give thresholds of -inf and +inf
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            parts = [rng.integers(0, 9, rng.integers(0, 12)) / 4 for _ in range(6)]
+            if not sum(map(len, parts[:2])):
+                parts[0] = np.array([1.0])
+            x0, x1 = np.concatenate(parts[0::2]), np.concatenate(parts[1::2])
+            pool, pool1 = sort_labeled(parts[0], parts[1])
+            for new0, new1 in (parts[2:4], parts[4:6]):
+                new, flags = sort_labeled(new0, new1)
+                at = np.searchsorted(pool, new, side="right")
+                pool, pool1 = np.insert(pool, at, new), np.insert(pool1, at, flags)
+            shuffled = np.lexsort((rng.random(len(pool)), pool))
+            want = train_thresholds(x0[None, :], x1[None, :])
+            for xs, is1 in ((pool, pool1), (pool[shuffled], pool1[shuffled])):
+                theta, risk = thresholds_from_sorted(xs[None, :], is1[None, :])
+                assert theta[0] == want[0][0] and risk[0] == want[1][0]
 
 
 class TestGenBound:

@@ -29,7 +29,13 @@ from cfbounds.simulate import (
     run_stage1,
     stitched_from_partition,
 )
-from cfbounds.stats import GaussianCdf, MixtureModel, sample_labeled, sup_deviation
+from cfbounds.stats import (
+    GaussianCdf,
+    MixtureModel,
+    PiecewiseCdf,
+    sample_labeled,
+    sup_deviation,
+)
 
 POP = GaussianCdf(7.0, 1.0)
 MODEL = MixtureModel(p1=0.5, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1))
@@ -152,15 +158,63 @@ def admission_runs(draw):
     return config, stream
 
 
-@settings(max_examples=150, deadline=None)
-@given(admission_runs())
-def test_batches_equal_the_per_arrival_process(run):
-    config, stream = run
+def _check_batches_against_reference(config, stream):
     trace = run_simulation(config, stream)
     assert trace.to_json_dict() == _per_arrival_reference(config, stream).to_json_dict()
     region, admitted = _replay(trace)
     assert np.array_equal(region, trace.arrival_region)
     assert np.array_equal(admitted, trace.arrival_admitted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admission_runs())
+def test_batches_equal_the_per_arrival_process(run):
+    _check_batches_against_reference(*run)
+
+
+GRID = np.arange(28, 49) / 4           # multiples of 0.25 in [7, 12]
+
+
+def _grid_cdf(weights):
+    """Discrete CDF with point masses proportional to ``weights`` on GRID."""
+    steps = np.cumsum(weights)[:-1] / np.sum(weights)
+    return PiecewiseCdf(np.repeat(GRID, 2), np.concatenate([[0.0], np.repeat(steps, 2), [1.0]]))
+
+
+@st.composite
+def tied_runs(draw):
+    """A retraining config and an optional stream, all scores on GRID.
+
+    Refits meet tied scores within and across labels, and streams of one
+    label or label CDFs in reversed order drive thresholds to -inf or +inf.
+    """
+    T = draw(st.integers(0, 240))
+    weights = st.lists(st.integers(0, 3), min_size=len(GRID),
+                       max_size=len(GRID)).filter(any)
+    model = MixtureModel(p1=draw(st.sampled_from([0.05, 0.5, 0.95])),
+                         cdf0=_grid_cdf(draw(weights)), cdf1=_grid_cdf(draw(weights)))
+    theta = draw(st.one_of(st.none(), st.sampled_from(GRID[1:])))
+    lb_grid = GRID if theta is None else GRID[GRID < theta]
+    config = SimulationConfig(
+        model=model, n0=draw(st.integers(1, 8)), n1=draw(st.integers(1, 8)),
+        arrivals=T, seed=draw(st.integers(0, 2**32)),
+        theta=None if theta is None else float(theta),
+        lb=draw(st.one_of(st.none(), st.sampled_from(lb_grid).map(float))),
+        epsilon=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        retrain_every=draw(st.integers(1, max(T, 1))))
+    stream = None
+    if draw(st.booleans()):
+        label_set = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+        scores = draw(st.lists(st.sampled_from(GRID), min_size=T, max_size=T))
+        labels = draw(st.lists(st.sampled_from(label_set), min_size=T, max_size=T))
+        stream = (np.array(scores), np.array(labels, dtype=np.int8))
+    return config, stream
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_runs())
+def test_tied_batches_equal_the_per_arrival_process(run):
+    _check_batches_against_reference(*run)
 
 
 class TestStage1:
@@ -248,6 +302,15 @@ class TestArrivals:
         has_coin = ~np.isnan(trace.arrival_coins)
         assert np.array_equal(has_coin, trace.arrival_region == REGION_EXPLORE)
 
+    def test_json_coins_are_null_where_no_coin_was_drawn(self):
+        trace = run_simulation(pooled_config(lb=6.0, epsilon=0.5))
+        text = trace.to_json()
+        coins = json.loads(text)["arrival_coins"]
+        drawn = ~np.isnan(trace.arrival_coins)
+        assert "NaN" not in text
+        assert [c is not None for c in coins] == drawn.tolist()
+        assert [c for c in coins if c is not None] == trace.arrival_coins[drawn].tolist()
+
     def test_coin_alignment_across_epsilon(self):
         # same seed: identical arrivals and coins regardless of epsilon
         t_a = run_simulation(pooled_config(lb=6.0, epsilon=0.2))
@@ -301,6 +364,17 @@ class TestReplayAndIntegrity:
 
 
 class TestFinalize:
+    def test_final_theta_at_or_below_lb_rejected(self):
+        from dataclasses import replace
+
+        trace = run_simulation(labeled_config(theta=None, lb=11.0, epsilon=0.5,
+                                              retrain_every=25))
+        with pytest.raises(ValueError, match=r"final theta \S+ is at or below lb 11\.0"):
+            finalize(trace)
+        at_lb = replace(trace, threshold_history=trace.threshold_history + ((100, 11.0),))
+        with pytest.raises(ValueError, match="final theta 11.0 is at or below lb 11.0"):
+            finalize(at_lb)
+
     def test_no_arrivals_keeps_stage1_cdf(self):
         trace = run_simulation(pooled_config(arrivals=0))
         final = finalize(trace)[None]

@@ -235,6 +235,15 @@ class TestCompareBounds:
         with pytest.raises(ValueError, match="lb"):
             compare_bounds(fig2_config(), eta_grid=[0.2], replications=200, seed=5)
 
+    def test_gen_mode_rejects_exploration_region(self):
+        # gen mode samples the two-region estimator too; it used to return
+        # the rows of the same config without lb and epsilon
+        model = MixtureModel(p1=0.5, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1))
+        config = SimulationConfig(model=model, n0=50, n1=50, arrivals=0, seed=2,
+                                  theta=9.5, lb=8.5, epsilon=0.5)
+        with pytest.raises(ValueError, match="lb"):
+            compare_bounds(config, arrival_grid=[0], replications=60, seed=9)
+
     def test_vc_gen_eta_decreasing(self):
         assert vc_gen_eta(100, 0.05) > vc_gen_eta(10_000, 0.05)
         with pytest.raises(ValueError):

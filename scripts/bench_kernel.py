@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
-"""Per-call time of the bench truth-column kernel, ``verify._sup_risk_gap``,
-and of the simulator, ``simulate.run_arrivals``.
+"""Per-replication time of the bench truth-column kernel, ``verify._sup_chunk``,
+and the times of ``verify._batch_sup_conditioned`` and ``simulate.run_arrivals``.
 
 Times the kernel in this one process on the ``bench`` preset's samples
 (``verify._gen_gap_samples`` at the pinned seed) at 0, 1000, 2000, 5000,
-10 000 and 50 000 arrivals, and prints one JSON object with the median and
-minimum time per call over the repeats, the repeat count and the machine
-facts.  Each call gets its replication's censored-side supremum
-(``verify._censored_sup``, computed before the clock starts), as
-``compare_bounds`` passes it.  Every repeat replays the same replications
-from the start of the admitted-draw stream, so each one does the same work.
-An untimed pass before the repeats counts the calls that took the
-probability-space path and those of them that fell back to scoring every
-draw because a window check failed.  The ``arrivals`` entry gives the time
-of one ``run_arrivals`` call over 100 000 arrivals of the bench model, with
-no retraining and with ``retrain_every=500``, from the same stage-1 state.
+10 000 and 50 000 arrivals, cut into tasks of ``verify._SUP_CHUNK``
+replications as ``compare_bounds`` cuts them, and prints one JSON object
+with the median and minimum time per replication over the repeats, the
+repeat count and the machine facts.  Each replication gets its
+censored-side supremum (``verify._row_sups``, computed before the clock
+starts), as ``compare_bounds`` passes it.  Every repeat replays the same
+tasks from their offsets in the admitted-draw stream, so each one does
+the same work.  An untimed pass before the repeats counts the
+replications that tried the probability-space path and those of them
+that fell back to scoring every draw because a window check failed.  The
+``conditioned`` entry gives the time of one ``_batch_sup_conditioned``
+call over 100 000 replications at the fig1 and fig2 partitions that
+``cfbounds verify cdf`` conditions on.  The ``arrivals`` entry gives the
+time of one ``run_arrivals`` call over 100 000 arrivals of the bench
+model, with no retraining and with ``retrain_every=500``, from the same
+stage-1 state.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--replications R] [--repeats N]
 """
@@ -30,69 +35,92 @@ import numpy as np
 import scipy
 
 from cfbounds import verify
-from cfbounds.presets import BENCH_SEED, bench_config
+from cfbounds.presets import BENCH_SEED, bench_config, fig1_config, fig2_config
 from cfbounds.rng import SeededRng
 from cfbounds.simulate import run_arrivals, run_stage1
-from cfbounds.verify import _censored_sup, _gen_gap_samples, _sup_risk_gap, _with_grid
+from cfbounds.verify import _gen_gap_samples, _row_sups, _sup_task, _sup_tasks, _with_grid
 
 ARRIVALS = (0, 1000, 2000, 5000, 10_000, 50_000)
 DELTA = 0.015           # the bench preset's confidence parameter
 SIM_ARRIVALS = 100_000
+CONDITIONED_REPS = 100_000
+# the partitions ``cfbounds verify cdf --preset fig1/fig2`` conditions on: (n, m, l)
+CONDITIONS = {"fig1": (fig1_config, (50, 24, 0)), "fig2": (fig2_config, (50, 27, 7))}
 
 
-def path_counts(args, censored) -> tuple[int, int]:
-    """Calls that took the probability-space path, and those that fell back."""
-    outcomes = []
+def path_counts(tasks) -> tuple[int, int]:
+    """Replications that tried the probability-space path, and those that fell back."""
+    levels, sups = verify._levels, verify._probability_sups
+    pair, tried, fell_back = [], [0], [0]
 
-    def spy(real):
-        def wrapped(*a):
-            out = real(*a)
-            outcomes.append(out is None)
-            return out
-        return wrapped
+    def spy_levels(v, cdf):
+        got = levels(v, cdf)
+        pair.append(got is None)
+        if len(pair) == 2:
+            tried[0] += 1
+            fell_back[0] += any(pair)
+            pair.clear()
+        return got
 
-    real = verify._levels, verify._probability_sup
-    verify._levels, verify._probability_sup = map(spy, real)
-    taken = fell_back = 0
+    def spy_sups(*args):
+        sup, ok = sups(*args)
+        fell_back[0] += int(np.count_nonzero(~ok))
+        return sup, ok
+
+    verify._levels, verify._probability_sups = spy_levels, spy_sups
     try:
-        gen = SeededRng(BENCH_SEED).substream(2).generator()
-        for arg, cens in zip(args, censored):
-            outcomes.clear()
-            _sup_risk_gap(*arg, gen, cens)
-            taken += bool(outcomes)
-            fell_back += any(outcomes)
+        for task in tasks:
+            _sup_task(*task)
     finally:
-        verify._levels, verify._probability_sup = real
-    return taken, fell_back
+        verify._levels, verify._probability_sups = levels, sups
+    return tried[0], fell_back[0]
 
 
 def time_kernel(arrivals: int, replications: int, repeats: int) -> dict:
-    """Per-call times of the kernel at one arrival count."""
+    """Per-replication times of the chunk kernel at one arrival count."""
     config = _with_grid(bench_config(), arrivals)
     theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
         config, replications, BENCH_SEED, DELTA)
-    args = [(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]), float(a0[r]), float(a1[r]),
-             config.model) for r in range(replications)]
-    censored = [_censored_sup(theta[r], x0[r], x1[r], config.model)
-                for r in range(replications)]
-    taken, fell_back = path_counts(args, censored)
+    censored = _row_sups(theta, x0, x1, config.model)[0]
+    tasks, _ = _sup_tasks(SeededRng(BENCH_SEED).substream(2), 0, theta, x0, x1, a0, a1,
+                          k0, k1, config.model, censored)
+    taken, fell_back = path_counts(tasks)
     times = []
     for _ in range(repeats):
-        gen = SeededRng(BENCH_SEED).substream(2).generator()
         start = time.perf_counter()
-        for arg, cens in zip(args, censored):
-            _sup_risk_gap(*arg, gen, cens)
+        for task in tasks:
+            _sup_task(*task)
         times.append((time.perf_counter() - start) / replications * 1e6)
     return {
         "arrivals": arrivals,
         "median_us": round(statistics.median(times), 1),
         "min_us": round(min(times), 1),
         "repeats": repeats,
-        "calls_per_repeat": replications,
-        "mean_pooled_points": float(np.mean(len(x0[0]) + len(x1[0]) + k0 + k1)),
-        "probability_path_calls": taken,
-        "fallback_calls": fell_back,
+        "replications": replications,
+        "chunk": verify._SUP_CHUNK,
+        "mean_pooled_points": float(np.mean(x0.shape[1] + x1.shape[1] + k0 + k1)),
+        "probability_path_replications": taken,
+        "fallback_replications": fell_back,
     }
+
+
+def time_conditioned(repeats: int) -> dict:
+    """Time of one ``_batch_sup_conditioned`` call per 1e5 replications."""
+    out = {"replications": CONDITIONED_REPS, "repeats": repeats}
+    for name, (make, (n, m, l)) in CONDITIONS.items():
+        config = make()
+        alpha = float(config.population.cdf(config.theta))
+        beta = 0.0 if config.lb is None else float(config.population.cdf(config.lb))
+        times = []
+        for _ in range(repeats):
+            gen = SeededRng(0).substream(0).generator()
+            start = time.perf_counter()
+            verify._batch_sup_conditioned((beta, alpha - beta, 1.0 - alpha),
+                                          (l, m - l, n - m), CONDITIONED_REPS, gen)
+            times.append((time.perf_counter() - start) * 1e6)
+        out[name] = {"median_us": round(statistics.median(times), 1),
+                     "min_us": round(min(times), 1)}
+    return out
 
 
 def time_arrivals(repeats: int) -> dict:
@@ -120,10 +148,11 @@ def main() -> int:
         parser.error("--replications and --repeats must be positive")
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     out = {
-        "kernel": "verify._sup_risk_gap",
+        "kernel": "verify._sup_chunk",
         "machine": {"nproc": nproc, "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__},
-        "per_call": [time_kernel(t, opts.replications, opts.repeats) for t in ARRIVALS],
+        "per_replication": [time_kernel(t, opts.replications, opts.repeats) for t in ARRIVALS],
+        "conditioned": time_conditioned(opts.repeats),
         "arrivals": time_arrivals(opts.repeats),
     }
     print(json.dumps(out, indent=1))

@@ -23,6 +23,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -121,12 +122,24 @@ class SimulationConfig:
         """
         if not self.pooled:
             raise ValueError("deviation bounds need a pooled config")
+        mass, spec = self._bound_masses
+        if spec is None:
+            return bound_two_region(part, mass, eta)
+        return bound_three_region(part, mass, spec, eta)
+
+    @cached_property
+    def _bound_masses(self) -> tuple[MassSpec, Optional[RegionSpec]]:
+        """The true region masses and, with ``lb``, the region spec.
+
+        Computed once per config: an ``eta_for_confidence`` inversion
+        evaluates the bound some 30 times.  The value lives in the
+        instance's ``__dict__``, which ``dataclasses.replace`` does not copy.
+        """
         alpha = float(self.population.cdf(self.theta))
         if self.lb is None:
-            return bound_two_region(part, MassSpec.theoretical(alpha), eta)
+            return MassSpec.theoretical(alpha), None
         beta = float(self.population.cdf(self.lb))
-        return bound_three_region(part, MassSpec.theoretical(alpha, beta),
-                                  RegionSpec(self.theta, self.lb, self.epsilon), eta)
+        return MassSpec.theoretical(alpha, beta), RegionSpec(self.theta, self.lb, self.epsilon)
 
     def to_dict(self) -> dict:
         out = {

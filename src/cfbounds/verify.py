@@ -270,8 +270,9 @@ def _eta_two_region_vec(n: int, m, k, alpha, delta: float) -> np.ndarray:
 def _initial_samples(config: SimulationConfig, replications: int, seed: int):
     """Per-replication initial samples and what they alone determine.
 
-    Returns the thresholds, the gaps |R - R_emp| at them, x0, x1, F0 and F1
-    at the thresholds, and the per-label counts below them.  All come from
+    Returns the thresholds, the gaps |R - R_emp| at them, x0 and x1 (one
+    replication per row, each row sorted), F0 and F1 at the thresholds, and
+    the per-label counts below them.  All come from
     ``SeededRng(seed).substream(0)``; ``config.arrivals`` does not enter.
     """
     model = config.model
@@ -280,6 +281,9 @@ def _initial_samples(config: SimulationConfig, replications: int, seed: int):
     u = gen.random((replications, n0 + n1))
     x0 = np.asarray(model.cdf0.inverse(u[:, :n0]), dtype=float)
     x1 = np.asarray(model.cdf1.inverse(u[:, n0:]), dtype=float)
+    x0.sort(axis=1)
+    x1.sort(axis=1)
+    del u       # not needed past here: freeing it lowers the peak memory of training
     if config.theta is not None:
         theta = np.full(replications, float(config.theta))
         remp = np.array([
@@ -382,19 +386,23 @@ def _gap(terms, shift: float) -> np.ndarray:
     return (pf1 - wf1) - (pf0 - wf0) + shift
 
 
-def _pruned_blocks(terms, shift: float, best: float):
-    """The largest |gap| at the cuts, or ``best`` if larger, and the blocks
-    strictly between consecutive cuts whose bound plus ``_MARGIN`` reaches it.
+def _block_bounds(terms, shift: float) -> np.ndarray:
+    """Bounds on the gap's magnitude strictly between consecutive points.
 
-    ``terms`` are the gap's terms at the cuts in score order, with each
-    fhat_l at both limits; block i lies between cuts i and i + 1.
+    ``terms`` are the gap's terms at points in score order, with each
+    fhat_l at both limits; entry i bounds the gap between points i and i + 1.
     """
     pf0, pf1, wf0, wf1 = terms
-    best = max(best, float(np.abs(_gap(terms, shift)).max()))
-    # the gap's range strictly between consecutive cuts
     upper = _gap((pf0[:-1], pf1[1:], wf0[0, 1:], wf1[1, :-1]), shift)
     lower = _gap((pf0[1:], pf1[:-1], wf0[1, :-1], wf1[0, 1:]), shift)
-    return best, np.flatnonzero(np.maximum(upper, -lower) + _MARGIN >= best)
+    return np.maximum(upper, -lower)
+
+
+def _fhat_above(count, wc, nd):
+    """A label's estimator at ``count`` of its ``nd`` disclosed points, with
+    weight ``wc`` below the threshold (``wc`` when ``nd`` and so ``count``
+    are 0)."""
+    return wc + count / np.maximum(nd, 1) * (1.0 - wc)
 
 
 def _side_sup(samples, fhat, w0: float, w1: float, model, best: float) -> float:
@@ -424,30 +432,112 @@ def _side_sup(samples, fhat, w0: float, w1: float, model, best: float) -> float:
         return max(best, exact(np.concatenate(samples))) if size else best
     cuts = np.sort(np.concatenate([s[::_BLOCK] for s in samples] + [s[-1:] for s in samples]))
     counts, values = terms(cuts)
-    best, hit = _pruned_blocks(values, shift, best)
+    best = max(best, float(np.abs(_gap(values, shift)).max()))
+    hit = np.flatnonzero(_block_bounds(values, shift) + _MARGIN >= best)
     z = np.concatenate([s[_ranges(c[1, hit], c[0, hit + 1])] for s, c in zip(samples, counts)])
     return max(best, exact(z)) if len(z) else best
 
 
+def _sort_rows(parts, runs: int):
+    """Sort the values of several pieces together within each run.
+
+    ``parts`` holds one (values, count) pair per piece: its values grouped
+    by run, runs in order, and its number of values in each of the
+    ``runs`` runs.  Each piece gets a block of columns of one array padded
+    with +inf, one row per run, and a sort along the rows orders every run
+    at once, at far less cost than a sort on two keys.  Values must lie
+    below +inf.  Returns the sorted values of each run in turn, the column
+    each came from, the first column of each piece and the size of each run.
+    """
+    offsets = np.cumsum([0] + [int(count.max(initial=0)) for _, count in parts])
+    rows = np.full((runs, offsets[-1]), np.inf)
+    at = np.arange(runs) * offsets[-1]
+    for (values, count), offset in zip(parts, offsets):
+        # each value's place in its row: its run's row start, plus its rank in the run
+        place = (at - (count.cumsum() - count) + offset).repeat(count)
+        place += np.arange(len(values))
+        rows.ravel()[place] = values
+    order = rows.argsort(axis=1)
+    size = sum(count for _, count in parts)
+    valid = np.arange(offsets[-1]) < size[:, None]
+    order = order[valid]
+    return rows.ravel()[order + at.repeat(size)], order, offsets, size
+
+
+def _limit_counts(z: np.ndarray, flags, size: np.ndarray):
+    """Per row of ``flags``, the flagged entries below each entry of ``z`` and
+    at or below it, among the entries of its run.
+
+    The runs are consecutive, of ``size`` entries each, and ascend in ``z``;
+    tied entries get the same counts.
+    """
+    n = len(z)
+    starts = size.cumsum() - size
+    tied = z[1:] == z[:-1]
+    tied[starts[(starts > 0) & (starts < n)] - 1] = False
+    tied = tied.nonzero()[0]
+    if len(tied):
+        at = np.arange(n)
+        first, last = np.ones(n, dtype=bool), np.ones(n, dtype=bool)
+        first[tied + 1] = last[tied] = False
+        low = np.maximum.accumulate(np.where(first, at, 0))
+        high = np.minimum.accumulate(np.where(last, at, n)[::-1])[::-1]
+    below, upto = [], []
+    for f in flags:
+        # the count steps up by one at each flagged entry
+        steps = np.concatenate([[0], f.nonzero()[0], [n]])
+        up = np.arange(len(steps) - 1).repeat(steps[1:] - steps[:-1])
+        lo = up - f
+        base = lo[np.minimum(starts, n - 1)].repeat(size)
+        if len(tied):
+            lo, up = lo[low], up[high]
+        below.append(lo - base)
+        upto.append(up - base)
+    return below, upto
+
+
+def _row_sups(theta: np.ndarray, x0: np.ndarray, x1: np.ndarray, model):
+    """Per replication without admitted draws, the largest |gap| at the
+    points below ``theta`` and at the points at or above it (0 if none).
+
+    Row r of ``x0`` and ``x1`` holds replication r's initial samples; every
+    point is evaluated, in one pass over all rows.
+    """
+    R, n0 = x0.shape
+    n1 = x1.shape[1]
+    n = n0 + n1
+    z = np.concatenate([x0, x1], axis=1)
+    order = np.argsort(z, axis=1)
+    z = np.take_along_axis(z, order, axis=1).ravel()
+    is0 = (order < n0).ravel()
+    run = np.repeat(np.arange(R), n)
+    below, upto = _limit_counts(z, (is0, ~is0), np.full(R, n))
+    lower = z < theta[run]
+    fhat = []
+    for label, size, x in ((0, n0, x0), (1, n1, x1)):
+        nc = np.sum(x < theta[:, None], axis=1)[run]
+        wc = nc / size
+        counts = np.stack([below[label], upto[label]])
+        # censored samples lie below every point at or above theta
+        fhat.append(np.where(lower, counts / np.maximum(nc, 1) * wc,
+                             _fhat_above(counts - nc, wc, size - nc)))
+    terms = (model.p0 * np.asarray(model.cdf0.cdf(z), dtype=float),
+             model.p1 * np.asarray(model.cdf1.cdf(z), dtype=float),
+             n0 / n * fhat[0], n1 / n * fhat[1])
+    point = np.abs(_gap(terms, model.p0 - n0 / n)).max(axis=0)
+    return (np.where(lower, point, 0.0).reshape(R, n).max(axis=1),
+            np.where(lower, 0.0, point).reshape(R, n).max(axis=1))
+
+
 def _censored_sup(theta: float, x0: np.ndarray, x1: np.ndarray, model) -> float:
-    """``_sup_risk_gap``'s supremum over the points below ``theta``.
+    """``_sup_risk_gap``'s supremum over the points below ``theta`` (``_row_sups``).
 
     It reads only the initial samples, so a grid over the number of
     arrivals can compute it once per replication and pass it on.
     """
-    n0, n1 = len(x0), len(x1)
-    n = n0 + n1
-    cens = []
-    for x in (x0, x1):
-        x = np.sort(x)
-        cens.append(x[:np.searchsorted(x, theta)])
-    wc = [len(cens[0]) / n0, len(cens[1]) / n1]
-
-    def fhat_below(count, label):
-        nc = len(cens[label])
-        return count / nc * wc[label] if nc else np.zeros(count.shape)
-
-    return _side_sup(cens, fhat_below, n0 / n, n1 / n, model, 0.0)
+    rows = _row_sups(np.array([theta], dtype=float), np.sort(x0)[None], np.sort(x1)[None],
+                     model)
+    return float(rows[0][0])
 
 
 def _window(cdf: GaussianCdf) -> float:
@@ -470,65 +560,214 @@ def _levels(v: np.ndarray, cdf: GaussianCdf) -> Optional[np.ndarray]:
     return v
 
 
-def _probability_sup(theta: float, samples, levels, fhat, w0: float, w1: float, model,
-                     best: float) -> Optional[float]:
-    """``_side_sup`` over the disclosed side, with each label's draws kept as levels.
+def _levels_below(levels, label: int, q: np.ndarray, bounds):
+    """Per point, label ``label``'s levels below ``q`` and the level there.
 
-    ``samples[l]`` holds label l's sorted disclosed initial samples and
-    ``levels[l]`` its sorted draws' levels (``_levels``).  A draw's score
-    is ``inverse`` of its level, computed only where it is read: at the
-    cuts, which are every sample and every ``_BLOCK``-th draw of each label
-    and its last one, and at the draws of the evaluated blocks, which hold
-    no samples.  Samples are counted by their scores.  At a point z, label
-    l has as many draws below z as levels below F_l(z) - W/2, and at or
-    below z as levels below F_l(z) + W/2, with W = ``_window(cdf_l)``.
-    Levels lie more than W apart and a draw's own level within W/100 of
-    F_l at its score, so the two counts differ by one at each draw of label
-    l; they must be equal at every other point, which the sum of the
-    differences checks, or the result is None.  The lowest draw's score
-    must lie above ``theta``, so that no draw is clamped to it.  Blocks are
-    pruned as in ``_side_sup`` (``_pruned_blocks``), and every point's value
-    is the same expression (``_gap``).
+    ``levels[p]`` holds replication p's sorted levels per label and its
+    points are ``bounds[p]:bounds[p + 1]``.  Where every level lies below
+    ``q``, the level read is the last one (-inf if there is none).
+    """
+    below, level = [], []
+    for lv, s, e in zip(levels, bounds[:-1], bounds[1:]):
+        v = lv[label]
+        i = v.searchsorted(q[s:e])
+        below.append(i)
+        level.append(v.take(i, mode="clip") if len(v) else np.full(e - s, -np.inf))
+    return np.concatenate(below), np.concatenate(level)
+
+
+def _probability_sups(theta, x0, x1, m0, m1, levels, model, best):
+    """The disclosed side's supremum of replications whose draws stay levels.
+
+    Row p of ``x0`` and ``x1`` holds replication p's sorted initial samples,
+    of which the first ``m0[p]`` and ``m1[p]`` lie below ``theta[p]``;
+    ``levels[p]`` holds its draws' sorted levels per label, which passed
+    ``_levels``, and ``best[p]`` is its censored-side supremum.  Returns the
+    suprema and whether each was computed; ``_sup_chunk`` describes the
+    checks behind the second.
+
+    The cuts are every disclosed sample and every ``_BLOCK``-th draw of each
+    label and its last one.  A cut draw of label l is the i-th of its
+    label's draws, so i of them lie below it and i + 1 at or below it.  At
+    every other cut, label l's draws below it are its levels below
+    F_l(cut) - W_l/2, with W_l = ``_window(cdf_l)``, and none may lie
+    within W_l/2 of F_l(cut).  The draws inside an evaluated block are
+    those of level between its cuts' counts; they are scored, sorted with
+    each other, and counted by their scores.
+    """
+    P = len(theta)
+    n0, n1 = x0.shape[1], x1.shape[1]
+    w0, w1 = n0 / (n0 + n1), n1 / (n0 + n1)
+    shift = model.p0 - w0
+    cdfs = (model.cdf0, model.cdf1)
+    ok = np.ones(P, dtype=bool)
+    k = [np.array([len(lv[label]) for lv in levels]) for label in (0, 1)]
+    wc = [m0 / n0, m1 / n1]
+    nd = [n0 - m0 + k[0], n1 - m1 + k[1]]
+
+    def gaps(f, count, counts):
+        """The gap's terms at the points of ``count`` points per replication
+        and the larger |gap| of each point's two limits, from each label's
+        CDF values and its counts at both limits."""
+        terms = (model.p0 * f[0], model.p1 * f[1],
+                 *(w * _fhat_above(c, wl.repeat(count), ndl.repeat(count))
+                   for w, c, wl, ndl in zip((w0, w1), counts, wc, nd)))
+        return terms, np.abs(_gap(terms, shift)).max(axis=0)
+
+    # the cuts: every disclosed sample, and every _BLOCK-th level and the last one of each label
+    parts = [(x[x >= theta[:, None]], x.shape[1] - m) for x, m in ((x0, m0), (x1, m1))]
+    for label, cdf in enumerate(cdfs):
+        count = -(-k[label] // _BLOCK) + (k[label] > 0)
+        scores = cdf.inverse(np.concatenate(
+            [piece for lv in levels for piece in (lv[label][::_BLOCK], lv[label][-1:])]))
+        # the lowest draw's score lies above theta, so no draw is clamped to it
+        has = count > 0
+        ok[has] &= scores[(count.cumsum() - count)[has]] > theta[has]
+        ok[np.arange(P).repeat(count)[~(scores < np.inf)]] = False
+        parts.append((np.minimum(scores, np.finfo(float).max), count))
+    z, origin, offsets, size = _sort_rows(parts, P)
+    below, upto = _limit_counts(z, (origin < offsets[1], (origin >= offsets[1])
+                                    & (origin < offsets[2])), size)
+    f = [cdf.cdf(z) for cdf in cdfs]
+    drawn = []
+    for label, cdf in enumerate(cdfs):
+        own = (origin >= offsets[2 + label]) & (origin < offsets[3 + label])
+        # the last cut of each label is its last draw
+        index = np.minimum(np.where(own, (origin - offsets[2 + label]) * _BLOCK, 0),
+                           (k[label] - 1).repeat(size))
+        other = (~own).nonzero()[0]
+        half = _window(cdf) / 2
+        q = f[label][other] - half
+        count, level = _levels_below(levels, label, q, np.concatenate(
+            [[0], (size - parts[2 + label][1]).cumsum()]))
+        near = other[(level >= q) & (level < f[label][other] + half)]
+        ok[np.arange(P).repeat(size)[near]] = False
+        index[other] = count
+        drawn.append((index, index + own))
+    terms, gap = gaps(f, size, [np.stack([lo + b, hi + u])
+                                for (lo, hi), b, u in zip(drawn, below, upto)])
+    best = np.maximum(best, np.maximum.reduceat(gap, size.cumsum() - size))
+
+    # blocks between consecutive cuts whose bound reaches the best value; only
+    # draws lie strictly inside one
+    run = np.arange(P).repeat(size)
+    hit = ((run[1:] == run[:-1]) & ok[run[1:]]
+           & (_block_bounds(terms, shift) + _MARGIN >= best[run[1:]])).nonzero()[0]
+    parts, per_rep = [], 0
+    for label, (cdf, (lo, hi)) in enumerate(zip(cdfs, drawn)):
+        start, stop = hi[hit], lo[hit + 1]
+        count = np.maximum(stop - start, 0)
+        index = _ranges(start, stop)
+        per_label = np.bincount(run[hit], weights=count, minlength=P).astype(np.intp)
+        edges = np.concatenate([[0], per_label.cumsum()])
+        got = [lv[label].take(index[s:e])
+               for lv, s, e in zip(levels, edges[:-1], edges[1:]) if e > s]
+        parts.append((cdf.inverse(np.concatenate(got)) if got else np.empty(0), count))
+        per_rep = per_rep + per_label
+    if not np.any(per_rep):
+        return best, ok
+    point, origin, offsets, count = _sort_rows(parts, len(hit))
+    cut = hit.repeat(count)
+    # no sample lies strictly between two cuts, so only the block's own draws
+    # lie between a point inside it and the lower cut
+    ok[run[cut[~((z[cut] < point) & (point < z[cut + 1]))]]] = False
+    inner = _limit_counts(point, (origin < offsets[1], origin >= offsets[1]), count)
+    counts = [np.stack([hi[cut] + u[cut] + b, hi[cut] + u[cut] + v])
+              for (_, hi), u, b, v in zip(drawn, upto, *inner)]
+    _, gap = gaps([cdf.cdf(point) for cdf in cdfs], per_rep, counts)
+    has = per_rep > 0
+    best[has] = np.maximum(best[has], np.maximum.reduceat(gap, (per_rep.cumsum() - per_rep)[has]))
+    return best, ok
+
+
+def _scored_sup(theta: float, samples, draws, wc, w0: float, w1: float, model,
+                best: float) -> float:
+    """``_side_sup`` over the disclosed side with every draw's score computed.
+
+    ``samples[l]`` holds label l's sorted disclosed initial samples,
+    ``draws[l]`` its draws' levels and ``wc[l]`` its share below ``theta``.
     """
     cdfs = (model.cdf0, model.cdf1)
-    half = [_window(cdf) / 2 for cdf in cdfs]
+    disc = [np.sort(np.concatenate([x, np.maximum(cdf.inverse(v), theta)])) if len(v) else x
+            for x, v, cdf in zip(samples, draws, cdfs)]
+    return _side_sup(disc, lambda count, label: _fhat_above(count, wc[label], len(disc[label])),
+                     w0, w1, model, best)
 
-    def terms(z, draws):
-        """Per label, the draws below ``z`` and at or below it, and the gap's
-        terms at ``z``; None unless the two counts differ at ``draws[l]``
-        points, the number of label l's draws among ``z``."""
-        f = [cdf.cdf(z) for cdf in cdfs]
-        drawn, counts = [], []
-        for v, x, fl, h, k in zip(levels, samples, f, half, draws):
-            lo, hi = v.searchsorted(fl - h), v.searchsorted(fl + h)
-            if (hi - lo).sum() != k:
-                return None
-            drawn.append((lo, hi))
-            counts.append(np.stack([lo + x.searchsorted(z, "left"),
-                                    hi + x.searchsorted(z, "right")]))
-        return drawn, (model.p0 * f[0], model.p1 * f[1],
-                       w0 * fhat(counts[0], 0), w1 * fhat(counts[1], 1))
 
-    # every sample and every _BLOCK-th draw of each label and its last one
-    cut_levels = [np.concatenate([v[::_BLOCK], v[-1:]]) for v in levels]
-    cut_scores = [cdf.inverse(c) for cdf, c in zip(cdfs, cut_levels)]
-    # the lowest draw's score lies above theta, so no draw is clamped to it
-    if any(len(s) and not s[0] > theta for s in cut_scores):
-        return None
-    cut = terms(np.sort(np.concatenate([*samples, *cut_scores])), [len(c) for c in cut_levels])
-    if cut is None:
-        return None
-    drawn, values = cut
-    best, hit = _pruned_blocks(values, model.p0 - w0, best)
-    # only draws lie strictly between two cuts
-    inside = [v[_ranges(hi[hit], lo[hit + 1])] for v, (lo, hi) in zip(levels, drawn)]
-    if not len(inside[0]) + len(inside[1]):
-        return best
-    z = np.concatenate([cdf.inverse(c) for cdf, c in zip(cdfs, inside)])
-    point = terms(z, [len(c) for c in inside])
-    if point is None:
-        return None
-    return max(best, float(np.abs(_gap(point[1], model.p0 - w0)).max()))
+def _sup_chunk(gen: np.random.Generator, theta, x0, x1, a0, a1, k0, k1, model,
+               censored) -> list[float]:
+    """``_sup_risk_gap`` of consecutive replications, drawing from ``gen``.
+
+    Row r of ``x0`` and ``x1`` holds replication r's initial samples,
+    sorted, and ``censored[r]`` its censored-side supremum.  Replication r
+    draws its ``k0[r] + k1[r]`` doubles in replication order, label 0
+    first.  Only the steps that touch every draw run per replication: the
+    draws, their levels a_l + (1 - a_l)*u, the sort and window check of
+    ``_levels`` and the search of each label's levels
+    (``_levels_below``).  The rest runs in array passes over many
+    replications at once: both sides of the replications without draws
+    (``_row_sups``), and for the replications that try the probability-space
+    path (``_sup_risk_gap``) the scores and CDF values at the cuts, the
+    sample counts, the gap, the block pruning, the scores and CDF values in
+    the evaluated blocks and each replication's maximum
+    (``_probability_sups``).  Those replications are evaluated in groups of
+    at most ``_SUP_GROUP`` draws, whose levels fit in a core's cache while
+    they are searched; the values do not depend on the grouping.
+
+    A replication leaves the probability-space path for ``_scored_sup``,
+    which scores every draw from the same levels, when two of its levels of
+    a label lie within the window of each other, when a label's lowest
+    draw's score is not above ``theta`` or a cut draw's score is not finite,
+    when a cut's CDF value of a label lies within half a window of a level
+    of that label while the cut is none of its draws, or when a draw of an
+    evaluated block does not lie strictly between the block's cuts.  Its
+    value and the generator state are the same on either path.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n0, n1 = x0.shape[1], x1.shape[1]
+    m0, m1 = (np.sum(x < theta[:, None], axis=1) for x in (x0, x1))
+    sups = np.array(censored, dtype=float)
+    free = k0 + k1 == 0
+    if free.any():
+        sups[free] = np.maximum(sups[free], _row_sups(theta[free], x0[free], x1[free], model)[1])
+    cdfs = (model.cdf0, model.cdf1)
+    tries = (type(cdfs[0]) is GaussianCdf and type(cdfs[1]) is GaussianCdf) & (
+        n0 - m0 + k0 + n1 - m1 + k1 > 16 * _BLOCK)
+    tried, levels, scored = [], [], []
+
+    def evaluate():
+        """Evaluate the replications tried since the last call."""
+        if tried:
+            rows = np.array(tried)
+            sup, ok = _probability_sups(theta[rows], x0[rows], x1[rows], m0[rows], m1[rows],
+                                        levels, model, sups[rows])
+            sups[rows[ok]] = sup[ok]
+            scored.extend((r, draws) for r, draws, good in zip(tried, levels, ok) if not good)
+            tried.clear()
+            levels.clear()
+
+    held = 0
+    for r in np.flatnonzero(~free):
+        u = gen.random(int(k0[r] + k1[r]))
+        draws = (u[:k0[r]], u[k0[r]:])
+        for v, a in zip(draws, (a0[r], a1[r])):
+            v *= 1.0 - a
+            v += a
+        if tries[r] and all([_levels(v, cdf) is not None for v, cdf in zip(draws, cdfs)]):
+            if held + len(u) > _SUP_GROUP:
+                evaluate()
+                held = 0
+            tried.append(r)
+            levels.append(draws)
+            held += len(u)
+        else:
+            scored.append((r, draws))
+    evaluate()
+    for r, draws in scored:
+        sups[r] = _scored_sup(theta[r], (x0[r, m0[r]:], x1[r, m1[r]:]), draws,
+                              (m0[r] / n0, m1[r] / n1), n0 / (n0 + n1), n1 / (n0 + n1), model,
+                              sups[r])
+    return sups.tolist()
 
 
 def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
@@ -573,53 +812,35 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
 
     When both label CDFs are exactly ``GaussianCdf`` and such a side has
     admitted draws, the draws stay in probability space
-    (``_probability_sup``): each label's levels are sorted, and a score is
-    computed only at a cut or in an evaluated block, not at every draw.
-    Counts of draws are read among the levels at F_l of a point, which the
-    gap evaluates anyway.  This is exact only away from the ulp-level
-    non-monotonicity of ndtri and ndtr, so it relies on a window W
-    (``_window``): at least 1e-12, far above |F(inverse(v)) - v|, and wide
-    enough that levels more than W apart keep their order as scores
-    (``tests/test_verify.py::TestProbabilityWindow`` sweeps it).  Two
-    levels of a label within W of each other, or the CDF value at a point
-    within W/2 of a level of a label the point does not belong to, send
-    the call back to computing every draw's score and ``_side_sup``, from
-    the same levels, so the value and the generator state do not depend on
-    the path.  On the ``bench`` grid about 1 call in 1500 does so.  Other
-    CDFs (``PiecewiseCdf``, subclasses of ``GaussianCdf``), the censored
-    side, sides of at most ``16 * _BLOCK`` samples and sides without
-    draws always take that path.
+    (``_probability_sups``): each label's levels are sorted, and a score is
+    computed only at a cut or in an evaluated block, not at every draw.  At
+    a cut that is none of label l's draws, label l's draws below it are
+    counted among its levels at F_l of the cut, which the gap evaluates
+    anyway; the draws inside a block are counted by their scores.  This is
+    exact only away from the ulp-level non-monotonicity of ndtri and ndtr,
+    so it relies on a window W (``_window``): at least 1e-12, far above
+    |F(inverse(v)) - v|, and wide enough that levels more than W apart keep
+    their order as scores (``tests/test_verify.py::TestProbabilityWindow``
+    sweeps it).  Two levels of a label within W of each other, or the CDF
+    value at a cut within W/2 of a level of a label the cut does not belong
+    to, send the replication back to computing every draw's score and
+    ``_side_sup`` (``_scored_sup``), from the same levels, so the value and
+    the generator state do not depend on the path.  On the ``bench`` grid
+    about 1 replication in 1500 does so.  Other CDFs (``PiecewiseCdf``,
+    subclasses of ``GaussianCdf``) and sides of at most ``16 * _BLOCK``
+    samples with draws always take that path; sides without draws are
+    evaluated at every point (``_row_sups``).
+
+    This is the one-replication case of ``_sup_chunk``, which evaluates
+    many replications at once.
     """
-    n0, n1 = len(x0), len(x1)
-    n = n0 + n1
-    samples, draws, wc = [], [], []
-    for x, k, a in ((x0, k0, a0), (x1, k1, a1)):
-        x = np.sort(x)
-        cut = np.searchsorted(x, theta)
-        wc.append(cut / len(x))
-        samples.append(x[cut:])
-        draws.append(a + (1.0 - a) * gen.random(k) if k else np.empty(0))
-    sizes = [len(x) + len(v) for x, v in zip(samples, draws)]
-
-    def fhat_above(count, label):
-        w, nd = wc[label], sizes[label]
-        return w + count / nd * (1.0 - w) if nd else np.full(count.shape, w)
-
-    cdfs = (model.cdf0, model.cdf1)
-    if (k0 + k1 and sum(sizes) > 16 * _BLOCK
-            and type(cdfs[0]) is GaussianCdf and type(cdfs[1]) is GaussianCdf):
-        levels = [_levels(v, cdf) for v, cdf in zip(draws, cdfs)]
-        if levels[0] is not None and levels[1] is not None:
-            sup = _probability_sup(theta, samples, levels, fhat_above, n0 / n, n1 / n, model,
-                                   censored)
-            if sup is not None:
-                return sup
-    disc = [np.sort(np.concatenate([x, np.maximum(cdf.inverse(v), theta)])) if len(v) else x
-            for x, v, cdf in zip(samples, draws, cdfs)]
-    return _side_sup(disc, fhat_above, n0 / n, n1 / n, model, censored)
+    return _sup_chunk(gen, np.array([theta], dtype=float), np.sort(x0)[None], np.sort(x1)[None],
+                      np.array([a0]), np.array([a1]), np.array([k0]), np.array([k1]), model,
+                      np.array([censored]))[0]
 
 
 _SUP_CHUNK = 50     # replications per truth-column task
+_SUP_GROUP = 1 << 18    # draws per probability-space group: levels of about 2 MB
 
 
 def _cpu_count() -> int:
@@ -630,13 +851,13 @@ def _cpu_count() -> int:
 
 def _sup_tasks(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1, model,
                censored):
-    """Cut one grid point's replications into ``_sup_chunk`` argument tuples.
+    """Cut one grid point's replications into ``_sup_task`` argument tuples.
 
     Replication r draws ``k0[r] + k1[r]`` doubles from ``stream``, so each
     chunk starts at ``start`` plus the draws of the replications before
     it.  ``censored`` holds each replication's censored-side supremum
-    (``_censored_sup``).  Returns the tasks and the offset where
-    the next grid point starts.
+    (``_row_sups``).  Returns the tasks and the offset where the next grid
+    point starts.
     """
     offsets = start + np.concatenate([[0], np.cumsum(k0 + k1)])
     tasks = []
@@ -647,14 +868,24 @@ def _sup_tasks(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1, mod
     return tasks, int(offsets[-1])
 
 
-def _sup_chunk(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1,
-               model, censored) -> list[float]:
-    """``_sup_risk_gap`` for consecutive replications, drawing from ``stream``
-    after skipping its first ``start`` doubles."""
+def _advanced(stream: SeededRng, start: int) -> np.random.Generator:
+    """A generator of ``stream`` after its first ``start`` doubles."""
     gen = stream.generator()
     gen.bit_generator.advance(start)
-    return [_sup_risk_gap(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
-                          float(a0[r]), float(a1[r]), model, gen, float(censored[r]))
+    return gen
+
+
+def _sup_task(stream: SeededRng, start: int, *chunk) -> list[float]:
+    """``_sup_chunk`` of one task of ``_sup_tasks``."""
+    return _sup_chunk(_advanced(stream, start), *chunk)
+
+
+def _sup_replications(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1, model,
+                      censored) -> list[float]:
+    """``_sup_task`` one replication at a time, through ``_sup_risk_gap``."""
+    gen = _advanced(stream, start)
+    return [_sup_risk_gap(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]), float(a0[r]),
+                          float(a1[r]), model, gen, float(censored[r]))
             for r in range(len(theta))]
 
 
@@ -674,17 +905,29 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
     one stream, consumed in grid order and then replication order; pair
     (T, r) draws ``k0[r] + k1[r]`` doubles, one 64-bit PCG64 output each.
     Those counts are known before any draw is made, so the pairs are cut
-    into chunks that each jump ahead to their own offset in the stream.
-    The calling process runs the first chunk while a pool with one worker
-    process per available CPU (at most one per remaining chunk) runs the
-    rest.  The draws, and so the table, do not depend on the worker count,
-    on which process ran a chunk or on the chunk size.  The pool forks its
-    workers on Linux and spawns them elsewhere; with spawned workers a
-    calling script must keep its top-level code under
-    ``if __name__ == "__main__":``, or the call fails with
-    ``BrokenProcessPool``.  The supremum's censored side depends only on
-    the initial samples, which the grid shares, so it is computed once per
-    replication (``_censored_sup``) and not at every grid point.
+    into chunks of ``_SUP_CHUNK`` replications that each jump ahead to
+    their own offset in the stream, and each chunk is evaluated in a few
+    array passes (``_sup_chunk``).  The supremum's censored side depends
+    only on the initial samples, which the grid shares, so it is computed
+    once per replication, a chunk's worth of rows per array pass
+    (``_row_sups``), and not at every grid point.
+
+    A pool with one worker process per available CPU (at most one per
+    chunk after the first) runs the chunks.  Each grid point's chunks are
+    submitted as soon as its counts are drawn (``_gen_gap_samples``), so
+    the workers start on the first grid point while the calling process
+    still prepares the later ones; before the first submit it only draws
+    the initial samples and computes the censored side and the first grid
+    point's counts, about 0.05 s for the ``bench`` preset.  The calling
+    process then runs the first chunk itself (with ``bench``'s grid, at no
+    arrivals and so no draws), one replication at a time through
+    ``_sup_risk_gap`` so that a profile of it sees the per-replication
+    kernel, and collects the rest.  The draws, and so the table, do not
+    depend on the worker count, on which process ran a chunk or on the
+    chunk size.  The pool forks its workers on Linux and spawns them
+    elsewhere; with spawned workers a calling script must keep its
+    top-level code under ``if __name__ == "__main__":``, or the call fails
+    with ``BrokenProcessPool``.
 
     CDF mode (``eta_grid``): the truth column is the empirical
     exceedance frequency P(sup >= eta) under the conditioned partition,
@@ -737,23 +980,27 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
 
     stream = SeededRng(seed).substream(2)
     initial = _initial_samples(config, replications, seed)
-    censored = np.array([_censored_sup(t, x0, x1, model)
-                         for t, x0, x1 in zip(initial[0], initial[2], initial[3])])
-    tasks, ours, start = [], [], 0
-    for T in grid:
-        theta, _, totals, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
-            _with_grid(config, T), replications, seed, delta, initial)
-        ours.append(totals)
-        chunks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, model,
-                                   censored)
-        tasks.extend(chunks)
+    # in chunks, which keeps the calling process's peak memory low
+    censored = np.concatenate([
+        _row_sups(*(a[lo:lo + _SUP_CHUNK] for a in (initial[0], initial[2], initial[3])),
+                  model)[0] for lo in range(0, replications, _SUP_CHUNK)])
+    chunks = len(grid) * -(-replications // _SUP_CHUNK)
     # forked workers start with every module imported; fork is unsafe on
     # macOS and missing on Windows, which spawn
     method = "fork" if sys.platform.startswith("linux") else "spawn"
-    with ProcessPoolExecutor(max(1, min(_cpu_count(), len(tasks) - 1)),
+    ours, first, rest, start = [], [], [], 0
+    with ProcessPoolExecutor(max(1, min(_cpu_count(), chunks - 1)),
                              mp_context=multiprocessing.get_context(method)) as pool:
-        rest = pool.map(_sup_chunk, *zip(*tasks[1:]))
-        sups = [_sup_chunk(*task) for task in tasks[:1]] + list(rest)
+        for T in grid:
+            theta, _, totals, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
+                _with_grid(config, T), replications, seed, delta, initial)
+            ours.append(totals)
+            tasks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, model,
+                                      censored)
+            if not first:
+                first, tasks = tasks[:1], tasks[1:]
+            rest += [pool.submit(_sup_task, *task) for task in tasks]
+        sups = [_sup_replications(*task) for task in first] + [task.result() for task in rest]
     sup_by_t = np.reshape([v for chunk in sups for v in chunk], (len(grid), replications))
     rows = []
     for T, sup, totals in zip(grid, sup_by_t, ours):

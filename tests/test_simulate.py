@@ -1,5 +1,6 @@
 """Sequential admission process: determinism, censorship integrity, replay."""
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -425,6 +426,24 @@ class TestDeviationBound:
                                   RegionSpec(7.0, 6.0, 0.5), 0.2)
         assert np.array_equal(got.raw, want.raw)
         assert np.array_equal(got.trivial, want.trivial)
+
+    @pytest.mark.parametrize("change", [
+        dict(theta=6.5), dict(lb=5.5), dict(lb=5.0, epsilon=0.25), dict(epsilon=0.5),
+        dict(population=GaussianCdf(7.5, 2.0)), dict(seed=11), dict(arrivals=7),
+    ])
+    def test_replaced_config_keeps_no_stale_masses(self, change):
+        # the masses are cached per instance; a replaced config computes its own
+        parts = {False: RegionPartition(n=50, m=27, k=90),
+                 True: RegionPartition(n=50, m=27, l=7, k1=12, k2=90)}
+        for config in (pooled_config(lb=6.0, epsilon=0.75), pooled_config()):
+            config.deviation_bound(parts[config.lb is not None], 0.2)    # fills the cache
+            replaced = replace(config, **change)
+            part = parts[replaced.lb is not None]
+            fresh = SimulationConfig(**{**{f.name: getattr(replaced, f.name)
+                                           for f in fields(replaced)}})
+            got, want = replaced.deviation_bound(part, 0.2), fresh.deviation_bound(part, 0.2)
+            assert np.array_equal(got.raw, want.raw) and got.trivial == want.trivial
+            assert replaced._bound_masses == fresh._bound_masses
 
     @pytest.mark.parametrize("theta", [None, 9.5])
     def test_labeled_config_rejected(self, theta):

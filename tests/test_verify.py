@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 from itertools import chain, starmap
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cfbounds.verify as verify
 from cfbounds.censored import (
@@ -26,6 +29,7 @@ from cfbounds.verify import (
     _initial_samples,
     _sup_chunk,
     _sup_risk_gap,
+    _sup_task,
     _sup_tasks,
     _with_grid,
     _with_seed,
@@ -320,13 +324,13 @@ class _BelowGaussian(_PointGaussian):
 
 @pytest.fixture
 def paths(monkeypatch):
-    """One entry per ``_sup_risk_gap`` call that tries the probability-space
-    path: None when it served the call, else the check that sent the call to
-    score every draw ("levels": two levels of a label within the window;
+    """One entry per replication that tries the probability-space path: None
+    when it served the replication, else the check that sent it to score
+    every draw ("levels": two levels of a label within the window;
     "points": a point's CDF value near a level of a label it does not belong
-    to, or a draw's score at or below theta)."""
-    out, pair = [], []
-    levels, probability_sup = verify._levels, verify._probability_sup
+    to, a draw's score at or below theta, or a draw outside its block)."""
+    out, pair, seen = [], [], [0]
+    levels, probability_sups = verify._levels, verify._probability_sups
 
     def spy_levels(v, cdf):
         got = levels(v, cdf)
@@ -336,14 +340,19 @@ def paths(monkeypatch):
             pair.clear()
         return got
 
-    def spy_sup(*args):
-        got = probability_sup(*args)
-        if got is None:
-            out[-1] = "points"
-        return got
+    def spy_sups(*args):
+        # the chunk's replications that passed ``_levels`` since the last call
+        sups, ok = probability_sups(*args)
+        tried = [i for i in range(seen[0], len(out)) if out[i] is None]
+        assert len(tried) == len(ok)
+        for i, good in zip(tried, ok):
+            if not good:
+                out[i] = "points"
+        seen[0] = len(out)
+        return sups, ok
 
     monkeypatch.setattr(verify, "_levels", spy_levels)
-    monkeypatch.setattr(verify, "_probability_sup", spy_sup)
+    monkeypatch.setattr(verify, "_probability_sups", spy_sups)
     return out
 
 
@@ -499,7 +508,11 @@ class TestSupRiskGapOracle:
         assert zs[np.argmax(np.maximum(*gaps))] == x0[199] and 199 % verify._BLOCK
         cuts = np.concatenate([s[::verify._BLOCK] for s in disc] + [s[-1:] for s in disc])
         assert x0[199] not in cuts
-        assert self._check(-np.inf, x0, x1, 0, 0, model) == pytest.approx(0.5 * 40 / 600)
+        want = self._check(-np.inf, x0, x1, 0, 0, model)
+        assert want == pytest.approx(0.5 * 40 / 600)
+        # a side without draws is evaluated at every point (``_row_sups``);
+        # the pruned evaluation of the same side finds the same value
+        assert self._pruned(x0, x1, model) == want
 
     def test_supremum_just_above_a_cut(self):
         # with a nearly flat CDF, the gap at the left limit of label 1's
@@ -515,7 +528,15 @@ class TestSupRiskGapOracle:
         assert zs[np.argmax(np.maximum(*gaps))] == x1[188]
         cuts = np.concatenate([s[::verify._BLOCK] for s in disc] + [s[-1:] for s in disc])
         assert x0[192] in cuts and x1[188] not in cuts
-        self._check(-np.inf, x0, x1, 0, 0, model)
+        assert self._pruned(x0, x1, model) == self._check(-np.inf, x0, x1, 0, 0, model)
+
+    @staticmethod
+    def _pruned(x0, x1, model):
+        """``_side_sup`` of the samples as one disclosed side below no threshold."""
+        n = len(x0) + len(x1)
+        samples, empty = (np.sort(x0), np.sort(x1)), (np.empty(0), np.empty(0))
+        return verify._scored_sup(-np.inf, samples, empty, (0.0, 0.0), len(x0) / n, len(x1) / n,
+                                  model, 0.0)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_pool_sizes_at_the_pruning_cutoff(self, extra):
@@ -572,6 +593,103 @@ class TestSupRiskGapOracle:
             p0, p1 = self.PIECEWISE.cdf0, self.PIECEWISE.cdf1
             self._check(8.5, p0.inverse(gen.random(30)), p1.inverse(gen.random(30)),
                         70, 90, self.PIECEWISE, seed)
+
+
+_CHUNK_MODELS = {
+    "gaussian": MixtureModel(p1=0.5, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1)),
+    "wide": MixtureModel(p1=0.8, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 2)),
+    "piecewise": TestSupRiskGapOracle.PIECEWISE,
+}
+
+
+@st.composite
+def _chunks(draw):
+    """A chunk of replications: model, per-label sample counts, thresholds,
+    per-label draw counts, per-label windows (None for ``_window``'s own), a
+    group size in draws and a seed."""
+    size = draw(st.integers(1, 6))
+    per_rep = lambda values: st.lists(st.sampled_from(values), min_size=size, max_size=size)
+    # 900 draws of each label or 1500 of one pass 16 * _BLOCK points; 0 leaves a label
+    # without draws
+    counts = [0, 0, 5, 300, 900, 1500]
+    return (draw(st.sampled_from(sorted(_CHUNK_MODELS))), draw(st.integers(1, 60)),
+            draw(st.integers(1, 60)), draw(per_rep([-np.inf, 8.0, 9.0, 9.5, 10.5])),
+            draw(per_rep(counts)), draw(per_rep(counts)),
+            draw(st.lists(st.sampled_from([None, None, None, 1e-7, 1e-6, 1e-2, 1.0]), min_size=2,
+                          max_size=2)),
+            draw(st.sampled_from([verify._SUP_GROUP, 2000])), draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chunks())
+def test_sup_chunk_equals_the_oracle(chunk):
+    # a chunk mixes replications on the probability-space path, ones sent
+    # back by a window check (a window of 1e-7 or 1e-6 fails the spacing of
+    # some labels' levels; one of 1e-2 passes that of 5 levels and catches
+    # the other label's cuts), sides of at most 16 * _BLOCK points, labels
+    # without draws and PiecewiseCdf
+    name, n0, n1, theta, k0, k1, windows, group, seed = chunk
+    model = _CHUNK_MODELS[name]
+    gen = SeededRng(seed).generator()
+    x0 = np.sort([model.cdf0.inverse(gen.random(n0)) for _ in theta], axis=1)
+    x1 = np.sort([model.cdf1.inverse(gen.random(n1)) for _ in theta], axis=1)
+    theta, k0, k1 = np.array(theta), np.array(k0), np.array(k1)
+    a0, a1 = (np.asarray(cdf.cdf(theta), dtype=float) for cdf in (model.cdf0, model.cdf1))
+    censored = np.array([_censored_sup(*args, model) for args in zip(theta, x0, x1)])
+    gen_old = SeededRng(seed).substream(1).generator()
+    want = [_sup_risk_gap_oracle(*args, model, gen_old)
+            for args in zip(theta, x0, x1, k0.tolist(), k1.tolist(), a0, a1)]
+    gen_new = SeededRng(seed).substream(1).generator()
+    own = verify._window
+
+    def window(cdf):
+        w = windows[0] if cdf is model.cdf0 else windows[1]
+        return own(cdf) if w is None else w
+
+    with patch.object(verify, "_SUP_GROUP", group), patch.object(verify, "_window", window):
+        got = _sup_chunk(gen_new, theta, x0, x1, a0, a1, k0, k1, model, censored)
+    assert got == want
+    # the generator ends exactly the chunk's draws in
+    end = SeededRng(seed).substream(1).generator()
+    end.bit_generator.advance(int((k0 + k1).sum()))
+    assert gen_new.bit_generator.state == gen_old.bit_generator.state == end.bit_generator.state
+
+
+class TestChunkHelpers:
+    def test_limit_counts_equal_direct_counts(self):
+        gen = np.random.default_rng(5)
+        for _ in range(200):
+            size = gen.integers(0, 6, gen.integers(1, 5))
+            z = np.concatenate([np.sort(gen.integers(0, 4, s).astype(float)) for s in size])
+            flags = gen.random((2, len(z))) < 0.5
+            run = np.repeat(np.arange(len(size)), size)
+            if not len(z):
+                continue
+            below, upto = verify._limit_counts(z, flags, size)
+            for f, b, u in zip(flags, below, upto):
+                same = run[:, None] == run[None, :]
+                assert np.array_equal(b, (f & same & (z[None, :] < z[:, None])).sum(axis=1))
+                assert np.array_equal(u, (f & same & (z[None, :] <= z[:, None])).sum(axis=1))
+
+    def test_sort_rows_orders_every_run(self):
+        gen = np.random.default_rng(6)
+        for _ in range(200):
+            runs = int(gen.integers(1, 5))
+            counts = [gen.integers(0, 5, runs) for _ in range(3)]
+            parts = [(gen.integers(0, 4, c.sum()).astype(float), c) for c in counts]
+            z, origin, offsets, size = verify._sort_rows(parts, runs)
+            assert np.array_equal(size, sum(counts))
+            start = np.cumsum(size) - size
+            for r in range(runs):
+                want = np.concatenate([v[c[:r].sum():c[:r + 1].sum()] for v, c in parts])
+                assert np.array_equal(z[start[r]:start[r] + size[r]], np.sort(want))
+            # the column a value came from holds it
+            piece = np.searchsorted(offsets, origin, "right") - 1
+            rank = origin - offsets[piece]
+            run = np.repeat(np.arange(runs), size)
+            for value, p, k, r in zip(z, piece, rank, run):
+                values, c = parts[p]
+                assert values[c[:r].sum() + k] == value
 
 
 class TestProbabilityWindow:
@@ -674,9 +792,9 @@ class TestTruthColumnPool:
                 assert not draws.any()            # the next grid point starts at 0
             for r in (0, 1, 117, self.R - 1):
                 one = slice(r, r + 1)
-                got = _sup_chunk(stream, start + int(draws[:r].sum()), theta[one], x0[one],
-                                 x1[one], a0[one], a1[one], k0[one], k1[one], config.model,
-                                 censored[one])
+                got = _sup_task(stream, start + int(draws[:r].sum()), theta[one], x0[one],
+                                x1[one], a0[one], a1[one], k0[one], k1[one], config.model,
+                                censored[one])
                 assert got == [values[r]]
             start += int(draws.sum())
 
@@ -709,23 +827,23 @@ class TestTruthColumnPool:
             tasks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1,
                                       config.model, censored)
             assert np.array_equal(np.concatenate([task[-1] for task in tasks]), censored)
-            assert list(chain.from_iterable(starmap(_sup_chunk, tasks))) == values
+            assert list(chain.from_iterable(starmap(_sup_task, tasks))) == values
 
     def test_calling_process_runs_the_first_chunk(self, config, shared, monkeypatch):
         # forked workers' calls never reach this process's list
         calls, workers = [], []
-        kernel = verify._sup_risk_gap
+        kernel = verify._sup_chunk
 
-        def counted(*args):
-            calls.append(args[0])
-            return kernel(*args)
+        def counted(gen, theta, *args):
+            calls.extend(theta)
+            return kernel(gen, theta, *args)
 
         class Pool(verify.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 workers.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(verify, "_sup_risk_gap", counted)
+        monkeypatch.setattr(verify, "_sup_chunk", counted)
         monkeypatch.setattr(verify, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         table = self._table(config)
@@ -779,9 +897,14 @@ class TestTruthColumnPool:
         assert run.returncode != 0
         assert "if __name__ == '__main__'" in run.stderr
 
+    @pytest.mark.parametrize("chunk, group", [(1, None), (7, None), (50, None), (50, 3000)])
     def test_chunk_size_not_dividing_replications(self, config, shared, censored,
-                                                  monkeypatch):
-        monkeypatch.setattr(verify, "_SUP_CHUNK", 7)
+                                                  monkeypatch, chunk, group):
+        # chunks of 1, 7 (not dividing 200) and 50 replications, and groups of
+        # about one replication's draws at 5000 arrivals
+        monkeypatch.setattr(verify, "_SUP_CHUNK", chunk)
+        if group:
+            monkeypatch.setattr(verify, "_SUP_GROUP", group)
         stream = SeededRng(self.SEED).substream(2)
         start = 0
         for T, values in zip(self.GRID, shared):
@@ -789,11 +912,12 @@ class TestTruthColumnPool:
             tasks, end = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, config.model,
                                     censored)
             draws = k0 + k1
-            assert [len(task[2]) for task in tasks] == [7] * 28 + [4]
+            assert [len(task[2]) for task in tasks] == (
+                [chunk] * (self.R // chunk) + [self.R % chunk] * (self.R % chunk > 0))
             assert [task[1] for task in tasks] == [start + int(draws[:lo].sum())
-                                                   for lo in range(0, self.R, 7)]
+                                                   for lo in range(0, self.R, chunk)]
             assert end == start + int(draws.sum())
-            assert list(chain.from_iterable(starmap(_sup_chunk, tasks))) == values
+            assert list(chain.from_iterable(starmap(_sup_task, tasks))) == values
             start = end
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         quant = 1.0 - 2.0 * self.DELTA

@@ -545,7 +545,7 @@ def ingest_scores(path) -> tuple[np.ndarray, np.ndarray]:
                 score = float(row[0])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad score {row[0]!r}") from None
-            if not np.isfinite(score):
+            if not math.isfinite(score):
                 raise ValueError(f"{path}:{lineno}: score must be finite")
             label_txt = row[1].strip()
             if label_txt not in ("0", "1"):

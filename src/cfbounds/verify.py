@@ -163,6 +163,23 @@ class TableReport:
 # ---------------------------------------------------------------------------
 
 
+_SUP_GROUP = 1 << 18    # draws per probability-space group, doubles of a row block's arrays: 2 MB
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Consecutive slices of ``rows`` rows of ``width`` values each, every
+    slice at most ``_SUP_GROUP // 8`` values (and at least one row).
+
+    A kernel keeps up to about eight arrays of a block's shape alive at
+    once (draws, scores, sort order, training counts), so together they
+    stay within the ``_SUP_GROUP`` doubles of a core's cache.  Drawing
+    ``gen.random((b, width))`` slice after slice takes the same doubles,
+    in the same places, as one ``gen.random((rows, width))``.
+    """
+    step = max(1, _SUP_GROUP // 8 // width)
+    return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
+
+
 def _batch_sup_conditioned(masses: Sequence[float], counts: Sequence[int],
                            replications: int, gen: np.random.Generator) -> np.ndarray:
     """Uniform deviation of the region-weighted estimator, conditioned on counts.
@@ -172,6 +189,10 @@ def _batch_sup_conditioned(masses: Sequence[float], counts: Sequence[int],
     a region sample's CDF value is uniform on the region's mass interval,
     so the deviation can be computed from sorted uniforms alone.  With the
     counts realized, the estimator weight of region i is counts[i]/n.
+
+    Each region's draws are made, sorted and scored one block of
+    replications at a time (``_row_blocks``), which keeps the temporaries
+    cache-sized; the draws and the result do not depend on the blocks.
     """
     masses = np.asarray(masses, dtype=float)
     counts = np.asarray(counts, dtype=int)
@@ -185,13 +206,19 @@ def _batch_sup_conditioned(masses: Sequence[float], counts: Sequence[int],
     for i, c in enumerate(counts):
         if c == 0:
             continue
-        u = np.sort(gen.random((replications, c)), axis=1)
-        fvals = mass_edges[i] + masses[i] * u
         w = weight_edges[i + 1] - weight_edges[i]
         hi = weight_edges[i] + w * (np.arange(1, c + 1) / c)
         lo = weight_edges[i] + w * (np.arange(c) / c)
-        dev = np.maximum(np.abs(fvals - hi), np.abs(fvals - lo))
-        sup = np.maximum(sup, dev.max(axis=1))
+        for rows in _row_blocks(replications, c):
+            # the sorted draws become their CDF values in place
+            fvals = gen.random((rows.stop - rows.start, c))
+            fvals.sort(axis=1)
+            fvals *= masses[i]
+            fvals += mass_edges[i]
+            dev = np.abs(fvals - hi)
+            fvals -= lo
+            np.maximum(dev, np.abs(fvals, out=fvals), out=dev)
+            sup[rows] = np.maximum(sup[rows], dev.max(axis=1))
     return sup
 
 
@@ -274,23 +301,28 @@ def _initial_samples(config: SimulationConfig, replications: int, seed: int):
     replication per row, each row sorted), F0 and F1 at the thresholds, and
     the per-label counts below them.  All come from
     ``SeededRng(seed).substream(0)``; ``config.arrivals`` does not enter.
+    The draws, their scores, the sorts and the training run one block of
+    replications at a time (``_row_blocks``), which keeps the temporaries
+    cache-sized; the results do not depend on the blocks.
     """
     model = config.model
     n0, n1 = config.n0, config.n1
     gen = SeededRng(seed).substream(0).generator()
-    u = gen.random((replications, n0 + n1))
-    x0 = np.asarray(model.cdf0.inverse(u[:, :n0]), dtype=float)
-    x1 = np.asarray(model.cdf1.inverse(u[:, n0:]), dtype=float)
-    x0.sort(axis=1)
-    x1.sort(axis=1)
-    del u       # not needed past here: freeing it lowers the peak memory of training
+    x0, x1 = np.empty((replications, n0)), np.empty((replications, n1))
+    theta, remp = np.empty(replications), np.empty(replications)
+    for rows in _row_blocks(replications, n0 + n1):
+        u = gen.random((rows.stop - rows.start, n0 + n1))
+        x0[rows] = model.cdf0.inverse(u[:, :n0])
+        x1[rows] = model.cdf1.inverse(u[:, n0:])
+        del u       # freeing the draws lowers the peak memory of training
+        x0[rows].sort(axis=1)
+        x1[rows].sort(axis=1)
+        if config.theta is None:
+            theta[rows], remp[rows] = train_thresholds(x0[rows], x1[rows])
     if config.theta is not None:
-        theta = np.full(replications, float(config.theta))
-        remp = np.array([
-            empirical_risk(config.theta, LabeledDataset(x0[r], x1[r]))
-            for r in range(replications)])
-    else:
-        theta, remp = train_thresholds(x0, x1)
+        theta[:] = config.theta
+        remp[:] = [empirical_risk(config.theta, LabeledDataset(x0[r], x1[r]))
+                   for r in range(replications)]
 
     a0 = np.asarray(model.cdf0.cdf(theta), dtype=float)
     a1 = np.asarray(model.cdf1.cdf(theta), dtype=float)
@@ -840,7 +872,6 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
 
 
 _SUP_CHUNK = 50     # replications per truth-column task
-_SUP_GROUP = 1 << 18    # draws per probability-space group: levels of about 2 MB
 
 
 def _cpu_count() -> int:
@@ -889,17 +920,18 @@ def _sup_replications(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, 
             for r in range(len(theta))]
 
 
-def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[int]] = None,
-                   eta_grid: Optional[Sequence[float]] = None, replications: int = 1000,
-                   seed: int = 0, delta: float = 0.015, vc_dim: int = 2) -> TableReport:
-    """Evaluate our bounds, classic benchmarks, and the MC truth on a grid.
+def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
+                   replications: int = 1000, seed: int = 0, delta: float = 0.015,
+                   vc_dim: int = 2) -> TableReport:
+    """Evaluate our generalization bound, classic benchmarks, and the MC truth
+    on a grid of arrival counts.
 
-    Generalization mode (``arrival_grid``): the truth column is the
-    empirical (1-2*delta)-quantile of the uniform risk deviation
-    sup_theta |R - R_emp| -- the quantity every uniform-convergence bound
-    in the table claims to control at confidence 1-2*delta.  Benchmarks
-    are evaluated as if all n + T samples were IID (they do not model
-    censoring); ours averages the per-replication assembled bound.
+    The truth column is the empirical (1-2*delta)-quantile of the uniform
+    risk deviation sup_theta |R - R_emp| -- the quantity every
+    uniform-convergence bound in the table claims to control at confidence
+    1-2*delta.  Benchmarks are evaluated as if all n + T samples were IID
+    (they do not model censoring); ours averages the per-replication
+    assembled bound.
 
     The admitted draws of every (grid point, replication) pair come from
     one stream, consumed in grid order and then replication order; pair
@@ -929,48 +961,12 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Optional[Sequence[
     top-level code under ``if __name__ == "__main__":``, or the call fails
     with ``BrokenProcessPool``.
 
-    CDF mode (``eta_grid``): the truth column is the empirical
-    exceedance frequency P(sup >= eta) under the conditioned partition,
-    compared against our bound and the classic forms.
-
-    Both modes sample the two-region estimator (CDF mode reports
-    ``bound_two_region``), so a config with an exploration region
-    (``lb``) is rejected.
+    The truth column samples the two-region estimator, so a config with an
+    exploration region (``lb``) is rejected.
     """
-    if (arrival_grid is None) == (eta_grid is None):
-        raise ValueError("exactly one of arrival_grid/eta_grid must be given")
     if config.lb is not None:
         raise ValueError("bound comparison covers the two-region estimator only; "
                          "got a config with an exploration region (lb)")
-
-    if eta_grid is not None:
-        if not config.pooled:
-            raise ValueError("CDF comparison needs a pooled config")
-        alpha = float(config.population.cdf(config.theta))
-        gen = SeededRng(seed).substream(0).generator()
-        from .classic import dkw_bound, gc_bound, hoeffding_bound, vc_bound
-
-        part = RegionPartition(n=config.n, m=int(round(config.n * alpha)), k=0)
-        sup = _batch_sup_conditioned((alpha, 1.0 - alpha), (part.m, part.n - part.m),
-                                     replications, gen)
-        etas = np.asarray(eta_grid, dtype=float)
-        ours = bound_two_region(part, MassSpec.theoretical(alpha), etas).probability
-        rows = []
-        for eta, prob in zip(eta_grid, ours):
-            freq = float(np.mean(sup >= eta))
-            rows.append((
-                float(eta), freq, float(prob),
-                dkw_bound(config.n, float(eta)).probability,
-                gc_bound(config.n, float(eta)).probability,
-                vc_bound(config.n, float(eta), vc_dim).probability,
-                hoeffding_bound(config.n, float(eta)).probability,
-            ))
-        return TableReport(
-            columns=("eta", "mc_frequency", "ours", "dkw", "gc", "vc", "hoeffding"),
-            rows=tuple(rows),
-            meta={"mode": "cdf", "replications": replications, "seed": seed},
-        )
-
     if config.pooled:
         raise ValueError("generalization comparison needs a labeled config")
     model = config.model

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import chain, starmap
 from unittest.mock import patch
 
@@ -18,6 +19,8 @@ from cfbounds.censored import (
     bound_three_region,
     bound_two_region,
 )
+from cfbounds.generalization import LabeledDataset, empirical_risk, train_thresholds
+from cfbounds.presets import bench_config, fig1_config
 from cfbounds.rng import SeededRng, splitmix64
 from cfbounds.simulate import SimulationConfig, finalize, run_simulation
 from cfbounds.stats import GaussianCdf, MixtureModel, PiecewiseCdf
@@ -136,6 +139,153 @@ class TestConditionedKernel:
                              condition=RegionPartition(n=50, m=24))
 
 
+def _batch_sup_one_shot(masses, counts, replications, gen):
+    """``_batch_sup_conditioned`` before row blocks: each region's draws for
+    every replication made, sorted and scored at once."""
+    masses = np.asarray(masses, dtype=float)
+    counts = np.asarray(counts, dtype=int)
+    n = int(counts.sum())
+    mass_edges = np.concatenate([[0.0], np.cumsum(masses)])
+    weight_edges = np.concatenate([[0.0], np.cumsum(counts / n)])
+    sup = np.zeros(replications)
+    for edge_mass, edge_weight in zip(mass_edges[1:-1], weight_edges[1:-1]):
+        sup = np.maximum(sup, abs(edge_mass - edge_weight))
+    for i, c in enumerate(counts):
+        if c == 0:
+            continue
+        u = np.sort(gen.random((replications, c)), axis=1)
+        fvals = mass_edges[i] + masses[i] * u
+        w = weight_edges[i + 1] - weight_edges[i]
+        hi = weight_edges[i] + w * (np.arange(1, c + 1) / c)
+        lo = weight_edges[i] + w * (np.arange(c) / c)
+        dev = np.maximum(np.abs(fvals - hi), np.abs(fvals - lo))
+        sup = np.maximum(sup, dev.max(axis=1))
+    return sup
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("group, width, rows", [
+        (1, 24, 1), (8 * 7 * 24, 24, 7), (8 * 8 * 24 - 1, 24, 7), (80, 24, 1),
+        (1 << 18, 24, 1365), (1 << 18, 100, 327)])
+    def test_slices_cover_the_rows_in_order(self, monkeypatch, group, width, rows):
+        monkeypatch.setattr(verify, "_SUP_GROUP", group)
+        blocks = verify._row_blocks(1003, width)
+        assert [b.stop - b.start for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+        assert list(chain.from_iterable(range(b.start, b.stop) for b in blocks)) == list(
+            range(1003))
+        assert verify._row_blocks(0, width) == []
+
+    # fig1's and fig2's conditioned partitions (an empty region below lb in
+    # fig1), an empty last region and a mismatched interior edge
+    @pytest.mark.parametrize("masses, counts", [
+        ((0.0, 0.5, 0.5), (0, 24, 26)), ((0.16, 0.34, 0.5), (7, 20, 23)),
+        ((0.5, 0.5), (5, 0)), ((0.3, 0.7), (3, 4))])
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_conditioned_kernel_equals_one_shot(self, monkeypatch, masses, counts, rows):
+        # 1003 replications: blocks of 7 rows leave a last block of 2
+        if rows:
+            monkeypatch.setattr(verify, "_SUP_GROUP", 8 * rows * max(counts))
+        gen, ref = (SeededRng(42).substream(0).generator() for _ in range(2))
+        sup = _batch_sup_conditioned(masses, counts, 1003, gen)
+        assert sup.tolist() == _batch_sup_one_shot(masses, counts, 1003, ref).tolist()
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_conditioned_kernel_equals_one_shot_at_full_blocks(self):
+        # 5000 replications are three blocks of 1365 rows of 24 draws and a
+        # shorter fourth one
+        masses, counts = (0.0, 0.5, 0.5), (0, 24, 26)
+        gen, ref = (SeededRng(7).substream(0).generator() for _ in range(2))
+        sup = _batch_sup_conditioned(masses, counts, 5000, gen)
+        assert sup.tolist() == _batch_sup_one_shot(masses, counts, 5000, ref).tolist()
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+
+def _initial_samples_one_shot(config, replications, seed):
+    """``_initial_samples`` before row blocks: every replication's draws,
+    scores, sorts and training at once."""
+    model = config.model
+    n0, n1 = config.n0, config.n1
+    gen = SeededRng(seed).substream(0).generator()
+    u = gen.random((replications, n0 + n1))
+    x0 = np.asarray(model.cdf0.inverse(u[:, :n0]), dtype=float)
+    x1 = np.asarray(model.cdf1.inverse(u[:, n0:]), dtype=float)
+    x0.sort(axis=1)
+    x1.sort(axis=1)
+    if config.theta is not None:
+        theta = np.full(replications, float(config.theta))
+        remp = np.array([
+            empirical_risk(config.theta, LabeledDataset(x0[r], x1[r]))
+            for r in range(replications)])
+    else:
+        theta, remp = train_thresholds(x0, x1)
+    a0 = np.asarray(model.cdf0.cdf(theta), dtype=float)
+    a1 = np.asarray(model.cdf1.cdf(theta), dtype=float)
+    rtrue = model.p1 * a1 + model.p0 * (1.0 - a0)
+    gaps = np.abs(rtrue - remp)
+    m0 = np.sum(x0 < theta[:, None], axis=1)
+    m1 = np.sum(x1 < theta[:, None], axis=1)
+    return theta, gaps, x0, x1, a0, a1, m0, m1
+
+
+class TestInitialSampleBlocks:
+    MODEL = MixtureModel(p1=0.4, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1.5))
+    PIECEWISE = MixtureModel(p1=0.5, cdf0=PiecewiseCdf([6, 8, 9.5, 11, 13], [0, .1, .4, .8, 1]),
+                             cdf1=PiecewiseCdf([7, 9, 10, 12, 14], [0, .2, .5, .9, 1]))
+
+    @pytest.mark.parametrize("config", [
+        SimulationConfig(model=MODEL, n0=30, n1=20, arrivals=0, seed=1),
+        SimulationConfig(model=MODEL, n0=30, n1=20, arrivals=0, seed=1, theta=9.6),
+        SimulationConfig(model=PIECEWISE, n0=25, n1=25, arrivals=0, seed=1),
+    ], ids=["trained", "fixed-theta", "piecewise"])
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_equal_one_shot(self, monkeypatch, config, rows):
+        # 103 replications: blocks of 7 rows leave a last block of 5
+        if rows:
+            monkeypatch.setattr(verify, "_SUP_GROUP", 8 * rows * (config.n0 + config.n1))
+        made = []
+        generator = SeededRng.generator
+
+        def spy(self):
+            made.append(generator(self))
+            return made[-1]
+
+        with patch.object(SeededRng, "generator", spy):
+            got = _initial_samples(config, 103, 5)
+        want = _initial_samples_one_shot(config, 103, 5)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tolist() == w.tolist()
+        ref = SeededRng(5).substream(0).generator()
+        ref.random((103, config.n0 + config.n1))
+        assert [gen.bit_generator.state for gen in made] == [ref.bit_generator.state]
+
+
+def _peak_mb(run) -> float:
+    """The ``tracemalloc`` peak of ``run()``, in MB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelMemory:
+    """The verify kernels at the acceptance budgets keep cache-sized
+    temporaries: one block of replications at a time, not all of them."""
+
+    def test_conditioned_cdf_deviation(self):
+        # about 118 MB with every replication's draws made at once
+        peak = _peak_mb(lambda: mc_cdf_deviation(fig1_config(), 0.2, 100_000, 0,
+                                                 condition=RegionPartition(n=50, m=24)))
+        assert peak < 16
+
+    def test_gen_gap(self):
+        # about 40 MB with every replication's draws made at once; the
+        # sorted samples that ``_initial_samples`` returns hold 8 MB of it
+        assert _peak_mb(lambda: mc_gen_gap(bench_config(), 10_000, 0)) < 16
+
+
 class TestUnconditionedPath:
     def test_runs_with_arrivals_and_reports_mean_bound(self):
         config = SimulationConfig(population=POP, n=40, theta=7.0, lb=6.0,
@@ -198,14 +348,6 @@ class TestGenGap:
 
 
 class TestCompareBounds:
-    def test_cdf_mode_single_point(self):
-        config = fig1_like()
-        table = compare_bounds(config, eta_grid=[0.2], replications=500, seed=5)
-        assert table.columns[0] == "eta"
-        (row,) = table.rows
-        assert 0.0 <= row[1] <= 1.0             # frequency
-        assert row[2] <= 1.0                     # ours, clamped
-
     def test_gen_mode_schema_and_monotone_benchmarks(self):
         model = MixtureModel(p1=0.5, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1))
         config = SimulationConfig(model=model, n0=50, n1=50, arrivals=0, seed=2)
@@ -216,28 +358,14 @@ class TestCompareBounds:
         hoeff = table.column("hoeffding")
         assert hoeff[0] > hoeff[1] > hoeff[2]
 
-    def test_cdf_mode_rows_equal_scalar_bound_calls(self):
-        config = fig1_like()
-        etas = [0.01, 0.05, 0.2, 0.35, 1.5]        # trivial, moderate and tiny bounds
-        table = compare_bounds(config, eta_grid=etas, replications=200, seed=5)
-        alpha = float(config.population.cdf(config.theta))
-        part = RegionPartition(n=config.n, m=int(round(config.n * alpha)), k=0)
-        want = [bound_two_region(part, MassSpec.theoretical(alpha), eta).probability
-                for eta in etas]
-        assert table.column("ours") == want
-        assert all(type(v) is float for v in table.column("ours"))
-        assert table.column("eta") == etas
-
     def test_mode_exclusivity(self):
-        with pytest.raises(ValueError):
+        # the only mode left takes a grid of arrival counts, and a labeled config
+        with pytest.raises(TypeError):
             compare_bounds(fig1_like(), replications=100, seed=0)
-
-    def test_cdf_mode_rejects_exploration_region(self):
-        # the CDF mode samples the two-region estimator only
-        from cfbounds.presets import fig2_config
-
-        with pytest.raises(ValueError, match="lb"):
-            compare_bounds(fig2_config(), eta_grid=[0.2], replications=200, seed=5)
+        with pytest.raises(TypeError):
+            compare_bounds(fig1_like(), eta_grid=[0.2], replications=100, seed=0)
+        with pytest.raises(ValueError, match="labeled"):
+            compare_bounds(fig1_like(), arrival_grid=[0], replications=100, seed=0)
 
     def test_gen_mode_rejects_exploration_region(self):
         # gen mode samples the two-region estimator too; it used to return

@@ -125,7 +125,7 @@ def time_kernel(arrivals: int, replications: int, repeats: int) -> dict:
     config = _with_grid(bench_config(), arrivals)
     theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
         config, replications, BENCH_SEED, DELTA)
-    censored = _row_sups(theta, x0, x1, config.model)[0]
+    censored = _row_sups(theta, x0, x1, config.model, config.n0, config.n1)[0]
     tasks, _ = _sup_tasks(SeededRng(BENCH_SEED).substream(2), 0, theta, x0, x1, a0, a1,
                           k0, k1, config.model, censored)
     taken, fell_back = path_counts(tasks)

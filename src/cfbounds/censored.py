@@ -214,27 +214,29 @@ def _bound_value(raw, trivial) -> BoundValue:
     return BoundValue(raw, trivial=trivial)
 
 
+def _censored_term(part: RegionPartition, mass: MassSpec, eta, lead: float):
+    frac = part.m / part.n
+    return _term(part.m, mass.alpha, frac, eta, abs(mass.alpha - frac), lead)
+
+
+def _disclosed_term(part: RegionPartition, mass: MassSpec, eta, lead: float):
+    frac = part.m / part.n
+    return _term(part.n - part.m + part.k, 1.0 - mass.alpha, (part.n - part.m) / part.n,
+                 eta, 2.0 * abs(mass.alpha - frac), lead)
+
+
 def censored_term(part: RegionPartition, mass: MassSpec, eta: float,
                   lead: float = 2.0) -> BoundValue:
     """Censored-region error term of the two-region bound (constant in k)."""
     _check_eta(eta)
-    frac = part.m / part.n
-    return _bound_value(*_term(part.m, mass.alpha, frac, eta, abs(mass.alpha - frac), lead))
+    return _bound_value(*_censored_term(part, mass, eta, lead))
 
 
 def disclosed_term(part: RegionPartition, mass: MassSpec, eta: float,
                    lead: float = 2.0) -> BoundValue:
     """Disclosed-region error term; decreases with the new-sample count k."""
     _check_eta(eta)
-    frac = part.m / part.n
-    return _bound_value(*_term(
-        part.n - part.m + part.k,
-        1.0 - mass.alpha,
-        (part.n - part.m) / part.n,
-        eta,
-        2.0 * abs(mass.alpha - frac),
-        lead,
-    ))
+    return _bound_value(*_disclosed_term(part, mass, eta, lead))
 
 
 def bound_two_region(part: RegionPartition, mass: MassSpec, eta: float,
@@ -247,9 +249,10 @@ def bound_two_region(part: RegionPartition, mass: MassSpec, eta: float,
     """
     if not part.two_region:
         raise ValueError("partition is not in two-region mode")
-    c = censored_term(part, mass, eta, lead)
-    d = disclosed_term(part, mass, eta, lead)
-    return _bound_value(c.raw + d.raw, c.trivial | d.trivial)
+    _check_eta(eta)
+    c, c_trivial = _censored_term(part, mass, eta, lead)
+    d, d_trivial = _disclosed_term(part, mass, eta, lead)
+    return _bound_value(c + d, c_trivial | d_trivial)
 
 
 def bound_two_region_apriori(part: RegionPartition, mass: MassSpec, eta: float,

@@ -144,17 +144,6 @@ class PiecewiseCdf:
     def knots(self) -> np.ndarray:
         return self.xs
 
-    @classmethod
-    def from_empirical(cls, ecdf: "EmpiricalCdf") -> "PiecewiseCdf":
-        """Exact table representation of a step empirical CDF."""
-        n = ecdf.n
-        xs = np.repeat(ecdf.sorted_scores, 2)
-        levels = np.arange(n + 1) / n
-        ps = np.empty(2 * n)
-        ps[0::2] = levels[:-1]
-        ps[1::2] = levels[1:]
-        return cls(xs, ps)
-
 
 @dataclass(frozen=True)
 class RestrictedCdf:

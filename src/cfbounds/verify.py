@@ -35,12 +35,7 @@ from .censored import (
     eta_for_confidence,
 )
 from .classic import dkw_eta, gc_eta, hoeffding_eta
-from .generalization import (
-    LabeledDataset,
-    empirical_risk,
-    gen_bound_from_counts,
-    train_thresholds,
-)
+from .generalization import gen_bound_from_counts, train_thresholds
 from .rng import SeededRng, splitmix64
 from .simulate import SimulationConfig, finalize, run_simulation
 from .stats import GaussianCdf, sup_deviation
@@ -321,15 +316,17 @@ def _initial_samples(config: SimulationConfig, replications: int, seed: int):
             theta[rows], remp[rows] = train_thresholds(x0[rows], x1[rows])
     if config.theta is not None:
         theta[:] = config.theta
-        remp[:] = [empirical_risk(config.theta, LabeledDataset(x0[r], x1[r]))
-                   for r in range(replications)]
+    m0 = np.sum(x0 < theta[:, None], axis=1)
+    m1 = np.sum(x1 < theta[:, None], axis=1)
+    if config.theta is not None:
+        # ``empirical_risk`` at theta, from the counts below it
+        n = n0 + n1
+        remp = (n1 / n) * (m1 / n1) + (n0 / n) * (1.0 - m0 / n0)
 
     a0 = np.asarray(model.cdf0.cdf(theta), dtype=float)
     a1 = np.asarray(model.cdf1.cdf(theta), dtype=float)
     rtrue = model.p1 * a1 + model.p0 * (1.0 - a0)
     gaps = np.abs(rtrue - remp)
-    m0 = np.sum(x0 < theta[:, None], axis=1)
-    m1 = np.sum(x1 < theta[:, None], axis=1)
     return theta, gaps, x0, x1, a0, a1, m0, m1
 
 
@@ -437,39 +434,6 @@ def _fhat_above(count, wc, nd):
     return wc + count / np.maximum(nd, 1) * (1.0 - wc)
 
 
-def _side_sup(samples, fhat, w0: float, w1: float, model, best: float) -> float:
-    """The largest |gap| at the points of one threshold side, or ``best`` if larger.
-
-    ``samples`` holds each label's sorted samples on the side, ``fhat(count,
-    label)`` is label l's estimator at that many of them, and w_l is label
-    l's share of the initial samples; ``_sup_risk_gap`` describes the rest.
-    """
-    shift = model.p0 - w0
-
-    def terms(z):
-        """Per label, the samples below ``z`` and at or below it (the left
-        and right limits, stacked), then p_l*F_l at ``z`` and w_l*fhat_l at
-        both limits."""
-        counts = [np.stack([np.searchsorted(s, z, "left"), np.searchsorted(s, z, "right")])
-                  for s in samples]
-        pf0 = model.p0 * np.asarray(model.cdf0.cdf(z), dtype=float)
-        pf1 = model.p1 * np.asarray(model.cdf1.cdf(z), dtype=float)
-        return counts, (pf0, pf1, w0 * fhat(counts[0], 0), w1 * fhat(counts[1], 1))
-
-    def exact(z):
-        return float(np.max(np.abs(_gap(terms(z)[1], shift))))
-
-    size = len(samples[0]) + len(samples[1])
-    if size <= 16 * _BLOCK:
-        return max(best, exact(np.concatenate(samples))) if size else best
-    cuts = np.sort(np.concatenate([s[::_BLOCK] for s in samples] + [s[-1:] for s in samples]))
-    counts, values = terms(cuts)
-    best = max(best, float(np.abs(_gap(values, shift)).max()))
-    hit = np.flatnonzero(_block_bounds(values, shift) + _MARGIN >= best)
-    z = np.concatenate([s[_ranges(c[1, hit], c[0, hit + 1])] for s, c in zip(samples, counts)])
-    return max(best, exact(z)) if len(z) else best
-
-
 def _sort_rows(parts, runs: int):
     """Sort the values of several pieces together within each run.
 
@@ -528,22 +492,25 @@ def _limit_counts(z: np.ndarray, flags, size: np.ndarray):
     return below, upto
 
 
-def _row_sups(theta: np.ndarray, x0: np.ndarray, x1: np.ndarray, model):
-    """Per replication without admitted draws, the largest |gap| at the
-    points below ``theta`` and at the points at or above it (0 if none).
+def _row_sups(theta: np.ndarray, x0: np.ndarray, x1: np.ndarray, model, n0: int, n1: int):
+    """Per replication, the largest |gap| at the points below ``theta`` and
+    at the points at or above it (0 if none).
 
-    Row r of ``x0`` and ``x1`` holds replication r's initial samples; every
-    point is evaluated, in one pass over all rows.
+    Row r of ``x0`` and ``x1`` holds replication r's points of each label:
+    its ``n0`` and ``n1`` initial samples, and after them the scores of its
+    admitted draws, if any, which lie at or above ``theta[r]``.  The initial
+    counts set the weights; every point is evaluated, in one pass over all
+    rows.
     """
-    R, n0 = x0.shape
-    n1 = x1.shape[1]
+    R, width0 = x0.shape
+    width = width0 + x1.shape[1]
     n = n0 + n1
     z = np.concatenate([x0, x1], axis=1)
     order = np.argsort(z, axis=1)
     z = np.take_along_axis(z, order, axis=1).ravel()
-    is0 = (order < n0).ravel()
-    run = np.repeat(np.arange(R), n)
-    below, upto = _limit_counts(z, (is0, ~is0), np.full(R, n))
+    is0 = (order < width0).ravel()
+    run = np.repeat(np.arange(R), width)
+    below, upto = _limit_counts(z, (is0, ~is0), np.full(R, width))
     lower = z < theta[run]
     fhat = []
     for label, size, x in ((0, n0, x0), (1, n1, x1)):
@@ -552,24 +519,13 @@ def _row_sups(theta: np.ndarray, x0: np.ndarray, x1: np.ndarray, model):
         counts = np.stack([below[label], upto[label]])
         # censored samples lie below every point at or above theta
         fhat.append(np.where(lower, counts / np.maximum(nc, 1) * wc,
-                             _fhat_above(counts - nc, wc, size - nc)))
+                             _fhat_above(counts - nc, wc, x.shape[1] - nc)))
     terms = (model.p0 * np.asarray(model.cdf0.cdf(z), dtype=float),
              model.p1 * np.asarray(model.cdf1.cdf(z), dtype=float),
              n0 / n * fhat[0], n1 / n * fhat[1])
     point = np.abs(_gap(terms, model.p0 - n0 / n)).max(axis=0)
-    return (np.where(lower, point, 0.0).reshape(R, n).max(axis=1),
-            np.where(lower, 0.0, point).reshape(R, n).max(axis=1))
-
-
-def _censored_sup(theta: float, x0: np.ndarray, x1: np.ndarray, model) -> float:
-    """``_sup_risk_gap``'s supremum over the points below ``theta`` (``_row_sups``).
-
-    It reads only the initial samples, so a grid over the number of
-    arrivals can compute it once per replication and pass it on.
-    """
-    rows = _row_sups(np.array([theta], dtype=float), np.sort(x0)[None], np.sort(x1)[None],
-                     model)
-    return float(rows[0][0])
+    return (np.where(lower, point, 0.0).reshape(R, width).max(axis=1),
+            np.where(lower, 0.0, point).reshape(R, width).max(axis=1))
 
 
 def _window(cdf: GaussianCdf) -> float:
@@ -712,20 +668,6 @@ def _probability_sups(theta, x0, x1, m0, m1, levels, model, best):
     return best, ok
 
 
-def _scored_sup(theta: float, samples, draws, wc, w0: float, w1: float, model,
-                best: float) -> float:
-    """``_side_sup`` over the disclosed side with every draw's score computed.
-
-    ``samples[l]`` holds label l's sorted disclosed initial samples,
-    ``draws[l]`` its draws' levels and ``wc[l]`` its share below ``theta``.
-    """
-    cdfs = (model.cdf0, model.cdf1)
-    disc = [np.sort(np.concatenate([x, np.maximum(cdf.inverse(v), theta)])) if len(v) else x
-            for x, v, cdf in zip(samples, draws, cdfs)]
-    return _side_sup(disc, lambda count, label: _fhat_above(count, wc[label], len(disc[label])),
-                     w0, w1, model, best)
-
-
 def _sup_chunk(gen: np.random.Generator, theta, x0, x1, a0, a1, k0, k1, model,
                censored) -> list[float]:
     """``_sup_risk_gap`` of consecutive replications, drawing from ``gen``.
@@ -737,23 +679,26 @@ def _sup_chunk(gen: np.random.Generator, theta, x0, x1, a0, a1, k0, k1, model,
     draws, their levels a_l + (1 - a_l)*u, the sort and window check of
     ``_levels`` and the search of each label's levels
     (``_levels_below``).  The rest runs in array passes over many
-    replications at once: both sides of the replications without draws
-    (``_row_sups``), and for the replications that try the probability-space
-    path (``_sup_risk_gap``) the scores and CDF values at the cuts, the
-    sample counts, the gap, the block pruning, the scores and CDF values in
-    the evaluated blocks and each replication's maximum
+    replications at once: the disclosed side of the replications without
+    draws (``_row_sups``), and for the replications that try the
+    probability-space path (``_sup_risk_gap``) the scores and CDF values at
+    the cuts, the sample counts, the gap, the block pruning, the scores and
+    CDF values in the evaluated blocks and each replication's maximum
     (``_probability_sups``).  Those replications are evaluated in groups of
     at most ``_SUP_GROUP`` draws, whose levels fit in a core's cache while
     they are searched; the values do not depend on the grouping.
 
-    A replication leaves the probability-space path for ``_scored_sup``,
-    which scores every draw from the same levels, when two of its levels of
-    a label lie within the window of each other, when a label's lowest
-    draw's score is not above ``theta`` or a cut draw's score is not finite,
-    when a cut's CDF value of a label lies within half a window of a level
-    of that label while the cut is none of its draws, or when a draw of an
-    evaluated block does not lie strictly between the block's cuts.  Its
-    value and the generator state are the same on either path.
+    Every other replication with draws is evaluated at every point by
+    ``_row_sups``, on one row of its initial samples and its draws' scores
+    max(inverse_l(v), theta) from the same levels.  That holds for a
+    replication that does not try the probability-space path, and for one
+    that leaves it: when two of its levels of a label lie within the window
+    of each other, when a label's lowest draw's score is not above
+    ``theta`` or a cut draw's score is not finite, when a cut's CDF value
+    of a label lies within half a window of a level of that label while the
+    cut is none of its draws, or when a draw of an evaluated block does not
+    lie strictly between the block's cuts.  Its value and the generator
+    state are the same on either path.
     """
     theta = np.asarray(theta, dtype=float)
     n0, n1 = x0.shape[1], x1.shape[1]
@@ -761,7 +706,8 @@ def _sup_chunk(gen: np.random.Generator, theta, x0, x1, a0, a1, k0, k1, model,
     sups = np.array(censored, dtype=float)
     free = k0 + k1 == 0
     if free.any():
-        sups[free] = np.maximum(sups[free], _row_sups(theta[free], x0[free], x1[free], model)[1])
+        sups[free] = np.maximum(sups[free], _row_sups(theta[free], x0[free], x1[free], model,
+                                                      n0, n1)[1])
     cdfs = (model.cdf0, model.cdf1)
     tries = (type(cdfs[0]) is GaussianCdf and type(cdfs[1]) is GaussianCdf) & (
         n0 - m0 + k0 + n1 - m1 + k1 > 16 * _BLOCK)
@@ -796,9 +742,10 @@ def _sup_chunk(gen: np.random.Generator, theta, x0, x1, a0, a1, k0, k1, model,
             scored.append((r, draws))
     evaluate()
     for r, draws in scored:
-        sups[r] = _scored_sup(theta[r], (x0[r, m0[r]:], x1[r, m1[r]:]), draws,
-                              (m0[r] / n0, m1[r] / n1), n0 / (n0 + n1), n1 / (n0 + n1), model,
-                              sups[r])
+        # the initial samples, then the draws' scores clamped to at least theta
+        rows = [np.concatenate([x[r], np.maximum(cdf.inverse(v), theta[r])])[None]
+                for x, v, cdf in zip((x0, x1), draws, cdfs)]
+        sups[r] = max(sups[r], _row_sups(theta[r:r + 1], *rows, model, n0, n1)[1][0])
     return sups.tolist()
 
 
@@ -819,31 +766,32 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
 
     The supremum is attained at a left or right limit at a pooled sample.
     Points below ``theta`` are evaluated against the censored samples and
-    the others against the disclosed ones.  Each label's samples on a side
-    are sorted, and its left and right limits at a point are counts read
-    with ``searchsorted``.  The censored side reads only the initial
-    samples, so its supremum ``censored``, which is
-    ``_censored_sup(theta, x0, x1, model)``, is passed in and serves as the
-    starting best value of the disclosed side.
+    the others against the disclosed ones.  The censored side reads only
+    the initial samples, so its supremum ``censored``, which is
+    ``_row_sups(theta, x0, x1, model, len(x0), len(x1))[0]`` on one row, is
+    passed in and serves as the starting best value of the disclosed side.
+    The disclosed side is evaluated at every point (``_row_sups``), unless
+    the next paragraphs' probability-space path serves it.
 
-    A side with more than ``16 * _BLOCK`` samples is not evaluated at
-    every point.  Every ``_BLOCK``-th sample of each label, and each
-    label's last one, cut it into blocks of fewer than ``2 * _BLOCK``
-    points strictly between two cuts, and the gap is evaluated exactly at
-    the cuts.  The signed gap is p1*F1 - w1*fhat1 - (p0*F0 - w0*fhat0) +
-    const, and F0, F1, fhat0 and fhat1 are all nondecreasing, so inside a
-    block it lies between bounds built from F_l at the two cuts and fhat_l
-    at the right limit of the lower cut and the left limit of the upper
-    one.  Only a block whose bound plus ``_MARGIN`` reaches the best exact
-    value (the censored side's included) is evaluated point by point.
-    ``_MARGIN`` is far above the rounding of these terms and any ulp-level
-    non-monotonicity of a computed CDF, so every skipped point's computed
-    value lies below that best value.  The result is therefore the maximum
-    of the same floating-point values as an evaluation at every point,
-    whichever points cut the blocks, and the draws are the same.
+    When both label CDFs are exactly ``GaussianCdf`` and the disclosed side
+    has admitted draws and more than ``16 * _BLOCK`` points, it is not
+    evaluated at every point.  Every ``_BLOCK``-th draw of each label, each
+    label's last one and every disclosed initial sample cut it into blocks
+    of fewer than ``2 * _BLOCK`` points strictly between two cuts, and the
+    gap is evaluated exactly at the cuts.  The signed gap is p1*F1 -
+    w1*fhat1 - (p0*F0 - w0*fhat0) + const, and F0, F1, fhat0 and fhat1 are
+    all nondecreasing, so inside a block it lies between bounds built from
+    F_l at the two cuts and fhat_l at the right limit of the lower cut and
+    the left limit of the upper one.  Only a block whose bound plus
+    ``_MARGIN`` reaches the best exact value (the censored side's included)
+    is evaluated point by point.  ``_MARGIN`` is far above the rounding of
+    these terms and any ulp-level non-monotonicity of a computed CDF, so
+    every skipped point's computed value lies below that best value.  The
+    result is therefore the maximum of the same floating-point values as an
+    evaluation at every point, whichever points cut the blocks, and the
+    draws are the same.
 
-    When both label CDFs are exactly ``GaussianCdf`` and such a side has
-    admitted draws, the draws stay in probability space
+    The draws stay in probability space on this path
     (``_probability_sups``): each label's levels are sorted, and a score is
     computed only at a cut or in an evaluated block, not at every draw.  At
     a cut that is none of label l's draws, label l's draws below it are
@@ -856,12 +804,9 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
     sweeps it).  Two levels of a label within W of each other, or the CDF
     value at a cut within W/2 of a level of a label the cut does not belong
     to, send the replication back to computing every draw's score and
-    ``_side_sup`` (``_scored_sup``), from the same levels, so the value and
-    the generator state do not depend on the path.  On the ``bench`` grid
-    about 1 replication in 1500 does so.  Other CDFs (``PiecewiseCdf``,
-    subclasses of ``GaussianCdf``) and sides of at most ``16 * _BLOCK``
-    samples with draws always take that path; sides without draws are
-    evaluated at every point (``_row_sups``).
+    evaluating every point (``_row_sups``), from the same levels, so the
+    value and the generator state do not depend on the path.  On the
+    ``bench`` grid about 1 replication in 1500 does so.
 
     This is the one-replication case of ``_sup_chunk``, which evaluates
     many replications at once.
@@ -979,7 +924,7 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
     # in chunks, which keeps the calling process's peak memory low
     censored = np.concatenate([
         _row_sups(*(a[lo:lo + _SUP_CHUNK] for a in (initial[0], initial[2], initial[3])),
-                  model)[0] for lo in range(0, replications, _SUP_CHUNK)])
+                  model, config.n0, config.n1)[0] for lo in range(0, replications, _SUP_CHUNK)])
     chunks = len(grid) * -(-replications // _SUP_CHUNK)
     # forked workers start with every module imported; fork is unsafe on
     # macOS and missing on Windows, which spawn

@@ -1,0 +1,26 @@
+"""Smoke test of ``scripts/bench_kernel.py``, which imports private verify names."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_kernel.py"
+
+
+@pytest.fixture(scope="module")
+def bench_kernel():
+    spec = importlib.util.spec_from_file_location("bench_kernel", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# 500 arrivals leave a disclosed side of at most 16 * _BLOCK points, which is
+# evaluated at every point; 5000 take the probability-space path
+@pytest.mark.parametrize("arrivals", [500, 5000])
+def test_time_kernel_runs(bench_kernel, arrivals):
+    out = bench_kernel.time_kernel(arrivals, 3, 1)
+    assert out["arrivals"] == arrivals and out["replications"] == 3 and out["repeats"] == 1
+    assert out["median_us"] > 0 and out["mean_pooled_points"] > 0
+    assert 0 <= out["fallback_replications"] <= out["probability_path_replications"] <= 3
+    assert (out["probability_path_replications"] > 0) == (arrivals == 5000)

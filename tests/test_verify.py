@@ -27,9 +27,9 @@ from cfbounds.stats import GaussianCdf, MixtureModel, PiecewiseCdf
 from cfbounds.verify import (
     CoverageReport,
     _batch_sup_conditioned,
-    _censored_sup,
     _gen_gap_samples,
     _initial_samples,
+    _row_sups,
     _sup_chunk,
     _sup_risk_gap,
     _sup_task,
@@ -45,6 +45,12 @@ from cfbounds.verify import (
 )
 
 POP = GaussianCdf(7.0, 1.0)
+
+
+def _censored_sup(theta, x0, x1, model):
+    """One replication's supremum over the points below ``theta`` (``_row_sups``)."""
+    return float(_row_sups(np.array([theta], dtype=float), np.asarray(x0)[None],
+                           np.asarray(x1)[None], model, len(x0), len(x1))[0][0])
 
 
 def fig1_like(arrivals=0, seed=1):
@@ -236,7 +242,8 @@ class TestInitialSampleBlocks:
         SimulationConfig(model=MODEL, n0=30, n1=20, arrivals=0, seed=1),
         SimulationConfig(model=MODEL, n0=30, n1=20, arrivals=0, seed=1, theta=9.6),
         SimulationConfig(model=PIECEWISE, n0=25, n1=25, arrivals=0, seed=1),
-    ], ids=["trained", "fixed-theta", "piecewise"])
+        SimulationConfig(model=PIECEWISE, n0=7, n1=43, arrivals=0, seed=1, theta=9.7),
+    ], ids=["trained", "fixed-theta", "piecewise", "piecewise-fixed-theta"])
     @pytest.mark.parametrize("rows", [None, 1, 7])
     def test_equal_one_shot(self, monkeypatch, config, rows):
         # 103 replications: blocks of 7 rows leave a last block of 5
@@ -638,9 +645,6 @@ class TestSupRiskGapOracle:
         assert x0[199] not in cuts
         want = self._check(-np.inf, x0, x1, 0, 0, model)
         assert want == pytest.approx(0.5 * 40 / 600)
-        # a side without draws is evaluated at every point (``_row_sups``);
-        # the pruned evaluation of the same side finds the same value
-        assert self._pruned(x0, x1, model) == want
 
     def test_supremum_just_above_a_cut(self):
         # with a nearly flat CDF, the gap at the left limit of label 1's
@@ -656,15 +660,7 @@ class TestSupRiskGapOracle:
         assert zs[np.argmax(np.maximum(*gaps))] == x1[188]
         cuts = np.concatenate([s[::verify._BLOCK] for s in disc] + [s[-1:] for s in disc])
         assert x0[192] in cuts and x1[188] not in cuts
-        assert self._pruned(x0, x1, model) == self._check(-np.inf, x0, x1, 0, 0, model)
-
-    @staticmethod
-    def _pruned(x0, x1, model):
-        """``_side_sup`` of the samples as one disclosed side below no threshold."""
-        n = len(x0) + len(x1)
-        samples, empty = (np.sort(x0), np.sort(x1)), (np.empty(0), np.empty(0))
-        return verify._scored_sup(-np.inf, samples, empty, (0.0, 0.0), len(x0) / n, len(x1) / n,
-                                  model, 0.0)
+        self._check(-np.inf, x0, x1, 0, 0, model)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_pool_sizes_at_the_pruning_cutoff(self, extra):

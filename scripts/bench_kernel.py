@@ -26,8 +26,9 @@ call over 100 000 replications at the fig1 and fig2 partitions that
 gives the time of one call of each censored bound, and of
 ``eta_for_confidence`` over the two-region and the three-region bound,
 with scalar inputs and with 1000-element arrays (of eta for a bound, of
-arrival counts for an inversion).  A peak is measured in an untimed call
-of its own.
+arrival counts for an inversion), and of the inversions over 10 000
+arrival counts too; with each inversion, the bound calls it makes.  A
+peak is measured in an untimed call of its own.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--replications R] [--repeats N]
 """
@@ -65,6 +66,7 @@ CONDITIONED_REPS = 100_000
 GEN_GAP_REPS = 10_000       # the replications of ``cfbounds verify gen`` at the acceptance budget
 GEN_GAP_ARRIVALS = 50_000
 ARRAY_SIZE = 1000           # elements of an array call of a bound or inversion
+LARGE_ARRAY_SIZE = 10_000   # elements of an inversion in ``cfbounds verify gen`` at 1e4 replications
 BOUND_ARRIVALS = 200        # the fig4 preset's arrivals, for the bounds' partitions
 # the partitions ``cfbounds verify cdf --preset fig1/fig2`` conditions on: (n, m, l)
 CONDITIONS = {"fig1": (fig1_config, (50, 24, 0)), "fig2": (fig2_config, (50, 27, 7))}
@@ -186,8 +188,22 @@ def time_arrivals(repeats: int) -> dict:
     return out
 
 
+def bound_calls(bound) -> int:
+    """The bound calls of one ``eta_for_confidence`` inversion of ``bound``."""
+    calls = 0
+
+    def counted(eta):
+        nonlocal calls
+        calls += 1
+        return bound(eta)
+
+    eta_for_confidence(counted, DELTA)
+    return calls
+
+
 def time_bounds(repeats: int) -> dict:
-    """Time of one scalar and one 1000-element call of each bound and inversion.
+    """Time of one scalar and one 1000-element call of each bound and
+    inversion, of a 10 000-element inversion, and each inversion's bound calls.
 
     The partitions are fig1's and fig2's conditioned ones after
     ``BOUND_ARRIVALS`` arrivals (fig2's split 1:3 between its exploration
@@ -208,6 +224,7 @@ def time_bounds(repeats: int) -> dict:
                 "three_region": lambda eta: bound_three_region(three, three_mass, spec, eta)}
 
     scalar, array = bounds(BOUND_ARRIVALS), bounds(np.arange(ARRAY_SIZE))
+    large = bounds(np.arange(LARGE_ARRAY_SIZE))
     apriori = RegionPartition(n=50, m=24)
     calls = {f"bound_{name}": bound for name, bound in scalar.items()}
     calls["bound_two_region_apriori"] = lambda eta: bound_two_region_apriori(
@@ -220,7 +237,12 @@ def time_bounds(repeats: int) -> dict:
     for name in scalar:
         out[f"eta_for_confidence_{name}"] = {
             "scalar": timed(lambda: eta_for_confidence(scalar[name], DELTA), repeats, 5),
-            "array": timed(lambda: eta_for_confidence(array[name], DELTA), repeats, 5)}
+            "array": timed(lambda: eta_for_confidence(array[name], DELTA), repeats, 5),
+            f"array_{LARGE_ARRAY_SIZE}": timed(lambda: eta_for_confidence(large[name], DELTA),
+                                               repeats),
+            "bound_calls": {"scalar": bound_calls(scalar[name]),
+                            "array": bound_calls(array[name]),
+                            f"array_{LARGE_ARRAY_SIZE}": bound_calls(large[name])}}
     return out
 
 

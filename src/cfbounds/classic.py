@@ -3,7 +3,8 @@
 All bounds return a :class:`BoundValue` holding the raw formula output
 (which may exceed 1) alongside the clamped probability.  Exponentials are
 evaluated in log space so that polynomial prefactors like (n+1)^d cannot
-overflow before the exponential damping is applied.
+overflow before the exponential damping is applied.  The bounds are
+elementwise in eta: an array eta gives arrays, a scalar one Python floats.
 """
 from __future__ import annotations
 
@@ -55,14 +56,16 @@ class BoundValue:
         return p if p.ndim else float(p)
 
 
-def _from_log(log_raw: float, approximate: bool = False) -> BoundValue:
-    return BoundValue(math.exp(min(log_raw, _LOG_MAX)), approximate=approximate)
+def _from_log(log_raw, approximate: bool = False) -> BoundValue:
+    """exp(log_raw), elementwise; a 0-d result becomes a Python float."""
+    raw = np.exp(np.minimum(log_raw, _LOG_MAX))
+    return BoundValue(float(raw) if raw.ndim == 0 else raw, approximate=approximate)
 
 
-def _check_n_eta(n: int, eta: float) -> None:
+def _check_n_eta(n: int, eta) -> None:
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    if not (eta > 0 and math.isfinite(eta)):
+    if not np.all(np.isfinite(eta) & np.greater(eta, 0)):
         raise ValueError(f"eta must be positive and finite, got {eta}")
 
 

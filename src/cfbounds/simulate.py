@@ -132,7 +132,8 @@ class SimulationConfig:
         """The true region masses and, with ``lb``, the region spec.
 
         Computed once per config: an ``eta_for_confidence`` inversion
-        evaluates the bound some 30 times.  The value lives in the
+        evaluates the bound 5 times for a scalar partition, and some 30
+        times for an array of 256 or more.  The value lives in the
         instance's ``__dict__``, which ``dataclasses.replace`` does not copy.
         """
         alpha = float(self.population.cdf(self.theta))

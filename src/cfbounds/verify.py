@@ -511,21 +511,27 @@ def _row_sups(theta: np.ndarray, x0: np.ndarray, x1: np.ndarray, model, n0: int,
     is0 = (order < width0).ravel()
     run = np.repeat(np.arange(R), width)
     below, upto = _limit_counts(z, (is0, ~is0), np.full(R, width))
-    lower = z < theta[run]
+    lower = (z < theta[run]).reshape(R, width)
+    # a row's points below theta come first: the censored branch is evaluated
+    # up to the last row's count of them, _fhat_above from the first row's on
+    cut = np.count_nonzero(lower, axis=1)
+    first, last = cut.min(initial=width), cut.max(initial=0)
     fhat = []
     for label, size, x in ((0, n0, x0), (1, n1, x1)):
-        nc = np.sum(x < theta[:, None], axis=1)[run]
+        nc = np.sum(x < theta[:, None], axis=1)[:, None]
         wc = nc / size
-        counts = np.stack([below[label], upto[label]])
+        counts = np.stack([below[label], upto[label]]).reshape(2, R, width)
+        f = np.empty(counts.shape)
         # censored samples lie below every point at or above theta
-        fhat.append(np.where(lower, counts / np.maximum(nc, 1) * wc,
-                             _fhat_above(counts - nc, wc, x.shape[1] - nc)))
+        f[..., first:] = _fhat_above(counts[..., first:] - nc, wc, x.shape[1] - nc)
+        f[..., :last] = np.where(lower[:, :last], counts[..., :last] / np.maximum(nc, 1) * wc,
+                                 f[..., :last])
+        fhat.append(f.reshape(2, -1))
     terms = (model.p0 * np.asarray(model.cdf0.cdf(z), dtype=float),
              model.p1 * np.asarray(model.cdf1.cdf(z), dtype=float),
              n0 / n * fhat[0], n1 / n * fhat[1])
-    point = np.abs(_gap(terms, model.p0 - n0 / n)).max(axis=0)
-    return (np.where(lower, point, 0.0).reshape(R, width).max(axis=1),
-            np.where(lower, 0.0, point).reshape(R, width).max(axis=1))
+    point = np.abs(_gap(terms, model.p0 - n0 / n)).max(axis=0).reshape(R, width)
+    return np.where(lower, point, 0.0).max(axis=1), np.where(lower, 0.0, point).max(axis=1)
 
 
 def _window(cdf: GaussianCdf) -> float:

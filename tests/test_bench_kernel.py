@@ -24,3 +24,12 @@ def test_time_kernel_runs(bench_kernel, arrivals):
     assert out["median_us"] > 0 and out["mean_pooled_points"] > 0
     assert 0 <= out["fallback_replications"] <= out["probability_path_replications"] <= 3
     assert (out["probability_path_replications"] > 0) == (arrivals == 5000)
+
+
+def test_time_bounds_counts_bound_calls(bench_kernel):
+    out = bench_kernel.time_bounds(1)
+    for name in ("two_region", "three_region"):
+        calls = out[f"eta_for_confidence_{name}"]["bound_calls"]
+        # a scalar inversion settles 8 levels per call; arrays of 256 or more
+        # elements one, as serial bisection: the reachability call and 30 steps
+        assert calls == {"scalar": 5, "array": 31, "array_10000": 31}

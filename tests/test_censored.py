@@ -22,7 +22,7 @@ from cfbounds.censored import (
     partition,
     region_weights,
 )
-from cfbounds.classic import dkw_bound, dkw_eta
+from cfbounds.classic import BoundValue, dkw_bound, dkw_eta
 from cfbounds.rng import SeededRng
 from cfbounds.stats import GaussianCdf
 
@@ -276,6 +276,24 @@ class TestThreeRegionBound:
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+def serial_eta(bound, delta, hi=1.0, tol=1e-9):
+    """Serial bisection, one bound call per midpoint: the reference that
+    ``eta_for_confidence`` must equal for any elementwise bound."""
+    reachable = np.asarray(bound(hi).probability <= delta)
+    if reachable.ndim == 0 and not reachable:
+        return None
+    lo = np.zeros(reachable.shape)[()]
+    hi = np.full(reachable.shape, float(hi))[()]
+    while np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        ok = bound(mid).probability <= delta
+        hi = np.where(ok, mid, hi)[()]
+        lo = np.where(ok, lo, mid)[()]
+    return float(hi) if reachable.ndim == 0 else np.where(reachable, hi, np.nan)
+
+
 class TestEtaForConfidence:
     def test_matches_closed_form_inverse(self):
         got = eta_for_confidence(lambda e: dkw_bound(50, e), 0.05)
@@ -312,6 +330,56 @@ class TestEtaForConfidence:
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             eta_for_confidence(lambda e: dkw_bound(10, e), 0.0)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9, float("inf"), 1e-320])
+    def test_tol_validation(self, tol):
+        # NaN used to return hi at once, and 0 never returned; below the
+        # smallest normal float a round's deepest midpoint could round to 0
+        with pytest.raises(ValueError, match="tol"):
+            eta_for_confidence(lambda e: dkw_bound(10, e), 0.05, tol=tol)
+
+    @pytest.mark.parametrize("bound", [
+        lambda e: dkw_bound(50, e),
+        # attained everywhere: the bracket closes in on 0
+        lambda e: BoundValue(np.zeros(np.shape(e))[()]),
+    ], ids=["dkw", "always-met"])
+    def test_tiny_tol_terminates(self, bound):
+        # the bracket sticks one ulp wide long before it is 1e-300 wide,
+        # except next to 0; no float lies strictly inside it then
+        got = eta_for_confidence(bound, 0.05, tol=1e-300)
+        assert got == serial_eta(bound, 0.05, tol=1e-300)
+        assert 0.0 < got < 1.0
+
+    def test_scalar_inversion_makes_at_most_six_bound_calls(self):
+        part, mass = RegionPartition(n=50, m=24, k=200), MassSpec.theoretical(0.5)
+        calls = []
+
+        def bound(e):
+            calls.append(np.shape(e))
+            return bound_two_region(part, mass, e)
+
+        got = eta_for_confidence(bound, 0.015)
+        assert len(calls) <= 6
+        assert got == serial_eta(lambda e: bound_two_region(part, mass, e), 0.015)
+        # the reachability call at hi, then 255 midpoints per round
+        assert calls[0] == () and set(calls[1:]) == {(255,)}
+
+    def test_large_array_settles_one_level_per_call(self):
+        # 256 elements or more: one midpoint per element and call, passed
+        # without a leading axis, as serial bisection makes them
+        part = RegionPartition(n=50, m=24, k=np.arange(300))
+        mass = MassSpec.theoretical(0.5)
+        calls = []
+
+        def bound(e):
+            calls.append(np.shape(e))
+            return bound_two_region(part, mass, e)
+
+        eta_for_confidence(bound, 0.015)
+        serial_calls = []
+        serial_eta(lambda e: serial_calls.append(1) or bound_two_region(part, mass, e), 0.015)
+        assert len(calls) == len(serial_calls)
+        assert calls[0] == () and set(calls[1:]) == {(300,)}
 
 
 class TestProp1:
@@ -518,3 +586,38 @@ def test_eta_inverse_attains_delta(c, delta):
         assert bound(c, eta).probability <= delta
         if eta > tol:
             assert bound(c, eta - tol).probability > delta
+
+
+@st.composite
+def inversion_cases(draw):
+    """An elementwise bound of shape () or of 1 to 300 elements, monotone or
+    not, reachable or not per element, and an inversion's delta, hi and tol."""
+    size = draw(st.sampled_from([None, 1, 2, 7, 255, 256, 300]) | st.integers(1, 300))
+    shape = () if size is None else (size,)
+    kind = draw(st.sampled_from(["wavy", "two", "three"]))
+    if kind == "wavy":
+        # not monotone in eta, and above any delta at hi for some elements
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        scale, freq, phase = (rng.uniform(0.0, 2.0, shape), rng.uniform(0.0, 50.0, shape),
+                              rng.uniform(0.0, 6.3, shape))
+        bound = lambda e: BoundValue(scale * (1.0 + np.sin(freq * e + phase)) / 2.0)
+    else:
+        configs = draw(st.lists(region_configs(), min_size=1, max_size=4))
+        c = {key: (v[0] if size is None else np.resize(v, size))
+             for key, v in _stacked(configs).items()}
+        bound = lambda e: (_two if kind == "two" else _three)(c, e)
+    tiny = np.finfo(float).tiny
+    return (bound, draw(st.floats(1e-6, 1.0 - 1e-6)), draw(st.floats(1e-3, 10.0)),
+            draw(st.sampled_from([1e-9, 1e-300, tiny]) | st.floats(tiny, 1.0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(inversion_cases())
+def test_eta_inverse_equals_serial_bisection(case):
+    bound, delta, hi, tol = case
+    got = eta_for_confidence(bound, delta, hi=hi, tol=tol)
+    want = serial_eta(bound, delta, hi=hi, tol=tol)
+    if want is None or np.ndim(want) == 0:
+        assert got == want and type(got) is type(want)
+    else:
+        assert np.array_equal(got, want, equal_nan=True)

@@ -2,6 +2,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,3 +175,25 @@ def test_prefactor_bounds_nonincreasing_in_n_as_probabilities(n_a, n_b, eta):
     lo, hi = sorted((n_a, n_b))
     assert gc_bound(hi, eta).probability <= gc_bound(lo, eta).probability + 1e-15
     assert vc_bound(hi, eta, 2).probability <= vc_bound(lo, eta, 2).probability + 1e-15
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 10**6), st.integers(1, 4),
+       st.lists(st.floats(1e-6, 30.0) | st.sampled_from([1e-6, 0.015, 1.0]),
+                min_size=1, max_size=20))
+def test_array_eta_equals_scalar_calls(n, d, etas):
+    # one np.exp serves scalar and array eta, so the values agree to the bit
+    for fn in (dkw_bound, gc_bound, hoeffding_bound, lambda n, e: vc_bound(n, e, d),
+               lambda n, e: multivariate_dkw_bound(n, e, d)):
+        got = fn(n, np.array(etas))
+        want = [fn(n, eta) for eta in etas]
+        assert all(type(w.raw) is float and type(w.probability) is float for w in want)
+        assert got.raw.tolist() == [w.raw for w in want]
+        assert got.probability.tolist() == [w.probability for w in want]
+        assert got.approximate == want[0].approximate
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, float("nan"), float("inf")])
+def test_array_eta_with_one_bad_element_rejected(bad):
+    with pytest.raises(ValueError, match="eta"):
+        dkw_bound(10, np.array([0.1, bad, 0.2]))

@@ -368,6 +368,53 @@ def test_sup_deviation_matches_grid_on_random_pairs(n, seed):
     assert got == pytest.approx(want, abs=1e-12)
 
 
+@st.composite
+def deviation_cases(draw):
+    """A theory CDF (Gaussian, or a table with jumps and flat stretches on a
+    grid of 0.5), an empirical CDF on [0, 10] whose samples may tie with each
+    other and with the knots, and a region: the line, (-inf, hi] with hi
+    anywhere, or [lo, inf) with lo off every grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        theory = GaussianCdf(draw(st.floats(2.0, 8.0)), draw(st.floats(0.3, 3.0)))
+    else:
+        knots = np.sort(rng.choice(np.arange(0.0, 10.5, 0.5), draw(st.integers(2, 8))))
+        ps = np.sort(np.round(rng.uniform(0.0, 1.0, len(knots)) * 4) / 4)
+        ps[0], ps[-1] = 0.0, 1.0
+        theory = PiecewiseCdf(knots, ps)
+    count = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        scores = rng.choice(np.arange(0.0, 10.25, 0.25), count)
+    else:
+        scores = rng.uniform(0.0, 10.0, count)
+    region = draw(st.sampled_from([
+        (-np.inf, np.inf),
+        (-np.inf, float(rng.choice([rng.uniform(0.0, 10.0), *scores]))),
+        (float(rng.uniform(0.0, 10.0)), np.inf)]))
+    return theory, make_empirical_cdf(scores), region
+
+
+@settings(max_examples=60, deadline=None)
+@given(deviation_cases())
+def test_sup_deviation_matches_dense_grid_oracle(case):
+    theory, empirical, (lo, hi) = case
+    got = sup_deviation(theory, empirical, region=(lo, hi))
+
+    def deviation(x):
+        x = x[(x >= lo) & (x <= hi)]
+        return np.max(np.abs(np.asarray(theory.cdf(x)) - np.asarray(empirical.cdf(x))))
+
+    grid = np.linspace(max(lo, -1.0), min(hi, 11.0), 100_001)
+    # no grid point lies above the supremum
+    assert got >= deviation(grid) - 1e-12
+    # the grid plus every jump and the float just below it, where both
+    # curves take their left limits to within a slope of 2 times an ulp
+    jumps = np.concatenate([empirical.sorted_scores, np.asarray(theory.knots(), dtype=float),
+                            [v for v in (hi,) if np.isfinite(v)]])
+    dense = np.concatenate([grid, jumps, np.nextafter(jumps, -np.inf)])
+    assert got == pytest.approx(deviation(dense), abs=1e-12)
+
+
 class TestPiecewiseKnotPrecision:
     def test_near_knot_points_interpolate(self):
         # evaluation 1e-7 away from a jump knot must NOT snap to it

@@ -779,6 +779,53 @@ def test_sup_chunk_equals_the_oracle(chunk):
     assert gen_new.bit_generator.state == gen_old.bit_generator.state == end.bit_generator.state
 
 
+def _row_sups_both_branches(theta, x0, x1, model, n0, n1):
+    """``_row_sups`` as it evaluated both estimator branches at every point:
+    the reference for evaluating each point's branch once."""
+    R, width0 = x0.shape
+    width = width0 + x1.shape[1]
+    n = n0 + n1
+    z = np.concatenate([x0, x1], axis=1)
+    order = np.argsort(z, axis=1)
+    z = np.take_along_axis(z, order, axis=1).ravel()
+    is0 = (order < width0).ravel()
+    run = np.repeat(np.arange(R), width)
+    below, upto = verify._limit_counts(z, (is0, ~is0), np.full(R, width))
+    lower = z < theta[run]
+    fhat = []
+    for label, size, x in ((0, n0, x0), (1, n1, x1)):
+        nc = np.sum(x < theta[:, None], axis=1)[run]
+        wc = nc / size
+        counts = np.stack([below[label], upto[label]])
+        fhat.append(np.where(lower, counts / np.maximum(nc, 1) * wc,
+                             verify._fhat_above(counts - nc, wc, x.shape[1] - nc)))
+    terms = (model.p0 * np.asarray(model.cdf0.cdf(z), dtype=float),
+             model.p1 * np.asarray(model.cdf1.cdf(z), dtype=float),
+             n0 / n * fhat[0], n1 / n * fhat[1])
+    point = np.abs(verify._gap(terms, model.p0 - n0 / n)).max(axis=0)
+    return (np.where(lower, point, 0.0).reshape(R, width).max(axis=1),
+            np.where(lower, 0.0, point).reshape(R, width).max(axis=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_CHUNK_MODELS)), st.integers(1, 6), st.integers(1, 40),
+       st.integers(1, 40), st.integers(0, 30), st.integers(0, 30), st.integers(0, 2**16))
+def test_row_sups_equals_both_branch_reference(name, rows, n0, n1, d0, d1, seed):
+    # rows whose counts below theta differ, from none to all of a row's
+    # initial samples, each followed by draws' scores at or above its theta
+    model = _CHUNK_MODELS[name]
+    gen = np.random.default_rng(seed)
+    theta = gen.choice([-np.inf, 8.0, 9.0, 9.5, 10.5, 30.0], rows)
+    draws = lambda d: np.maximum(gen.uniform(5.0, 14.0, (rows, d)), theta[:, None])
+    x0 = np.concatenate([np.sort(np.asarray(model.cdf0.inverse(gen.random((rows, n0)))), axis=1),
+                         draws(d0)], axis=1)
+    x1 = np.concatenate([np.sort(np.asarray(model.cdf1.inverse(gen.random((rows, n1)))), axis=1),
+                         draws(d1)], axis=1)
+    got = _row_sups(theta, x0, x1, model, n0, n1)
+    want = _row_sups_both_branches(theta, x0, x1, model, n0, n1)
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist()
+
+
 class TestChunkHelpers:
     def test_limit_counts_equal_direct_counts(self):
         gen = np.random.default_rng(5)

@@ -37,11 +37,10 @@ from .censored import (
     bound_two_region,
     bound_two_region_apriori,
     censored_term,
-    disclosed_term,
     eta_for_confidence,
     partition,
 )
-from .explore import BoundContext, CostModel, MultiExplorePolicy, cost_multi, cost_single, optimize_exploration
+from .explore import BoundContext, CostModel, cost_single, optimize_exploration
 from .generalization import (
     GenBound,
     LabeledDataset,
@@ -76,8 +75,6 @@ from .stats import (
     PiecewiseCdf,
     RestrictedCdf,
     StitchedCdf,
-    gaussian_cdf,
-    make_empirical_cdf,
     sample_labeled,
     sup_deviation,
 )

@@ -10,7 +10,9 @@ The observed sample is IID within each region but not across regions, so
 uniform deviation bounds are assembled region by region: each region
 contributes a DKW-type exponential term whose tolerance is reduced by
 scaling/shifting errors |alpha - m/n| between the true region masses and
-their empirical estimates.
+their empirical estimates.  Every bound here takes its terms from one
+kernel, ``_region_terms``, which applies that shift rule to any number of
+regions.
 
 Conventions for regimes the formulas do not cover:
 
@@ -45,7 +47,6 @@ __all__ = [
     "partition",
     "region_weights",
     "censored_term",
-    "disclosed_term",
     "bound_two_region",
     "bound_two_region_apriori",
     "bound_three_region",
@@ -60,6 +61,17 @@ def _holds(cond) -> bool:
     return bool(np.logical_and.reduce(cond, axis=None))
 
 
+def _integral(value) -> bool:
+    """Whether a scalar or array holds only whole numbers (booleans do not count)."""
+    if type(value) is int:      # the common case, without numpy's per-call cost
+        return True
+    kind = np.asarray(value).dtype.kind
+    if kind != "f":
+        return kind in "iu"
+    with np.errstate(invalid="ignore"):      # inf mod 1 is NaN, and not whole
+        return _holds(np.mod(value, 1) == 0)
+
+
 @dataclass(frozen=True)
 class RegionPartition:
     """Sample counts per region relative to the threshold(s).
@@ -68,7 +80,8 @@ class RegionPartition:
     n - m at or above theta; k counts new disclosed samples in two-region
     mode, while (k1, k2) count new exploration/disclosed samples in
     three-region mode.  Two-region partitions have l == k1 == 0.  Counts
-    may be integer arrays; every check then holds elementwise.
+    are whole numbers (booleans are refused) and may be arrays; every check
+    then holds elementwise.
     """
 
     n: int
@@ -79,6 +92,9 @@ class RegionPartition:
     k2: int = 0
 
     def __post_init__(self):
+        if not (_integral(self.n) and _integral(self.m) and _integral(self.l)
+                and _integral(self.k) and _integral(self.k1) and _integral(self.k2)):
+            raise ValueError(f"counts must be whole numbers, got {self}")
         if not _holds(np.greater_equal(self.n, 1)):
             raise ValueError("need at least one initial sample")
         if not _holds((0 <= self.l) & (self.l <= self.m) & (self.m <= self.n)):
@@ -154,6 +170,8 @@ def partition(
     scores = np.asarray(initial_scores, dtype=float)
     if scores.size == 0:
         raise ValueError("empty sample")
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     if min(new_in_explore, new_above) < 0:
         raise ValueError("new-sample counts must be nonnegative")
     m = int(np.sum(scores < spec.theta))
@@ -185,7 +203,7 @@ def region_weights(part: RegionPartition, epsilon) -> tuple:
     return l / n, explore_w, disclosed_w
 
 
-def _term(count, mass_th, mass_emp, eta, shift, lead: float = 2.0):
+def _term(count, mass_th, mass_emp, eta, shift, lead: float):
     """One region's contribution: (value, trivial flag), elementwise.
 
     value = lead * exp(-2*count*(eta-shift)^2 / min(mass_th, mass_emp)^2)
@@ -214,29 +232,43 @@ def _bound_value(raw, trivial) -> BoundValue:
     return BoundValue(raw, trivial=trivial)
 
 
-def _censored_term(part: RegionPartition, mass: MassSpec, eta, lead: float):
-    frac = part.m / part.n
-    return _term(part.m, mass.alpha, frac, eta, abs(mass.alpha - frac), lead)
+def _region_terms(counts, edges, weights, eta, lead: float) -> list:
+    """Each region's (value, trivial) term, for R >= 2 regions in line order.
+
+    Region r holds ``counts[r]`` samples and estimator weight ``weights[r]``
+    = W_r; ``edges`` holds the true CDF A_1 <= ... <= A_{R-1} at the
+    interior region ends (A_0 = 0, A_R = 1), so region r has mass
+    dA_r = A_r - A_{r-1}.  With e_j = |A_j - W_1 - ... - W_j|, the shift
+    is e_1 for the first region, e_{r-1} + |dA_r - W_r| for a middle one
+    and 2 e_{R-1} for the last.
+    """
+    last = len(counts) - 1
+    errs = []
+    for j, edge in enumerate(edges):
+        gap = edge
+        for weight in weights[:j + 1]:
+            gap = gap - weight
+        errs.append(abs(gap))
+    terms = [_term(counts[0], edges[0], weights[0], eta, errs[0], lead)]
+    for r in range(1, last):
+        mass = edges[r] - edges[r - 1]
+        terms.append(_term(counts[r], mass, weights[r], eta,
+                           errs[r - 1] + abs(mass - weights[r]), lead))
+    terms.append(_term(counts[last], 1.0 - edges[-1], weights[last], eta, 2.0 * errs[-1],
+                       lead))
+    return terms
 
 
-def _disclosed_term(part: RegionPartition, mass: MassSpec, eta, lead: float):
-    frac = part.m / part.n
-    return _term(part.n - part.m + part.k, 1.0 - mass.alpha, (part.n - part.m) / part.n,
-                 eta, 2.0 * abs(mass.alpha - frac), lead)
+def _two_region_terms(n, m, k, alpha, eta, lead: float) -> list:
+    """The censored and disclosed terms of the two-region bound."""
+    return _region_terms((m, n - m + k), (alpha,), (m / n, (n - m) / n), eta, lead)
 
 
 def censored_term(part: RegionPartition, mass: MassSpec, eta: float,
                   lead: float = 2.0) -> BoundValue:
     """Censored-region error term of the two-region bound (constant in k)."""
     _check_eta(eta)
-    return _bound_value(*_censored_term(part, mass, eta, lead))
-
-
-def disclosed_term(part: RegionPartition, mass: MassSpec, eta: float,
-                   lead: float = 2.0) -> BoundValue:
-    """Disclosed-region error term; decreases with the new-sample count k."""
-    _check_eta(eta)
-    return _bound_value(*_disclosed_term(part, mass, eta, lead))
+    return _bound_value(*_two_region_terms(part.n, part.m, part.k, mass.alpha, eta, lead)[0])
 
 
 def bound_two_region(part: RegionPartition, mass: MassSpec, eta: float,
@@ -250,8 +282,8 @@ def bound_two_region(part: RegionPartition, mass: MassSpec, eta: float,
     if not part.two_region:
         raise ValueError("partition is not in two-region mode")
     _check_eta(eta)
-    c, c_trivial = _censored_term(part, mass, eta, lead)
-    d, d_trivial = _disclosed_term(part, mass, eta, lead)
+    (c, c_trivial), (d, d_trivial) = _two_region_terms(part.n, part.m, part.k, mass.alpha,
+                                                       eta, lead)
     return _bound_value(c + d, c_trivial | d_trivial)
 
 
@@ -263,16 +295,16 @@ def bound_two_region_apriori(part: RegionPartition, mass: MassSpec, eta: float,
     The disclosed-region term is averaged over the binomial number of
     arrivals that land above theta (each lands there with probability
     1 - alpha).  Binomial weights are computed in log space; weights
-    below ``pmf_floor`` are skipped.  ``wait`` is a scalar; the other
-    inputs may be arrays.
+    below ``pmf_floor`` are skipped.  ``wait`` is a scalar whole number;
+    the other inputs may be arrays.
     """
     if not part.two_region:
         raise ValueError("partition is not in two-region mode")
     if np.any(part.k):
         raise ValueError("expected-wait bound replaces k; pass a partition with k = 0")
-    if wait < 0:
-        raise ValueError("wait must be nonnegative")
-    c = censored_term(part, mass, eta, lead)
+    if np.ndim(wait) or not _integral(wait) or wait < 0:
+        raise ValueError(f"wait must be a nonnegative whole number, got {wait!r}")
+    _check_eta(eta)
 
     # the binomial outcome kk runs along a new last axis
     n, m, alpha, eta = (np.expand_dims(v, -1) for v in (part.n, part.m, mass.alpha, eta))
@@ -281,10 +313,9 @@ def bound_two_region_apriori(part: RegionPartition, mass: MassSpec, eta: float,
     pmf = np.exp(gammaln(wait + 1) - gammaln(kk + 1) - gammaln(wait - kk + 1)
                  + xlogy(kk, p_disclosed) + xlogy(wait - kk, 1.0 - p_disclosed))
     keep = pmf >= pmf_floor
-    value, trivial = _term(n - m + kk, p_disclosed, (n - m) / n, eta,
-                           2.0 * abs(alpha - m / n), lead)
+    (c, c_trivial), (value, trivial) = _two_region_terms(n, m, kk, alpha, eta, lead)
     expected = np.sum(np.where(keep, pmf * value, 0.0), axis=-1)
-    return _bound_value(c.raw + expected, c.trivial | np.any(keep & trivial, axis=-1))
+    return _bound_value(c[..., 0] + expected, c_trivial[..., 0] | np.any(keep & trivial, axis=-1))
 
 
 def bound_three_region(part: RegionPartition, mass: MassSpec, spec: RegionSpec,
@@ -298,16 +329,10 @@ def bound_three_region(part: RegionPartition, mass: MassSpec, spec: RegionSpec,
     by ``region_weights``.
     """
     _check_eta(eta)
-    n, m, l, k1, k2 = part.n, part.m, part.l, part.k1, part.k2
-    alpha, beta = mass.alpha, mass.beta
-    l_frac, explore_w, disclosed_w = region_weights(part, spec.epsilon)
-    u1 = abs(beta - l_frac)
-    u2 = abs(alpha - beta - explore_w)
-    u3 = abs(alpha - l_frac - explore_w)
-
-    v1, t1 = _term(l, beta, l_frac, eta, u1, lead)
-    v2, t2 = _term(m - l + k1, alpha - beta, explore_w, eta, u1 + u2, lead)
-    v3, t3 = _term(n - m + k2, 1.0 - alpha, disclosed_w, eta, 2.0 * u3, lead)
+    n, m, l = part.n, part.m, part.l
+    (v1, t1), (v2, t2), (v3, t3) = _region_terms(
+        (l, m - l + part.k1, n - m + part.k2), (mass.beta, mass.alpha),
+        region_weights(part, spec.epsilon), eta, lead)
     return _bound_value(v1 + v2 + v3, t1 | t2 | t3)
 
 

@@ -23,11 +23,9 @@ from .stats import TheoreticalCdf
 
 __all__ = [
     "CostModel",
-    "MultiExplorePolicy",
     "BoundContext",
     "OptimizationResult",
     "cost_single",
-    "cost_multi",
     "optimize_exploration",
 ]
 
@@ -57,28 +55,6 @@ class CostModel:
 
     def density(self, x):
         return _density(self.f0, x)
-
-
-@dataclass(frozen=True)
-class MultiExplorePolicy:
-    """Nested exploration subdomains below theta with per-subdomain rates.
-
-    ``edges`` lists LB_b < ... < LB_1 (ascending); subdomain i spans
-    [edges[i-1], edges[i]) with the last one ending at theta.  ``rates``
-    gives the acceptance probability per subdomain, innermost (closest to
-    theta) last.
-    """
-
-    edges: tuple[float, ...]
-    rates: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.edges) != len(self.rates) or not self.edges:
-            raise ValueError("need one rate per subdomain edge")
-        if list(self.edges) != sorted(self.edges):
-            raise ValueError("edges must be ascending")
-        if any(not 0.0 <= r <= 1.0 for r in self.rates):
-            raise ValueError("rates must lie in [0, 1]")
 
 
 def _gl_adaptive(f, a: float, b: float, rel_tol: float = 1e-8) -> float:
@@ -118,23 +94,6 @@ def cost_single(lb: float, theta: float, epsilon: float, model: CostModel) -> fl
     if epsilon == 0.0 or lb == theta:
         return 0.0
     return epsilon * _cost_integral(lb, theta, theta, model)
-
-
-def cost_multi(policy: MultiExplorePolicy, theta: float, model: CostModel) -> float:
-    """Summed per-subdomain exploration costs; edges must stay below theta.
-
-    The cost decay always references the decision threshold, so splitting
-    a range into subdomains changes only the acceptance rates applied to
-    each piece.
-    """
-    if policy.edges[-1] > theta:
-        raise ValueError("subdomain edges must not exceed theta")
-    uppers = list(policy.edges[1:]) + [theta]
-    total = 0.0
-    for lo, hi, eps in zip(policy.edges, uppers, policy.rates):
-        if eps:
-            total += eps * _cost_integral(lo, hi, theta, model)
-    return total
 
 
 @dataclass(frozen=True)

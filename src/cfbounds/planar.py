@@ -37,7 +37,6 @@ __all__ = [
     "adjusted_cdf_empirical",
     "bound_2d_two_region",
     "bound_2d_three_region",
-    "load_points_csv",
 ]
 
 
@@ -67,7 +66,11 @@ class Boundary2D:
             pts = pts[None, :]
         if pts.shape[1] != 2:
             raise ValueError("points must be (n, 2)")
-        return pts @ np.asarray(self.w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            proj = pts @ np.asarray(self.w)
+        if not np.all(np.isfinite(proj)):
+            raise ValueError("points must have finite projections w.x")
+        return proj
 
 
 @dataclass(frozen=True)
@@ -148,40 +151,3 @@ def bound_2d_three_region(part: RegionPartition, alpha: float, beta: float,
     # placeholder intercepts: the formula uses only counts, masses, epsilon
     spec = RegionSpec(theta=1.0, lb=0.0, epsilon=epsilon)
     return bound_three_region(part, MassSpec.theoretical(alpha, beta), spec, eta, lead=4.0)
-
-
-def load_points_csv(path) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Read planar points from a `x1,x2[,label]` CSV, in file order.
-
-    Labels, when present, must be 0 or 1; coordinates must be finite.
-    Malformed rows raise with their line number.
-    """
-    import csv
-
-    points, labels = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        cols = [h.strip().lower() for h in header] if header else []
-        if cols not in (["x1", "x2"], ["x1", "x2", "label"]):
-            raise ValueError(f"{path}: expected header 'x1,x2[,label]', got {header}")
-        with_label = len(cols) == 3
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(cols):
-                raise ValueError(f"{path}:{lineno}: expected {len(cols)} fields, got {len(row)}")
-            try:
-                x1, x2 = float(row[0]), float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad coordinate in {row[:2]!r}") from None
-            if not (np.isfinite(x1) and np.isfinite(x2)):
-                raise ValueError(f"{path}:{lineno}: coordinates must be finite")
-            points.append((x1, x2))
-            if with_label:
-                label_txt = row[2].strip()
-                if label_txt not in ("0", "1"):
-                    raise ValueError(f"{path}:{lineno}: label must be 0 or 1, got {row[2]!r}")
-                labels.append(int(label_txt))
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    return pts, (np.asarray(labels, dtype=np.int8) if with_label else None)

@@ -10,7 +10,7 @@ region.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -25,8 +25,6 @@ __all__ = [
     "EmpiricalCdf",
     "StitchedCdf",
     "MixtureModel",
-    "make_empirical_cdf",
-    "gaussian_cdf",
     "sup_deviation",
     "sample_labeled",
 ]
@@ -228,14 +226,6 @@ class EmpiricalCdf:
         return EmpiricalCdf(sel)
 
 
-def make_empirical_cdf(scores: Sequence[float]) -> EmpiricalCdf:
-    """Build the empirical CDF of a nonempty score sample (ties allowed)."""
-    arr = np.asarray(list(scores) if not isinstance(scores, np.ndarray) else scores, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    return EmpiricalCdf(arr)
-
-
 @dataclass(frozen=True)
 class StitchedCdf:
     """Region-weighted empirical estimate of a full-domain CDF.
@@ -345,13 +335,6 @@ class MixtureModel:
     def cdf(self, x):
         """Pooled score CDF p0*F0 + p1*F1."""
         return self.p0 * self.cdf0.cdf(x) + self.p1 * self.cdf1.cdf(x)
-
-
-def gaussian_cdf(x: float, mean: float, stddev: float) -> float:
-    """Normal CDF at x; stddev must be positive."""
-    if not stddev > 0:
-        raise ValueError(f"stddev must be positive, got {stddev}")
-    return float(ndtr((x - mean) / stddev))
 
 
 def _candidate_points(theory, empirical, lo: float, hi: float) -> np.ndarray:

@@ -36,9 +36,10 @@ from cfbounds.presets import (
     fig3_curves,
     fig4_band,
     optimize_fig3,
+    reproduce,
 )
 from cfbounds.rng import SeededRng
-from cfbounds.stats import GaussianCdf, make_empirical_cdf
+from cfbounds.stats import EmpiricalCdf, GaussianCdf
 from cfbounds.verify import compare_bounds, mc_cdf_deviation, mc_gen_gap, wilson_stderr
 
 mpmath.mp.dps = 40
@@ -241,6 +242,25 @@ def test_criterion_09_mc_soundness_generalization():
 # sha256 of the bench preset's bench_bounds.csv (`cfbounds reproduce bench`)
 BENCH_CSV_SHA256 = "9415ecef38bfe0ae5ee98f9f329310af3cc56ef62da82bbc84a45bdff82dbc4f"
 
+# sha256 of every file the cheap presets write (`cfbounds reproduce <name>`)
+PRESET_SHA256 = {
+    "fig1_curves.csv": "ae90b2be3316bf2cc905f775663e408a263d6141f7d1b546df1758cdb49fc476",
+    "fig2_curves.csv": "224b70168df6b08cfbdac9f4f709fcde38e5479271cbe1d4230caf3d1d6e0008",
+    "fig3_bounds.csv": "e05e0efa6e8970033e2a79f44dbb2afec5870617c7ba941415f5b79843d0fa68",
+    "fig4_band_eps0.0.csv": "04e9099a94794d4c9d5d29caf1903099f0c5ff1c0b73e7f04e20f578e3c8e71c",
+    "fig4_band_eps0.5.csv": "05c173392fd7ee58f869a527b39426c4e5a897d0173e9137912c29cf6a7c7393",
+    "fig4_band_eps1.0.csv": "c793bb861bd8221a7dce710f346231fbfde7408ba2f0db5d5ec6a594aae36e91",
+    "appendixJ_bands.csv": "5020a90bf619f86a5e0100c45dbda069bd5234efcfb149cb17f42c0b443ea9e3",
+}
+
+
+def test_cheap_presets_are_byte_identical(tmp_path):
+    for name in ("fig1", "fig2", "fig3", "fig4", "appendixJ"):
+        reproduce(name, tmp_path)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == PRESET_SHA256
+
 
 def test_criterion_10_benchmark_crossings(tmp_path):
     """IID-world benchmarks undershoot the realized uniform risk deviation."""
@@ -301,7 +321,7 @@ def test_criterion_12_planar_soundness():
         proj = boundary.project(pts)
         p2 = partition_2d(pts, boundary)
         worst = max(worst, abs(p2.m - int(np.sum(proj < 14.0))))
-        ecdf = make_empirical_cdf(proj)
+        ecdf = EmpiricalCdf(proj)
         for b_prime in (13.0, 14.0, 15.5):
             worst = max(worst, abs(adjusted_cdf_empirical(pts, boundary, b_prime)
                                    - ecdf.cdf(b_prime)))

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, xlogy
 
 from cfbounds.censored import (
     MassSpec,
     RegionPartition,
     RegionSpec,
+    _region_terms,
     bound_three_region,
     bound_two_region,
     bound_two_region_apriori,
     censored_term,
     check_prop1,
     check_prop2,
-    disclosed_term,
     eta_for_confidence,
     partition,
     region_weights,
@@ -31,6 +32,13 @@ mpmath.mp.dps = 50
 
 def mp_term(count, eff, denom, lead=2):
     return float(lead * mpmath.exp(-2 * count * mpmath.mpf(eff) ** 2 / mpmath.mpf(denom) ** 2))
+
+
+def disclosed_term(part, mass, eta):
+    """The two-region bound's disclosed term: the kernel's last region."""
+    value, trivial = _region_terms((part.m, part.n - part.m + part.k), (mass.alpha,),
+                                   (part.m / part.n, (part.n - part.m) / part.n), eta, 2.0)[-1]
+    return BoundValue(float(value), trivial=bool(trivial))
 
 
 class TestPartition:
@@ -70,6 +78,25 @@ class TestPartition:
             RegionPartition(n=10, m=4, l=5)
         with pytest.raises(ValueError):
             RegionPartition(n=10, m=11)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # NaN used to be counted as disclosed, and -inf as censored
+        for spec in (RegionSpec(0.5), RegionSpec(0.5, 0.0)):
+            with pytest.raises(ValueError, match="finite"):
+                partition([bad, 1.0, 0.2], 0, 3, spec)
+
+    @pytest.mark.parametrize("counts", [dict(k=1.5), dict(n=50.5), dict(m=True),
+                                        dict(k=math.nan), dict(k=math.inf),
+                                        dict(k1=np.array([0, 2, 2.5]), l=3),
+                                        dict(k2=np.array([True, False]))])
+    def test_non_integral_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="whole numbers"):
+            RegionPartition(**{"n": 50, "m": 24, **counts})
+
+    def test_integral_counts_of_any_type_accepted(self):
+        part = RegionPartition(n=np.int32(50), m=24.0, k=np.array([0, 3], dtype=np.uint8))
+        assert bound_two_region(part, MassSpec.theoretical(0.5), 0.3).raw.shape == (2,)
 
 
 class TestCensoredTerm:
@@ -494,6 +521,21 @@ def test_apriori_rejects_realized_k():
         bound_two_region_apriori(part, MassSpec.theoretical(0.5), 0.3, 5)
 
 
+@pytest.mark.parametrize("wait", [2.5, True, -1, math.nan, math.inf, np.array([1, 2])])
+def test_apriori_rejects_bad_wait(wait):
+    # 2.5 used to give a value and True ran as 1
+    part = RegionPartition(n=50, m=24)
+    with pytest.raises(ValueError, match="wait"):
+        bound_two_region_apriori(part, MassSpec.theoretical(0.5), 0.3, wait)
+
+
+def test_apriori_accepts_integral_wait_of_any_type():
+    part, mass = RegionPartition(n=50, m=24), MassSpec.theoretical(0.5)
+    want = bound_two_region_apriori(part, mass, 0.3, 5)
+    for wait in (np.int64(5), 5.0):
+        assert bound_two_region_apriori(part, mass, 0.3, wait) == want
+
+
 # ---------------------------------------------------------------------------
 # The one bound kernel: properties of scalar and array calls
 # ---------------------------------------------------------------------------
@@ -621,3 +663,81 @@ def test_eta_inverse_equals_serial_bisection(case):
         assert got == want and type(got) is type(want)
     else:
         assert np.array_equal(got, want, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# The region-term kernel against the hand-written formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_term(count, mass_th, mass_emp, eta, shift, lead):
+    denom = np.minimum(mass_th, mass_emp)
+    degenerate = (count <= 0) | (denom <= 0.0)
+    eff = eta - shift
+    trivial = np.where(degenerate, np.maximum(mass_th, mass_emp) > eta, eff <= 0.0)
+    with np.errstate(all="ignore"):
+        ratio = eff / denom
+        value = lead * np.exp(-2.0 * count * ratio * ratio)
+    return np.where(trivial, 1.0, np.where(degenerate, 0.0, value)), trivial
+
+
+def ref_two_region_terms(n, m, k, alpha, eta, lead):
+    frac = m / n
+    return (ref_term(m, alpha, frac, eta, abs(alpha - frac), lead),
+            ref_term(n - m + k, 1.0 - alpha, (n - m) / n, eta, 2.0 * abs(alpha - frac), lead))
+
+
+def ref_apriori(n, m, alpha, eta, wait, lead):
+    (c, c_trivial), _ = ref_two_region_terms(n, m, 0, alpha, eta, lead)
+    n, m, alpha, eta = (np.expand_dims(v, -1) for v in (n, m, alpha, eta))
+    kk = np.arange(wait + 1)
+    p_disclosed = 1.0 - alpha
+    pmf = np.exp(gammaln(wait + 1) - gammaln(kk + 1) - gammaln(wait - kk + 1)
+                 + xlogy(kk, p_disclosed) + xlogy(wait - kk, 1.0 - p_disclosed))
+    keep = pmf >= 1e-15
+    value, trivial = ref_term(n - m + kk, p_disclosed, (n - m) / n, eta,
+                              2.0 * abs(alpha - m / n), lead)
+    return (c + np.sum(np.where(keep, pmf * value, 0.0), axis=-1),
+            c_trivial | np.any(keep & trivial, axis=-1))
+
+
+def ref_three_region(part, alpha, beta, eps, eta, lead):
+    n, m, l, k1, k2 = part.n, part.m, part.l, part.k1, part.k2
+    l_frac, explore_w, disclosed_w = region_weights(part, eps)
+    u1 = abs(beta - l_frac)
+    u2 = abs(alpha - beta - explore_w)
+    u3 = abs(alpha - l_frac - explore_w)
+    v1, t1 = ref_term(l, beta, l_frac, eta, u1, lead)
+    v2, t2 = ref_term(m - l + k1, alpha - beta, explore_w, eta, u1 + u2, lead)
+    v3, t3 = ref_term(n - m + k2, 1.0 - alpha, disclosed_w, eta, 2.0 * u3, lead)
+    return v1 + v2 + v3, t1 | t2 | t3
+
+
+def assert_same(got, raw, trivial):
+    assert np.array_equal(got.raw, raw) and np.array_equal(got.trivial, trivial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(region_configs(), min_size=1, max_size=6), st.booleans(),
+       st.sampled_from([2.0, 4.0]), st.integers(0, 40), st.data())
+def test_kernel_equals_hand_written_formulas(configs, as_array, lead, wait, data):
+    # epsilon at its ends, m = n and empty regions are drawn often; the
+    # bounds must equal the pre-kernel formulas exactly, value and flag
+    for c in configs:
+        c["eps"] = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        if data.draw(st.booleans()):
+            c["m"] = c["n"]
+    c = _stacked(configs) if as_array else configs[0]
+    n, m, alpha, eta = c["n"], c["m"], c["alpha"], c["eta"]
+    part2 = RegionPartition(n=n, m=m, k=c["k"])
+    mass2 = MassSpec.theoretical(alpha)
+    (cv, ct), (dv, dt) = ref_two_region_terms(n, m, c["k"], alpha, eta, lead)
+    assert_same(censored_term(part2, mass2, eta, lead), cv, ct)
+    assert_same(bound_two_region(part2, mass2, eta, lead), cv + dv, ct | dt)
+    assert_same(bound_two_region_apriori(RegionPartition(n=n, m=m), mass2, eta, wait, lead),
+                *ref_apriori(n, m, alpha, eta, wait, lead))
+    beta = c["beta"]
+    part3 = RegionPartition(n=n, m=m, l=c["l"], k1=c["k1"], k2=c["k2"])
+    assert_same(bound_three_region(part3, MassSpec.theoretical(alpha, beta),
+                                   RegionSpec(1.0, 0.0, c["eps"]), eta, lead),
+                *ref_three_region(part3, alpha, beta, c["eps"], eta, lead))

@@ -6,8 +6,6 @@ from scipy.integrate import quad
 from cfbounds.explore import (
     BoundContext,
     CostModel,
-    MultiExplorePolicy,
-    cost_multi,
     cost_single,
     default_eps_grid,
     optimize_exploration,
@@ -59,36 +57,6 @@ class TestCostSingle:
         assert costs_eps[0] < costs_eps[1] < costs_eps[2]
         costs_lb = [cost_single(lb, 8.0, 0.5, model) for lb in (4.0, 6.0, 7.5)]
         assert costs_lb[0] > costs_lb[1] > costs_lb[2]
-
-
-class TestCostMulti:
-    def test_single_subdomain_reduction(self):
-        model = _model()
-        policy = MultiExplorePolicy(edges=(6.0,), rates=(0.4,))
-        assert cost_multi(policy, 8.0, model) == pytest.approx(
-            cost_single(6.0, 8.0, 0.4, model), rel=1e-12)
-
-    def test_uniform_rates_merge(self):
-        model = _model()
-        policy = MultiExplorePolicy(edges=(4.0, 6.0, 7.0), rates=(0.3, 0.3, 0.3))
-        assert cost_multi(policy, 8.0, model) == pytest.approx(
-            cost_single(4.0, 8.0, 0.3, model), abs=1e-10)
-
-    def test_two_subdomains_against_oracle(self):
-        model = _model(c=5.0)
-        policy = MultiExplorePolicy(edges=(5.0, 6.5), rates=(0.5, 0.1))
-        pop = GaussianCdf(7, 3)
-        f = lambda x: np.exp((8.0 - x) / 5.0) * float(pop.density(x))
-        want = 0.5 * quad(f, 5.0, 6.5)[0] + 0.1 * quad(f, 6.5, 8.0)[0]
-        assert cost_multi(policy, 8.0, model) == pytest.approx(want, rel=1e-8)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            MultiExplorePolicy(edges=(6.0, 5.0), rates=(0.1, 0.1))
-        with pytest.raises(ValueError):
-            MultiExplorePolicy(edges=(5.0,), rates=(1.2,))
-        with pytest.raises(ValueError):
-            cost_multi(MultiExplorePolicy(edges=(9.0,), rates=(0.5,)), 8.0, _model())
 
 
 class TestOptimizer:

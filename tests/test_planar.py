@@ -16,7 +16,7 @@ from cfbounds.planar import (
     partition_2d,
 )
 from cfbounds.rng import SeededRng
-from cfbounds.stats import make_empirical_cdf
+from cfbounds.stats import EmpiricalCdf
 
 CLOUD = Gaussian2D(mean=(7.0, 7.0), cov=((1.0, 0.0), (0.0, 1.0)))
 
@@ -48,6 +48,17 @@ class TestBoundary:
     def test_projection(self):
         boundary = Boundary2D(w=(2.0, -1.0), b=0.0)
         assert np.allclose(boundary.project([[1.0, 1.0], [3.0, 2.0]]), [1.0, 4.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+    def test_non_finite_projection_rejected(self, bad):
+        # a NaN point used to count as disclosed, and a fraction of 0.5
+        # came back for it; 1e308 overflows w.x to inf
+        boundary = Boundary2D(w=(2.0, 1.0), b=14.0)
+        pts = [[bad, 7.0], [7.0, 7.0]]
+        for call in (boundary.project, lambda p: partition_2d(p, boundary),
+                     lambda p: adjusted_cdf_empirical(p, boundary, 14.0)):
+            with pytest.raises(ValueError, match="finite"):
+                call(pts)
 
 
 class TestPartition2D:
@@ -94,7 +105,7 @@ class TestAdjustedCdf:
     def test_projection_reduction(self):
         pts = _points(seed=3)
         boundary = Boundary2D(w=(1.0, 1.0), b=14.0)
-        ecdf = make_empirical_cdf(pts @ np.array([1.0, 1.0]))
+        ecdf = EmpiricalCdf(pts @ np.array([1.0, 1.0]))
         for b_prime in (12.0, 13.5, 14.0, 15.2):
             assert adjusted_cdf_empirical(pts, boundary, b_prime) == pytest.approx(
                 ecdf.cdf(b_prime), abs=1e-15)
@@ -170,37 +181,3 @@ def test_partition_projection_equivalence(seed, w1, w2):
     part = partition_2d(pts, boundary)
     assert part.m == int(np.sum(proj < b))
 
-
-class TestPointsCsv:
-    def test_round_trip_with_labels(self, tmp_path):
-        from cfbounds.planar import load_points_csv
-
-        path = tmp_path / "pts.csv"
-        path.write_text("x1,x2,label\n1.0,2.0,0\n3.0,-4.5,1\n")
-        pts, labels = load_points_csv(path)
-        assert np.array_equal(pts, [[1.0, 2.0], [3.0, -4.5]])
-        assert np.array_equal(labels, [0, 1])
-
-    def test_round_trip_without_labels(self, tmp_path):
-        from cfbounds.planar import load_points_csv
-
-        path = tmp_path / "pts.csv"
-        path.write_text("x1,x2\n0.5,0.25\n")
-        pts, labels = load_points_csv(path)
-        assert pts.shape == (1, 2) and labels is None
-
-    def test_errors_carry_line_numbers(self, tmp_path):
-        from cfbounds.planar import load_points_csv
-
-        bad_coord = tmp_path / "a.csv"
-        bad_coord.write_text("x1,x2\n1.0,zzz\n")
-        with pytest.raises(ValueError, match=":2"):
-            load_points_csv(bad_coord)
-        bad_label = tmp_path / "b.csv"
-        bad_label.write_text("x1,x2,label\n1.0,2.0,5\n")
-        with pytest.raises(ValueError, match="label"):
-            load_points_csv(bad_label)
-        bad_header = tmp_path / "c.csv"
-        bad_header.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="header"):
-            load_points_csv(bad_header)

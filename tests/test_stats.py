@@ -13,8 +13,6 @@ from cfbounds.stats import (
     PiecewiseCdf,
     RestrictedCdf,
     StitchedCdf,
-    gaussian_cdf,
-    make_empirical_cdf,
     sample_labeled,
     sup_deviation,
 )
@@ -25,31 +23,31 @@ finite_scores = st.lists(
 
 class TestEmpiricalCdf:
     def test_counting_definition(self):
-        ecdf = make_empirical_cdf([1, 2, 3])
+        ecdf = EmpiricalCdf([1, 2, 3])
         assert ecdf.cdf(2) == pytest.approx(2 / 3)
 
     def test_single_step(self):
-        ecdf = make_empirical_cdf([5])
+        ecdf = EmpiricalCdf([5])
         assert ecdf.cdf(4.999) == 0.0
         assert ecdf.cdf(5) == 1.0
 
     def test_ties(self):
-        ecdf = make_empirical_cdf([1, 1, 2])
+        ecdf = EmpiricalCdf([1, 1, 2])
         assert ecdf.cdf(1) == pytest.approx(2 / 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty sample"):
-            make_empirical_cdf([])
+            EmpiricalCdf([])
 
     def test_restrict_half_open(self):
-        ecdf = make_empirical_cdf([1, 2, 3, 4])
+        ecdf = EmpiricalCdf([1, 2, 3, 4])
         sub = ecdf.restrict(2, 4)          # [2, 4): keeps 2 and 3
         assert sub.n == 2
         assert sub.cdf(2) == 0.5
 
     @given(finite_scores)
     def test_monotone_bounded(self, scores):
-        ecdf = make_empirical_cdf(scores)
+        ecdf = EmpiricalCdf(scores)
         xs = np.sort(np.concatenate([ecdf.sorted_scores, [-1e9, 0.0, 1e9]]))
         vals = ecdf.cdf(xs)
         assert np.all(np.diff(vals) >= 0)
@@ -60,25 +58,25 @@ class TestEmpiricalCdf:
 
 class TestGaussianCdf:
     def test_symmetry(self):
-        assert gaussian_cdf(7, 7, 1) == pytest.approx(0.5, abs=1e-15)
+        assert GaussianCdf(7, 1).cdf(7) == pytest.approx(0.5, abs=1e-15)
 
     def test_high_precision_vs_mpmath(self):
         # independent oracle: mpmath normal CDF at 50 digits
         mpmath.mp.dps = 50
         for x, mu, sd in [(8, 7, 1), (5.5, 7, 3), (-2, 0, 1), (13.1, 7, 3)]:
             want = float(mpmath.ncdf((x - mu) / sd))
-            assert abs(gaussian_cdf(x, mu, sd) - want) < 1e-12
+            assert abs(GaussianCdf(mu, sd).cdf(x) - want) < 1e-12
 
     def test_frozen_reference_value(self):
-        assert gaussian_cdf(8, 7, 1) == pytest.approx(0.8413447460685429, abs=1e-13)
+        assert GaussianCdf(7, 1).cdf(8) == pytest.approx(0.8413447460685429, abs=1e-13)
 
     def test_limits(self):
-        assert gaussian_cdf(-1e9, 7, 1) == 0.0
-        assert gaussian_cdf(1e9, 7, 1) == 1.0
+        assert GaussianCdf(7, 1).cdf(-1e9) == 0.0
+        assert GaussianCdf(7, 1).cdf(1e9) == 1.0
 
     def test_bad_stddev(self):
         with pytest.raises(ValueError):
-            gaussian_cdf(0, 0, 0)
+            GaussianCdf(0, 0)
         with pytest.raises(ValueError):
             GaussianCdf(0, -1)
 
@@ -174,7 +172,7 @@ class TestRestrictedCdf:
 
 class TestSupDeviation:
     def test_identity_is_zero(self):
-        ecdf = make_empirical_cdf([1.0, 2.5, 4.0])
+        ecdf = EmpiricalCdf([1.0, 2.5, 4.0])
         # the eCDF's own jump table: each sample's x twice, stepping up by 1/3
         table = PiecewiseCdf(np.array([1, 1, 2.5, 2.5, 4, 4], dtype=float),
                              np.array([0, 1 / 3, 1 / 3, 2 / 3, 2 / 3, 1]))
@@ -182,14 +180,14 @@ class TestSupDeviation:
 
     def test_uniform_vs_single_point(self):
         uniform = PiecewiseCdf(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        ecdf = make_empirical_cdf([0.5])
+        ecdf = EmpiricalCdf([0.5])
         assert sup_deviation(uniform, ecdf) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_dense_grid_oracle(self):
         # oracle: brute-force scan of |F - F_n| on a 10^6-point grid
         pop = GaussianCdf(7, 1)
         scores = pop.inverse(SeededRng(13).uniforms(50))
-        ecdf = make_empirical_cdf(scores)
+        ecdf = EmpiricalCdf(scores)
         got = sup_deviation(pop, ecdf)
         grid = np.linspace(scores.min() - 1, scores.max() + 1, 1_000_000)
         coarse = np.max(np.abs(np.asarray(pop.cdf(grid)) - np.asarray(ecdf.cdf(grid))))
@@ -204,14 +202,14 @@ class TestSupDeviation:
 
     def test_region_restriction(self):
         pop = GaussianCdf(7, 1)
-        ecdf = make_empirical_cdf([6.0, 6.5, 8.0])
+        ecdf = EmpiricalCdf([6.0, 6.5, 8.0])
         full = sup_deviation(pop, ecdf)
         left = sup_deviation(pop, ecdf, region=(-np.inf, 7.0))
         right = sup_deviation(pop, ecdf, region=(7.0, np.inf))
         assert max(left, right) == pytest.approx(full, abs=1e-12)
 
     def test_degenerate_region_rejected(self):
-        ecdf = make_empirical_cdf([1.0])
+        ecdf = EmpiricalCdf([1.0])
         with pytest.raises(ValueError):
             sup_deviation(GaussianCdf(), ecdf, region=(2.0, 2.0))
 
@@ -219,7 +217,7 @@ class TestSupDeviation:
 class TestStitchedCdf:
     def test_matches_plain_ecdf_without_new_samples(self):
         scores = np.array([5.0, 6.2, 6.8, 7.5, 9.0])
-        ecdf = make_empirical_cdf(scores)
+        ecdf = EmpiricalCdf(scores)
         theta = 7.0
         cens = scores[scores < theta]
         disc = scores[scores >= theta]
@@ -337,7 +335,7 @@ class TestSampling:
         passed = 0
         for trial in range(100):
             u = SeededRng(1234, trial).uniforms(10_000)
-            ecdf = make_empirical_cdf(pop.inverse(u))
+            ecdf = EmpiricalCdf(pop.inverse(u))
             if sup_deviation(pop, ecdf) < crit:
                 passed += 1
         assert passed >= 98
@@ -350,7 +348,7 @@ class TestMixtureModel:
 
     def test_pooled_cdf(self):
         model = MixtureModel(p1=0.25, cdf0=GaussianCdf(0, 1), cdf1=GaussianCdf(5, 1))
-        want = 0.75 * gaussian_cdf(1, 0, 1) + 0.25 * gaussian_cdf(1, 5, 1)
+        want = 0.75 * GaussianCdf(0, 1).cdf(1) + 0.25 * GaussianCdf(5, 1).cdf(1)
         assert model.cdf(1.0) == pytest.approx(want, abs=1e-15)
 
 
@@ -359,7 +357,7 @@ class TestMixtureModel:
 def test_sup_deviation_matches_grid_on_random_pairs(n, seed):
     pop = GaussianCdf(7, 1)
     scores = pop.inverse(SeededRng(seed).uniforms(n))
-    ecdf = make_empirical_cdf(scores)
+    ecdf = EmpiricalCdf(scores)
     got = sup_deviation(pop, ecdf)
     vals = np.asarray(pop.cdf(ecdf.sorted_scores))
     steps_hi = np.arange(1, n + 1) / n
@@ -391,7 +389,7 @@ def deviation_cases(draw):
         (-np.inf, np.inf),
         (-np.inf, float(rng.choice([rng.uniform(0.0, 10.0), *scores]))),
         (float(rng.uniform(0.0, 10.0)), np.inf)]))
-    return theory, make_empirical_cdf(scores), region
+    return theory, EmpiricalCdf(scores), region
 
 
 @settings(max_examples=60, deadline=None)
@@ -443,7 +441,7 @@ class TestRegionRestrictedDeviation:
         scores = np.asarray(pop.inverse(SeededRng(77).uniforms(60)))
         theta = 7.0
         g = RestrictedCdf(pop, hi=theta)
-        g_emp = make_empirical_cdf(scores).restrict(-np.inf, theta)
+        g_emp = EmpiricalCdf(scores).restrict(-np.inf, theta)
         got = sup_deviation(g, g_emp, region=(-np.inf, theta))
         vals = np.asarray(g.cdf(g_emp.sorted_scores))
         c = g_emp.n

@@ -28,7 +28,11 @@ gives the time of one call of each censored bound, and of
 with scalar inputs and with 1000-element arrays (of eta for a bound, of
 arrival counts for an inversion), and of the inversions over 10 000
 arrival counts too; with each inversion, the bound calls it makes.  A
-peak is measured in an untimed call of its own.
+peak is measured in an untimed call of its own.  The ``csv`` entry gives
+the time of ``verify.write_columns`` over the tables of one repetition of
+the fig1, fig2, fig4 and appendixJ presets, their cell count, the cells
+distinct within their column (the values the writer formats) and the
+values distinct across all the tables, each with its share of the cells.
 
     PYTHONPATH=src python scripts/bench_kernel.py [--replications R] [--repeats N]
 """
@@ -37,14 +41,17 @@ import json
 import os
 import platform
 import statistics
+import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import scipy
 
-from cfbounds import verify
+from cfbounds import presets, verify
 from cfbounds.censored import (
     MassSpec,
     RegionPartition,
@@ -68,6 +75,7 @@ GEN_GAP_ARRIVALS = 50_000
 ARRAY_SIZE = 1000           # elements of an array call of a bound or inversion
 LARGE_ARRAY_SIZE = 10_000   # elements of an inversion in ``cfbounds verify gen`` at 1e4 replications
 BOUND_ARRIVALS = 200        # the fig4 preset's arrivals, for the bounds' partitions
+CSV_PRESETS = ("fig1", "fig2", "fig4", "appendixJ")     # the curve and band tables
 # the partitions ``cfbounds verify cdf --preset fig1/fig2`` conditions on: (n, m, l)
 CONDITIONS = {"fig1": (fig1_config, (50, 24, 0)), "fig2": (fig2_config, (50, 27, 7))}
 
@@ -246,6 +254,38 @@ def time_bounds(repeats: int) -> dict:
     return out
 
 
+def time_csv(repeats: int) -> dict:
+    """Time of writing the ``CSV_PRESETS`` tables once, and their distinct cells.
+
+    The tables are captured from one run of each preset, before the clock
+    starts.  Cells are told apart by their float64 bit pattern (every
+    column of these tables is float64).
+    """
+    tables = []
+
+    def record(path, header, columns):
+        tables.append((Path(path).name, header, [np.asarray(c) for c in columns]))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        with patch.object(presets, "write_columns", record):
+            for name in CSV_PRESETS:
+                presets.reproduce(name, tmp)
+
+        def call():
+            for name, header, columns in tables:
+                verify.write_columns(Path(tmp) / name, header, columns)
+
+        timing = timed(call, repeats)
+    bits = [c.view(np.int64) for _, _, cols in tables for c in cols]
+    cells = sum(map(len, bits))
+    formatted = sum(len(np.unique(c)) for c in bits)
+    distinct = len(np.unique(np.concatenate(bits)))
+    return {"presets": list(CSV_PRESETS), "files": len(tables), "repeats": repeats,
+            **timing, "cells": cells,
+            "distinct_in_column": formatted, "distinct_in_column_share": round(formatted / cells, 4),
+            "distinct_overall": distinct, "distinct_overall_share": round(distinct / cells, 4)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--replications", type=int, default=100)
@@ -263,6 +303,7 @@ def main() -> int:
         "gen_gap": time_gen_gap(opts.repeats),
         "arrivals": time_arrivals(opts.repeats),
         "bounds": time_bounds(opts.repeats),
+        "csv": time_csv(opts.repeats),
     }
     print(json.dumps(out, indent=1))
     return 0

@@ -52,7 +52,7 @@ from .planar import bound_2d_three_region, bound_2d_two_region
 from .presets import REPRODUCERS, fig1_config, fig2_config, reproduce
 from .simulate import SimulationConfig, finalize, ingest_scores, run_simulation
 from .stats import GaussianCdf
-from .verify import mc_cdf_deviation, mc_gen_gap
+from .verify import mc_cdf_deviation, mc_gen_gap, write_columns
 
 USAGE_ERROR, RUNTIME_ERROR, VERIFY_VIOLATION = 1, 2, 3
 
@@ -233,14 +233,10 @@ def _cmd_optimize(args) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         grid_path = outdir / "objective_grid.csv"
-        import csv as _csv
-
-        with open(grid_path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh)
-            writer.writerow(["lb", "eps", "objective"])
-            for i, lb in enumerate(result.grid_lb):
-                for j, eps in enumerate(result.grid_eps):
-                    writer.writerow([lb, eps, result.objective_grid[i, j]])
+        n_lb, n_eps = result.objective_grid.shape
+        write_columns(grid_path, ["lb", "eps", "objective"],
+                      [np.repeat(result.grid_lb, n_eps), np.tile(result.grid_eps, n_lb),
+                       result.objective_grid.ravel()])
         outputs.append(str(grid_path))
         manifest.duration_s = time.time() - start
         manifest.write(outdir)

@@ -12,10 +12,9 @@ and returns a summary dict listing the files and the headline numbers.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .explore import BoundContext, CostModel, default_eps_grid, optimize_explora
 from .rng import splitmix64
 from .simulate import REGION_EXPLORE, SimulationConfig, finalize, run_simulation
 from .stats import GaussianCdf, MixtureModel, RestrictedCdf
-from .verify import compare_bounds
+from .verify import compare_bounds, write_columns
 
 __all__ = [
     "FIG1_SEED",
@@ -96,14 +95,7 @@ def bench_config(arrivals: int = 50_000, seed: int = BENCH_SEED) -> SimulationCo
     return SimulationConfig(model=_BENCH_MODEL, n0=50, n1=50, arrivals=arrivals, seed=seed)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fig12_rows(pop, trace, xs, lb: Optional[float], theta: float):
+def _fig12_columns(pop, trace, xs, lb: Optional[float], theta: float):
     ecdf = finalize(trace)[None].ecdf
     cols = [np.asarray(xs), np.asarray(pop.cdf(xs)), np.asarray(ecdf.cdf(xs))]
     names = ["x", "f_true", "f_emp"]
@@ -117,7 +109,7 @@ def _fig12_rows(pop, trace, xs, lb: Optional[float], theta: float):
         cols.append(np.asarray(restricted.cdf(xs)))
         cols.append(np.asarray(emp.cdf(xs)))
         names.extend([f"{name}_true", f"{name}_emp"])
-    return names, list(zip(*[c.tolist() for c in cols]))
+    return names, cols
 
 
 def reproduce_fig1(outdir: Path, seed: int = FIG1_SEED) -> dict:
@@ -126,9 +118,9 @@ def reproduce_fig1(outdir: Path, seed: int = FIG1_SEED) -> dict:
     trace = run_simulation(config)
     part = finalize(trace)[None].part
     xs = np.round(np.arange(3.0, 11.0001, 0.02), 6)
-    names, rows = _fig12_rows(_POP_71, trace, xs, None, 7.0)
+    names, cols = _fig12_columns(_POP_71, trace, xs, None, 7.0)
     path = outdir / "fig1_curves.csv"
-    _write_csv(path, names, rows)
+    write_columns(path, names, cols)
     return {
         "files": [str(path)],
         "summary": {"n": part.n, "m": part.m, "k": part.k, "seed": seed},
@@ -141,9 +133,9 @@ def reproduce_fig2(outdir: Path, seed: int = FIG2_SEED) -> dict:
     trace = run_simulation(config)
     part = finalize(trace)[None].part
     xs = np.round(np.arange(3.0, 11.0001, 0.02), 6)
-    names, rows = _fig12_rows(_POP_71, trace, xs, 6.0, 7.0)
+    names, cols = _fig12_columns(_POP_71, trace, xs, 6.0, 7.0)
     path = outdir / "fig2_curves.csv"
-    _write_csv(path, names, rows)
+    write_columns(path, names, cols)
     return {
         "files": [str(path)],
         "summary": {"n": part.n, "l": part.l, "m": part.m,
@@ -226,11 +218,13 @@ def fig3_curves(base_seed: int = FIG3_SEED, members: int = 5,
 def reproduce_fig3(outdir: Path, seed: int = FIG3_SEED) -> dict:
     curves = fig3_curves(seed)
     path = outdir / "fig3_bounds.csv"
-    _write_csv(
+    size = len(curves.eps_grid)
+    write_columns(
         path,
         ["eps", "bound_explore", "bound_theta", "bound_lb", "dkw_initial"],
-        [(e, b, curves.b_theta_mean, curves.b_lb_mean, curves.dkw_initial)
-         for e, b in zip(curves.eps_grid, curves.be_mean)],
+        [curves.eps_grid, curves.be_mean,
+         *(np.full(size, v) for v in (curves.b_theta_mean, curves.b_lb_mean,
+                                      curves.dkw_initial))],
     )
     return {
         "files": [str(path)],
@@ -271,10 +265,8 @@ def reproduce_fig4(outdir: Path, seed: int = FIG4_SEED, delta: float = 0.015) ->
     for eps in (0.0, 0.5, 1.0):
         band = fig4_band(eps, seed, delta)
         path = outdir / f"fig4_band_eps{eps:.1f}.csv"
-        _write_csv(path, ["x", "f_true", "estimate", "band_lo", "band_hi"],
-                   zip(band["xs"].tolist(), band["f_true"].tolist(),
-                       band["estimate"].tolist(), band["lo"].tolist(),
-                       band["hi"].tolist()))
+        write_columns(path, ["x", "f_true", "estimate", "band_lo", "band_hi"],
+                      [band[k] for k in ("xs", "f_true", "estimate", "lo", "hi")])
         files.append(str(path))
         etas[eps] = band["eta"]
         in_explore = (band["xs"] >= 6.0) & (band["xs"] < 7.0)
@@ -322,20 +314,17 @@ def reproduce_appendixJ(outdir: Path, seed: int = FIG4_SEED, delta: float = 0.01
     f_true = np.asarray(_POP_71.cdf(xs))
     fhat = np.asarray(final.estimate.cdf(xs))
     fnaive = np.asarray(naive.cdf(xs))
-    rows = zip(xs.tolist(), f_true.tolist(), fhat.tolist(),
-               np.clip(fhat - eta_ours, 0, 1).tolist(),
-               np.clip(fhat + eta_ours, 0, 1).tolist(),
-               fnaive.tolist(),
-               np.clip(fnaive - eta_dkw, 0, 1).tolist(),
-               np.clip(fnaive + eta_dkw, 0, 1).tolist(),
-               np.clip(fnaive - eta_gc, 0, 1).tolist(),
-               np.clip(fnaive + eta_gc, 0, 1).tolist(),
-               np.clip(fnaive - eta_vc, 0, 1).tolist(),
-               np.clip(fnaive + eta_vc, 0, 1).tolist())
+
+    def band(est, eta):
+        return np.clip(est - eta, 0, 1), np.clip(est + eta, 0, 1)
+
+    ours, dkw = band(fhat, eta_ours), band(fnaive, eta_dkw)
     path = outdir / "appendixJ_bands.csv"
-    _write_csv(path, ["x", "f_true", "weighted_est", "ours_lo", "ours_hi",
-                      "naive_est", "dkw_lo", "dkw_hi", "gc_lo", "gc_hi",
-                      "vc_lo", "vc_hi"], rows)
+    write_columns(path, ["x", "f_true", "weighted_est", "ours_lo", "ours_hi",
+                         "naive_est", "dkw_lo", "dkw_hi", "gc_lo", "gc_hi",
+                         "vc_lo", "vc_hi"],
+                  [xs, f_true, fhat, *ours, fnaive, *dkw, *band(fnaive, eta_gc),
+                   *band(fnaive, eta_vc)])
 
     def encloses(lo, hi):
         return bool(np.all((f_true >= lo - 1e-12) & (f_true <= hi + 1e-12)))
@@ -343,10 +332,8 @@ def reproduce_appendixJ(outdir: Path, seed: int = FIG4_SEED, delta: float = 0.01
     return {
         "files": [str(path)],
         "summary": {
-            "ours_encloses": encloses(np.clip(fhat - eta_ours, 0, 1),
-                                      np.clip(fhat + eta_ours, 0, 1)),
-            "naive_dkw_encloses": encloses(np.clip(fnaive - eta_dkw, 0, 1),
-                                           np.clip(fnaive + eta_dkw, 0, 1)),
+            "ours_encloses": encloses(*ours),
+            "naive_dkw_encloses": encloses(*dkw),
             "eta": {"ours": eta_ours, "dkw": eta_dkw, "gc": eta_gc, "vc": eta_vc},
             "n_observed": n_obs,
             "seed": seed,

@@ -74,7 +74,8 @@ class SimulationConfig:
     Exactly one of ``population`` (pooled, unlabeled scores) or ``model``
     (two-label mixture) must be given.  ``theta=None`` trains the
     threshold on the initial labeled data.  ``retrain_every=B`` refits
-    the threshold on all observed labeled data after every B arrivals.
+    the threshold on all observed labeled data after every B arrivals; it
+    takes no ``lb``.
     """
 
     arrivals: int
@@ -108,6 +109,10 @@ class SimulationConfig:
             raise ValueError("epsilon must be in [0, 1]")
         if self.retrain_every is not None and self.model is None:
             raise ValueError("adaptive retraining requires labeled data")
+        if self.retrain_every is not None and self.lb is not None:
+            # refits may move theta to or below lb and back, and no bound
+            # covers arrivals decided against an exploration region that moved
+            raise ValueError("adaptive retraining does not support an exploration bound lb")
 
     @property
     def pooled(self) -> bool:
@@ -481,9 +486,8 @@ def finalize(trace: SimulationTrace) -> dict:
     The deviation and generalization bounds are claimed for fixed-threshold
     runs only.  A retrained run's partition counts the initial samples
     against the final theta but the arrivals by the region recorded when
-    each was decided, and no bound is claimed for it.  A retrained run
-    whose final theta lies at or below lb has no exploration region and
-    raises ``ValueError``.
+    each was decided, and no bound is claimed for it.  A trained threshold
+    at or below lb leaves no exploration region and raises ``ValueError``.
     """
     theta = trace.final_theta
     lb, eps = trace.config.lb, trace.config.epsilon

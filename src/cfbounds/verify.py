@@ -124,17 +124,12 @@ class CoverageReport:
         return json.dumps(out, sort_keys=True)
 
     def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self._CSV_FIELDS)
-            writer.writerow([getattr(self, k) for k in self._CSV_FIELDS])
+        write_columns(path, self._CSV_FIELDS, [[getattr(self, k)] for k in self._CSV_FIELDS])
 
 
 @dataclass(frozen=True)
 class TableReport:
-    """Column-oriented comparison table with stable schema."""
+    """Comparison table with a stable schema: named columns, one tuple per row."""
 
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
@@ -145,12 +140,33 @@ class TableReport:
         return [row[idx] for row in self.rows]
 
     def write_csv(self, path) -> None:
-        import csv
+        write_columns(path, self.columns, [self.column(name) for name in self.columns])
 
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            writer.writerows(self.rows)
+
+def write_columns(path, header: Sequence[str], columns) -> None:
+    """Write equal-length ``columns`` under ``header`` as CSV at ``path``.
+
+    The bytes are those of ``csv.writer`` with its defaults, for cells
+    that need no quoting: a header row, cells joined by ``,``, every line
+    ended by ``\\r\\n``, floats as Python ``repr`` and every other value
+    as ``str`` of its ``.tolist()`` item.  Each column goes through
+    ``np.asarray``, so one that mixes ints and floats is written as
+    floats.  A float64 column formats each distinct bit pattern once (so
+    ``-0.0`` and NaN stay exact) and indexes the strings back; empirical
+    CDFs are step functions, so their columns repeat most values.
+    """
+    cells = []
+    for col in map(np.asarray, columns):
+        if col.dtype == np.float64:
+            keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+            text = np.array(list(map(float.__repr__, keys.view(np.float64).tolist())),
+                            dtype=object)
+            cells.append(text[inverse].tolist())
+        else:
+            cells.append(list(map(str, col.tolist())))
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

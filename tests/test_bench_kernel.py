@@ -33,3 +33,12 @@ def test_time_bounds_counts_bound_calls(bench_kernel):
         # a scalar inversion settles 8 levels per call; arrays of 256 or more
         # elements one, as serial bisection: the reachability call and 30 steps
         assert calls == {"scalar": 5, "array": 31, "array_10000": 31}
+
+
+def test_time_csv_counts_the_cells(bench_kernel):
+    out = bench_kernel.time_csv(1)
+    # fig1 (7 columns), fig2 (9), fig4's three bands (5 each) and
+    # appendixJ (12), 401 rows each
+    assert out["files"] == 6 and out["repeats"] == 1 and out["median_us"] > 0
+    assert out["cells"] == 401 * (7 + 9 + 3 * 5 + 12) == 17_243
+    assert 0 < out["distinct_overall"] <= out["distinct_in_column"] < out["cells"]

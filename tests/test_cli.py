@@ -1,5 +1,6 @@
 """Command-line surface: outputs, schemas, exit codes, manifests."""
 import csv
+import hashlib
 import json
 import math
 
@@ -118,11 +119,11 @@ class TestSimulateCommand:
             (tmp_path / "b/trace.json").read_bytes()
 
     def test_final_theta_below_lb_fails_before_writing(self, capsys, tmp_path):
-        # lb with a trained theta: the refits end below lb, which finalize
+        # lb with a trained theta: the fit lands below lb, which finalize
         # rejects before any output file is opened
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(bench_config(arrivals=1000).to_dict() | {
-            "theta": None, "lb": 9.8, "epsilon": 0.5, "retrain_every": 500}))
+            "theta": None, "lb": 9.8, "epsilon": 0.5}))
         out_dir = tmp_path / "run"
         out_dir.mkdir()
         code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
@@ -131,6 +132,19 @@ class TestSimulateCommand:
         assert out == ""
         assert "final theta" in err and "at or below lb 9.8" in err
         assert list(out_dir.iterdir()) == []
+
+    def test_lb_with_retraining_rejected(self, capsys, tmp_path):
+        # refits may move theta across lb, so the config itself is refused
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(bench_config(arrivals=2000).to_dict() | {
+            "theta": None, "lb": 8.5, "retrain_every": 100}))
+        out_dir = tmp_path / "run"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                                 "--out", str(out_dir))
+        assert code == 2
+        assert out == ""
+        assert "retraining does not support" in err
+        assert not out_dir.exists()
 
     def test_arrivals_csv(self, capsys, tmp_path):
         cfg_dict = fig4_config(1.0).to_dict()
@@ -223,9 +237,13 @@ class TestOptimizeCommand:
         assert code == 0
         payload = json.loads(out)
         assert 0.0 <= payload["eps_star"] <= 1.0
-        grid = list(csv.reader(open(tmp_path / "o" / "objective_grid.csv")))
+        path = tmp_path / "o" / "objective_grid.csv"
+        grid = list(csv.reader(open(path)))
         assert grid[0] == ["lb", "eps", "objective"]
         assert len(grid) == 1 + 5
+        # the bytes `csv.writer` wrote before the columnar writer replaced it
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "75446c16f4527463082ecd46182482fbe0b8f7c89a625f62125697ecf5561afc"
 
 
 class TestReproduceDeterminism:

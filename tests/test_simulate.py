@@ -137,7 +137,9 @@ def admission_runs(draw):
         st.integers(T + 1, T + 40), st.integers(1, max(T, 1))))
     pooled = retrain_every is None and draw(st.booleans())
     theta = draw(st.floats(8.5, 10.5)) if pooled or draw(st.booleans()) else None
-    if theta is None:
+    if retrain_every is not None:
+        lb = None       # retraining takes no lb
+    elif theta is None:
         # a trained theta lies near 9.5; lb may land at or above it
         lb = draw(st.one_of(st.none(), st.floats(8.0, 11.0)))
     else:
@@ -195,13 +197,10 @@ def tied_runs(draw):
     model = MixtureModel(p1=draw(st.sampled_from([0.05, 0.5, 0.95])),
                          cdf0=_grid_cdf(draw(weights)), cdf1=_grid_cdf(draw(weights)))
     theta = draw(st.one_of(st.none(), st.sampled_from(GRID[1:])))
-    lb_grid = GRID if theta is None else GRID[GRID < theta]
     config = SimulationConfig(
         model=model, n0=draw(st.integers(1, 8)), n1=draw(st.integers(1, 8)),
         arrivals=T, seed=draw(st.integers(0, 2**32)),
         theta=None if theta is None else float(theta),
-        lb=draw(st.one_of(st.none(), st.sampled_from(lb_grid).map(float))),
-        epsilon=draw(st.sampled_from([0.0, 0.5, 1.0])),
         retrain_every=draw(st.integers(1, max(T, 1))))
     stream = None
     if draw(st.booleans()):
@@ -336,8 +335,7 @@ class TestReplayAndIntegrity:
             assert np.array_equal(admitted, trace.arrival_admitted)
 
     def test_adaptive_replay(self):
-        trace = run_simulation(labeled_config(lb=8.0, epsilon=0.5, theta=None,
-                                              retrain_every=25, arrivals=100))
+        trace = run_simulation(labeled_config(theta=None, retrain_every=25, arrivals=100))
         region, admitted = _replay(trace)
         assert np.array_equal(admitted, trace.arrival_admitted)
 
@@ -368,8 +366,7 @@ class TestFinalize:
     def test_final_theta_at_or_below_lb_rejected(self):
         from dataclasses import replace
 
-        trace = run_simulation(labeled_config(theta=None, lb=11.0, epsilon=0.5,
-                                              retrain_every=25))
+        trace = run_simulation(labeled_config(theta=None, lb=11.0, epsilon=0.5))
         with pytest.raises(ValueError, match=r"final theta \S+ is at or below lb 11\.0"):
             finalize(trace)
         at_lb = replace(trace, threshold_history=trace.threshold_history + ((100, 11.0),))
@@ -599,6 +596,7 @@ class TestStrictConfigDict:
         ({"arrivals": "100"}, "integer"),
         ({"seed": True}, "integer"),
         ({"retrain_every": 2.5}, "integer"),
+        ({"lb": 9.0, "retrain_every": 5}, "retraining does not support"),
     ])
     def test_rejects_top_level_probe(self, changes, match):
         with pytest.raises(ValueError, match=match):

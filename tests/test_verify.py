@@ -1,4 +1,6 @@
 """Monte Carlo harness: Wilson intervals, kernels, coverage reports."""
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -42,6 +44,7 @@ from cfbounds.verify import (
     vc_gen_eta,
     wilson_interval,
     wilson_stderr,
+    write_columns,
 )
 
 POP = GaussianCdf(7.0, 1.0)
@@ -1114,8 +1117,6 @@ class TestConfigVariants:
 
 class TestReportCsvExport:
     def test_single_row_schema(self, tmp_path):
-        import csv
-
         report = CoverageReport.build(10, 1000, 7, 0.1, bound=0.5)
         path = tmp_path / "report.csv"
         report.write_csv(path)
@@ -1123,3 +1124,53 @@ class TestReportCsvExport:
         assert rows[0][0] == "replications"
         assert rows[1][0] == "1000"
         assert rows[1][rows[0].index("verdict")] == "bound-holds"
+
+
+def _bits(pattern: int) -> float:
+    return float(np.array([pattern], dtype=np.uint64).view(np.float64)[0])
+
+
+# signed zeros and infinities, NaNs with and without sign and payload, the
+# smallest subnormal, the largest subnormal and smallest normal, and values
+# on both sides of the switches of ``repr`` to exponent notation
+_SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, _bits(0x7FF8000000000001),
+                   5e-324, -5e-324, _bits(0x000FFFFFFFFFFFFF), 2.2250738585072014e-308,
+                   1e-5, 1e-4, 9.999999999999999e-05, 1e16, -1e16, 9999999999999998.0,
+                   1e15, 0.1, 1 / 3, 1.0, -2.5]
+
+
+@st.composite
+def _csv_tables(draw):
+    """Columns of floats with heavy repeats, of ints and of unquoted strings."""
+    rows = draw(st.integers(0, 30))
+    floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_subnormal=True))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["float", "int", "str"]), min_size=1,
+                              max_size=5)):
+        if kind == "float":
+            pool = draw(st.lists(floats, min_size=1, max_size=4))
+            values = st.one_of(st.sampled_from(pool), floats)
+            columns.append(np.array(draw(st.lists(values, min_size=rows, max_size=rows)),
+                                    dtype=np.float64))
+        elif kind == "int":
+            columns.append(np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                                  min_size=rows, max_size=rows)),
+                                    dtype=np.int64))
+        else:
+            columns.append(np.array(draw(st.lists(
+                st.text("abcdefghij-_.", min_size=1, max_size=12),
+                min_size=rows, max_size=rows)), dtype=str))
+    return [f"c{i}" for i in range(len(columns))], columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(_csv_tables())
+def test_write_columns_matches_csv_writer(tmp_path_factory, table):
+    header, columns = table
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(header)
+    writer.writerows(zip(*[c.tolist() for c in columns]))
+    path = tmp_path_factory.getbasetemp() / "write_columns.csv"
+    write_columns(path, header, columns)
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")

@@ -18,8 +18,13 @@ that fell back to scoring every draw because a window check failed.  The
 call over 100 000 replications at the fig1 and fig2 partitions that
 ``cfbounds verify cdf`` conditions on, and its ``tracemalloc`` peak.  The
 ``gen_gap`` entry gives the time and ``tracemalloc`` peak of one
-``_gen_gap_samples`` call over 10 000 replications of the bench preset at
-50 000 arrivals, the kernel behind ``cfbounds verify gen``.  The
+``mc_gen_gap`` call over 10 000 replications of the bench preset at 50 000
+arrivals, which is ``cfbounds verify gen``.  The ``trace`` entry gives
+the time and ``tracemalloc`` peak of writing ``trace.json``
+(``SimulationTrace.write_json``) for a run of 50 000 arrivals of the bench
+model, adaptive (trained, ``retrain_every=500``) and driven by an arrival
+stream as ``--arrivals-csv`` reads it; the runs are made before the clock
+starts.  The
 ``arrivals`` entry gives the time of one ``run_arrivals`` call over
 100 000 arrivals of the bench model, with no retraining and with
 ``retrain_every=500``, from the same stage-1 state.  The ``bounds`` entry
@@ -63,8 +68,16 @@ from cfbounds.censored import (
 )
 from cfbounds.presets import BENCH_SEED, bench_config, fig1_config, fig2_config
 from cfbounds.rng import SeededRng
-from cfbounds.simulate import run_arrivals, run_stage1
-from cfbounds.verify import _gen_gap_samples, _row_sups, _sup_task, _sup_tasks, _with_grid
+from cfbounds.simulate import run_arrivals, run_simulation, run_stage1
+from cfbounds.verify import (
+    _gen_gap_samples,
+    _row_sups,
+    _sorted_samples,
+    _sup_task,
+    _sup_tasks,
+    _with_grid,
+    mc_gen_gap,
+)
 
 ARRIVALS = (0, 1000, 2000, 5000, 10_000, 50_000)
 DELTA = 0.015           # the bench preset's confidence parameter
@@ -72,6 +85,7 @@ SIM_ARRIVALS = 100_000
 CONDITIONED_REPS = 100_000
 GEN_GAP_REPS = 10_000       # the replications of ``cfbounds verify gen`` at the acceptance budget
 GEN_GAP_ARRIVALS = 50_000
+TRACE_ARRIVALS = 50_000     # the arrivals of perfbench's cli-session simulate runs
 ARRAY_SIZE = 1000           # elements of an array call of a bound or inversion
 LARGE_ARRAY_SIZE = 10_000   # elements of an inversion in ``cfbounds verify gen`` at 1e4 replications
 BOUND_ARRIVALS = 200        # the fig4 preset's arrivals, for the bounds' partitions
@@ -133,8 +147,9 @@ def path_counts(tasks) -> tuple[int, int]:
 def time_kernel(arrivals: int, replications: int, repeats: int) -> dict:
     """Per-replication times of the chunk kernel at one arrival count."""
     config = _with_grid(bench_config(), arrivals)
-    theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
-        config, replications, BENCH_SEED, DELTA)
+    initial, x0, x1 = _sorted_samples(config, replications, BENCH_SEED)
+    theta, _, _, (a0, a1, k0, k1) = _gen_gap_samples(
+        config, replications, BENCH_SEED, DELTA, initial)
     censored = _row_sups(theta, x0, x1, config.model, config.n0, config.n1)[0]
     tasks, _ = _sup_tasks(SeededRng(BENCH_SEED).substream(2), 0, theta, x0, x1, a0, a1,
                           k0, k1, config.model, censored)
@@ -176,14 +191,36 @@ def time_conditioned(repeats: int) -> dict:
 
 
 def time_gen_gap(repeats: int) -> dict:
-    """Time and peak of one ``_gen_gap_samples`` call per 1e4 replications."""
+    """Time and peak of one ``mc_gen_gap`` call per 1e4 replications."""
     config = bench_config(GEN_GAP_ARRIVALS)
 
     def call():
-        _gen_gap_samples(config, GEN_GAP_REPS, BENCH_SEED, DELTA)
+        mc_gen_gap(config, GEN_GAP_REPS, BENCH_SEED)
 
     return {"replications": GEN_GAP_REPS, "arrivals": GEN_GAP_ARRIVALS, "repeats": repeats,
             **timed(call, repeats), "peak_mb": peak_mb(call)}
+
+
+def time_trace(repeats: int, arrivals: int = TRACE_ARRIVALS) -> dict:
+    """Time and peak of writing one ``trace.json``, adaptive and stream-driven."""
+    adaptive = replace(bench_config(arrivals), theta=None, retrain_every=500)
+    gen = np.random.default_rng(0)
+    labels = (gen.random(arrivals) < adaptive.model.p1).astype(np.int8)
+    scores = np.where(labels == 1, adaptive.model.cdf1.mean, adaptive.model.cdf0.mean) \
+        + gen.standard_normal(arrivals)
+    traces = {"adaptive": run_simulation(adaptive),
+              "csv": run_simulation(replace(adaptive, retrain_every=None, arrivals=0),
+                                    (scores, labels))}
+    out = {"arrivals": arrivals, "repeats": repeats}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, trace in traces.items():
+            def call():
+                with open(Path(tmp) / "trace.json", "w", encoding="utf-8") as fh:
+                    trace.write_json(fh)
+
+            out[name] = {**timed(call, repeats), "peak_mb": peak_mb(call),
+                         "bytes": (Path(tmp) / "trace.json").stat().st_size}
+    return out
 
 
 def time_arrivals(repeats: int) -> dict:
@@ -301,6 +338,7 @@ def main() -> int:
         "per_replication": [time_kernel(t, opts.replications, opts.repeats) for t in ARRIVALS],
         "conditioned": time_conditioned(opts.repeats),
         "gen_gap": time_gen_gap(opts.repeats),
+        "trace": time_trace(opts.repeats),
         "arrivals": time_arrivals(opts.repeats),
         "bounds": time_bounds(opts.repeats),
         "csv": time_csv(opts.repeats),

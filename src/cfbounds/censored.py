@@ -370,7 +370,8 @@ def eta_for_confidence(bound: Callable[[float | np.ndarray], BoundValue], delta:
     midpoint, for any such bound, monotone or not.  L keeps a call to
     about 256 evaluations: 8 for a scalar bound, whose inversion then
     makes 5 calls instead of 31, and 1, one call per step as in serial
-    bisection, for 256 elements or more.
+    bisection, for 256 elements or more.  A scalar bound's steps run on
+    Python floats (``_bisect_scalar``), not on 0-d arrays.
 
     A bound whose probability is an array of shape ``s`` is bisected
     elementwise, with the same midpoints per element as a scalar bound;
@@ -387,6 +388,8 @@ def eta_for_confidence(bound: Callable[[float | np.ndarray], BoundValue], delta:
     # the largest L with (2^L - 1) * size <= _ROUND_ELEMENTS, and at least 1
     levels = max(1, (_ROUND_ELEMENTS // max(reachable.size, 1) + 1).bit_length() - 1)
     width = 2 ** levels
+    if reachable.ndim == 0:
+        return _bisect_scalar(bound, delta, float(hi), tol, width)
     # nodes[0] and nodes[width] hold the bracket, updated in place; a round
     # fills the rows between them with the midpoints of its next `levels`
     # steps, each from the two nodes a serial step would hold as its bracket
@@ -403,14 +406,9 @@ def eta_for_confidence(bound: Callable[[float | np.ndarray], BoundValue], delta:
         widest = gap.argmax()
         if not (gap.flat[widest] > tol and (lo.flat[widest] < mid.flat[widest] < hi.flat[widest]
                                           or np.any((lo < mid) & (mid < hi)))):
-            return float(hi) if reachable.ndim == 0 else np.where(reachable, hi, np.nan)
+            return np.where(reachable, hi, np.nan)
         if table is None:
-            step = width
-            while step > 1:
-                level = nodes[step // 2::step]
-                np.add(nodes[:-1:step], nodes[step::step], out=level)
-                level *= 0.5
-                step //= 2
+            _fill_midpoints(nodes)
             if width > 2:
                 table = bound(nodes[1:-1]).probability <= delta
             else:
@@ -423,6 +421,46 @@ def eta_for_confidence(bound: Callable[[float | np.ndarray], BoundValue], delta:
         np.copyto(hi, mid, where=ok)
         np.copyto(lo, mid, where=~ok)
         table = np.where(ok, table[:half], table[half + 1:]) if half else None
+
+
+def _fill_midpoints(nodes: np.ndarray) -> None:
+    """Fill the rows between ``nodes[0]`` and ``nodes[-1]`` (2^L + 1 rows) with
+    the midpoints of L serial bisection steps from that bracket, each as
+    ``0.5 * (a + b)`` of the two nodes a serial step would hold as its bracket."""
+    step = len(nodes) - 1
+    while step > 1:
+        level = nodes[step // 2::step]
+        np.add(nodes[:-1:step], nodes[step::step], out=level)
+        level *= 0.5
+        step //= 2
+
+
+def _bisect_scalar(bound, delta: float, hi: float, tol: float, width: int) -> float:
+    """``eta_for_confidence`` of a reachable scalar bound, ``width`` - 1
+    midpoints per bound call.
+
+    The same rounds, midpoints and steps as the array path, but each step
+    runs on Python floats: the bracket is two floats and a round's
+    decisions a list, of which each step keeps one half as a window of
+    indices.
+    """
+    nodes = np.empty(width + 1)
+    lo, start, stop = 0.0, 0, 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not (hi - lo > tol and lo < mid < hi):
+            return hi
+        if start == stop:
+            nodes[0], nodes[width] = lo, hi
+            _fill_midpoints(nodes)
+            table = (bound(nodes[1:-1]).probability <= delta).tolist()
+            start, stop = 0, width - 1
+        # this step's midpoint is the middle of the window; the step keeps one half
+        middle = (start + stop) // 2
+        if table[middle]:
+            hi, stop = mid, middle
+        else:
+            lo, start = mid, middle + 1
 
 
 @dataclass(frozen=True)

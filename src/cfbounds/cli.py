@@ -161,7 +161,7 @@ def _cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     trace_path = outdir / "trace.json"
     with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write(trace.to_json(indent=None, sort_keys=True))
+        trace.write_json(fh)
         fh.write("\n")
     summary = {}
     for label, final in finals.items():

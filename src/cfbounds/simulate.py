@@ -292,32 +292,106 @@ class SimulationTrace:
     def final_theta(self) -> float:
         return self.threshold_history[-1][1]
 
-    def to_json_dict(self) -> dict:
-        coins = self.arrival_coins.astype(object)
-        coins[np.isnan(self.arrival_coins)] = None
-        return {
-            "config": self.config.to_dict(),
-            "theta0": self.theta0,
-            "final_theta": _json_float(self.final_theta),
-            "initial_scores": self.initial_scores.tolist(),
-            "initial0": self.initial0.tolist(),
-            "initial1": self.initial1.tolist(),
-            "arrival_scores": self.arrival_scores.tolist(),
-            "arrival_labels": None if self.arrival_labels is None else self.arrival_labels.tolist(),
-            "arrival_region": self.arrival_region.tolist(),
-            "arrival_admitted": self.arrival_admitted.tolist(),
-            "arrival_coins": coins.tolist(),
-            "threshold_history": [[t, _json_float(th)] for t, th in self.threshold_history],
+    def write_json(self, fh) -> None:
+        """Write the trace to the text file ``fh`` as one JSON object.
+
+        The text is that of ``json.dumps`` with sorted keys over the
+        arrays as lists, except that a coin never drawn is ``null`` and a
+        non-finite threshold (``theta0``, ``final_theta`` and the thetas
+        of ``threshold_history``) is the string ``"inf"`` or ``"-inf"``.
+        Each array goes out ``_JSON_BLOCK`` values at a time, every block
+        formatting its distinct values once (``distinct_text``), so the text
+        of a long run is never held whole.
+        """
+        fh.writelines(self._json_pieces())
+
+    def to_json(self) -> str:
+        """The text that ``write_json`` writes."""
+        return "".join(self._json_pieces())
+
+    def _json_pieces(self):
+        times, thetas = (np.array(v) for v in zip(*self.threshold_history))
+        values = {
+            "arrival_admitted": _json_array(self.arrival_admitted),
+            "arrival_coins": _json_array(self.arrival_coins, _JSON_COINS),
+            "arrival_labels": ("null",) if self.arrival_labels is None
+            else _json_array(self.arrival_labels),
+            "arrival_region": _json_array(self.arrival_region),
+            "arrival_scores": _json_array(self.arrival_scores),
+            "config": (json.dumps(self.config.to_dict(), sort_keys=True),),
+            "final_theta": _json_items(np.array([self.final_theta]), _JSON_THETAS),
+            "initial0": _json_array(self.initial0),
+            "initial1": _json_array(self.initial1),
+            "initial_scores": _json_array(self.initial_scores),
+            "theta0": _json_items(np.array([self.theta0]), _JSON_THETAS),
+            "threshold_history": _json_array(times, items=lambda block: map(
+                "[{}, {}]".format, _json_items(times[block]),
+                _json_items(thetas[block], _JSON_THETAS))),
         }
+        for i, key in enumerate(sorted(values)):
+            yield f'{", " if i else "{"}"{key}": '
+            yield from values[key]
+        yield "}"
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
+
+_JSON_BLOCK = 8192      # values per formatted block of a trace.json array
+# json.dumps's spellings of the non-finite floats; a coin never drawn (NaN)
+# is null, and a non-finite threshold the string "inf" or "-inf"
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_COINS = {**_JSON_FLOATS, "nan": "null"}
+_JSON_THETAS = {**_JSON_FLOATS, "inf": '"inf"', "-inf": '"-inf"'}
 
 
-def _json_float(x: float):
-    if np.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return float(x)
+def distinct_text(values: np.ndarray, nonfinite: Optional[dict] = None) -> np.ndarray:
+    """``str`` of every ``.tolist()`` item of the 1-d numeric array
+    ``values``, as an object array of strings.
+
+    Each distinct value is formatted once and its text indexed back to
+    every place it occurs; float64 values are told apart by bit pattern,
+    so ``-0.0`` and NaN payloads stay apart.  ``nonfinite`` respells the
+    float texts ``"nan"``, ``"inf"`` and ``"-inf"``.
+    """
+    values = np.asarray(values)
+    floats = values.dtype == np.float64
+    keys, inverse = np.unique(values.view(np.int64) if floats else values,
+                              return_inverse=True)
+    if not floats:
+        return np.array(list(map(str, keys.tolist())), dtype=object)[inverse]
+    keys = keys.view(np.float64)
+    text = np.array(list(map(float.__repr__, keys.tolist())), dtype=object)
+    if nonfinite:
+        for i in np.flatnonzero(~np.isfinite(keys)):
+            text[i] = nonfinite[text[i]]
+    return text[inverse]
+
+
+_JSON_BOOLS = np.array(["false", "true"], dtype=object)
+
+
+def _json_items(values: np.ndarray, nonfinite: dict = _JSON_FLOATS) -> list[str]:
+    """The JSON text of each item of the 1-d array ``values``, as
+    ``json.dumps`` spells it, floats respelled by ``nonfinite``."""
+    if values.dtype == bool:
+        return _JSON_BOOLS[values.view(np.uint8)].tolist()
+    if values.dtype.kind == "f":
+        values = values.astype(np.float64, copy=False)
+    return distinct_text(values, nonfinite).tolist()
+
+
+def _json_array(values: np.ndarray, nonfinite: dict = _JSON_FLOATS, items=None):
+    """The pieces of a JSON list of ``values``, ``_JSON_BLOCK`` items at a time.
+
+    ``items(block)`` gives a block's item texts; by default they are
+    ``_json_items(values[block], nonfinite)``.
+    """
+    if items is None:
+        items = lambda block: _json_items(values[block], nonfinite)     # noqa: E731
+    yield "["
+    for start in range(0, len(values), _JSON_BLOCK):
+        if start:
+            yield ", "
+        yield ", ".join(items(slice(start, start + _JSON_BLOCK)))
+    yield "]"
 
 
 def run_stage1(config: SimulationConfig) -> Stage1State:

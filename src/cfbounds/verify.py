@@ -37,7 +37,7 @@ from .censored import (
 from .classic import dkw_eta, gc_eta, hoeffding_eta
 from .generalization import gen_bound_from_counts, train_thresholds
 from .rng import SeededRng, splitmix64
-from .simulate import SimulationConfig, finalize, run_simulation
+from .simulate import SimulationConfig, distinct_text, finalize, run_simulation
 from .stats import GaussianCdf, sup_deviation
 
 __all__ = [
@@ -151,17 +151,14 @@ def write_columns(path, header: Sequence[str], columns) -> None:
     ended by ``\\r\\n``, floats as Python ``repr`` and every other value
     as ``str`` of its ``.tolist()`` item.  Each column goes through
     ``np.asarray``, so one that mixes ints and floats is written as
-    floats.  A float64 column formats each distinct bit pattern once (so
-    ``-0.0`` and NaN stay exact) and indexes the strings back; empirical
-    CDFs are step functions, so their columns repeat most values.
+    floats.  A float64 column formats each distinct value once
+    (``distinct_text``, which ``trace.json`` shares); empirical CDFs are step
+    functions, so their columns repeat most values.
     """
     cells = []
     for col in map(np.asarray, columns):
         if col.dtype == np.float64:
-            keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
-            text = np.array(list(map(float.__repr__, keys.view(np.float64).tolist())),
-                            dtype=object)
-            cells.append(text[inverse].tolist())
+            cells.append(distinct_text(col).tolist())
         else:
             cells.append(list(map(str, col.tolist())))
     lines = [",".join(header), *map(",".join, zip(*cells))]
@@ -305,45 +302,68 @@ def _eta_two_region_vec(n: int, m, k, alpha, delta: float) -> np.ndarray:
     return np.where(np.isnan(eta), 1.0, eta)
 
 
-def _initial_samples(config: SimulationConfig, replications: int, seed: int):
-    """Per-replication initial samples and what they alone determine.
+def _initial_blocks(config: SimulationConfig, replications: int, seed: int,
+                    x0: Optional[np.ndarray] = None, x1: Optional[np.ndarray] = None):
+    """Draw, sort and train the initial samples one block of replications
+    at a time (``_row_blocks``), in the order of ``SeededRng(seed).substream(0)``.
 
-    Returns the thresholds, the gaps |R - R_emp| at them, x0 and x1 (one
-    replication per row, each row sorted), F0 and F1 at the thresholds, and
-    the per-label counts below them.  All come from
-    ``SeededRng(seed).substream(0)``; ``config.arrivals`` does not enter.
-    The draws, their scores, the sorts and the training run one block of
-    replications at a time (``_row_blocks``), which keeps the temporaries
-    cache-sized; the results do not depend on the blocks.
+    Yields ``(rows, s0, s1, theta, remp, m0, m1)`` per block: the block's
+    rows, its sorted samples (one replication per row), the thresholds,
+    the empirical risks at them and the per-label counts below them.  The
+    samples are the block's rows of ``x0`` and ``x1`` when those
+    ``(replications, n)`` arrays are given, which keeps every block's
+    samples there, and new arrays otherwise.  ``config.arrivals`` does
+    not enter, and the values do not depend on the blocks.
     """
     model = config.model
     n0, n1 = config.n0, config.n1
     gen = SeededRng(seed).substream(0).generator()
-    x0, x1 = np.empty((replications, n0)), np.empty((replications, n1))
-    theta, remp = np.empty(replications), np.empty(replications)
     for rows in _row_blocks(replications, n0 + n1):
-        u = gen.random((rows.stop - rows.start, n0 + n1))
-        x0[rows] = model.cdf0.inverse(u[:, :n0])
-        x1[rows] = model.cdf1.inverse(u[:, n0:])
+        size = rows.stop - rows.start
+        s0 = np.empty((size, n0)) if x0 is None else x0[rows]
+        s1 = np.empty((size, n1)) if x1 is None else x1[rows]
+        u = gen.random((size, n0 + n1))
+        s0[...] = model.cdf0.inverse(u[:, :n0])
+        s1[...] = model.cdf1.inverse(u[:, n0:])
         del u       # freeing the draws lowers the peak memory of training
-        x0[rows].sort(axis=1)
-        x1[rows].sort(axis=1)
+        s0.sort(axis=1)
+        s1.sort(axis=1)
         if config.theta is None:
-            theta[rows], remp[rows] = train_thresholds(x0[rows], x1[rows])
-    if config.theta is not None:
-        theta[:] = config.theta
-    m0 = np.sum(x0 < theta[:, None], axis=1)
-    m1 = np.sum(x1 < theta[:, None], axis=1)
-    if config.theta is not None:
-        # ``empirical_risk`` at theta, from the counts below it
-        n = n0 + n1
-        remp = (n1 / n) * (m1 / n1) + (n0 / n) * (1.0 - m0 / n0)
+            theta, remp = train_thresholds(s0, s1)
+        else:
+            theta = np.full(size, float(config.theta))
+        m0 = np.sum(s0 < theta[:, None], axis=1)
+        m1 = np.sum(s1 < theta[:, None], axis=1)
+        if config.theta is not None:
+            # ``empirical_risk`` at theta, from the counts below it
+            n = n0 + n1
+            remp = (n1 / n) * (m1 / n1) + (n0 / n) * (1.0 - m0 / n0)
+        yield rows, s0, s1, theta, remp, m0, m1
 
+
+def _initial_samples(config: SimulationConfig, replications: int, seed: int,
+                     x0: Optional[np.ndarray] = None, x1: Optional[np.ndarray] = None):
+    """Per-replication scalars of the initial samples (``_initial_blocks``).
+
+    Returns the thresholds, the gaps |R - R_emp| at them, F0 and F1 at the
+    thresholds, and the per-label counts below them.  The samples are kept
+    in ``x0`` and ``x1`` when given, and dropped block by block otherwise.
+    """
+    blocks = [block[3:] for block in _initial_blocks(config, replications, seed, x0, x1)]
+    theta, remp, m0, m1 = map(np.concatenate, zip(*blocks))
+    model = config.model
     a0 = np.asarray(model.cdf0.cdf(theta), dtype=float)
     a1 = np.asarray(model.cdf1.cdf(theta), dtype=float)
     rtrue = model.p1 * a1 + model.p0 * (1.0 - a0)
     gaps = np.abs(rtrue - remp)
-    return theta, gaps, x0, x1, a0, a1, m0, m1
+    return theta, gaps, a0, a1, m0, m1
+
+
+def _sorted_samples(config: SimulationConfig, replications: int, seed: int):
+    """``_initial_samples`` and the sorted samples x0 and x1 themselves, one
+    replication per row, which the truth column needs."""
+    x0, x1 = np.empty((replications, config.n0)), np.empty((replications, config.n1))
+    return _initial_samples(config, replications, seed, x0, x1), x0, x1
 
 
 def _gen_gap_samples(config: SimulationConfig, replications: int, seed: int,
@@ -352,12 +372,14 @@ def _gen_gap_samples(config: SimulationConfig, replications: int, seed: int,
 
     ``initial`` is ``_initial_samples(config, replications, seed)``, computed
     here when not given; a grid over ``config.arrivals`` can share one.
+    Returns the thresholds, the gaps, the bounds and ``(a0, a1, k0, k1)``:
+    F0 and F1 at the thresholds and each label's admitted-arrival count.
     """
     model = config.model
     n0, n1 = config.n0, config.n1
     if initial is None:
         initial = _initial_samples(config, replications, seed)
-    theta, gaps, x0, x1, a0, a1, m0, m1 = initial
+    theta, gaps, a0, a1, m0, m1 = initial
     bin_gen = SeededRng(seed).substream(1).generator()
     T = config.arrivals
     t1 = bin_gen.binomial(T, model.p1, size=replications) if T else np.zeros(replications, dtype=int)
@@ -367,7 +389,7 @@ def _gen_gap_samples(config: SimulationConfig, replications: int, seed: int,
     eta0 = _eta_two_region_vec(n0, m0, k0, a0, delta)
     eta1 = _eta_two_region_vec(n1, m1, k1, a1, delta)
     totals = gen_bound_from_counts(n0, n1, model.p1, {0: eta0, 1: eta1}, delta).total
-    return theta, gaps, totals, (x0, x1, a0, a1, k0, k1)
+    return theta, gaps, totals, (a0, a1, k0, k1)
 
 
 def mc_gen_gap(config: SimulationConfig, replications: int, seed: int,
@@ -942,10 +964,10 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
     quant = 1.0 - 2.0 * delta
 
     stream = SeededRng(seed).substream(2)
-    initial = _initial_samples(config, replications, seed)
+    initial, x0, x1 = _sorted_samples(config, replications, seed)
     # in chunks, which keeps the calling process's peak memory low
     censored = np.concatenate([
-        _row_sups(*(a[lo:lo + _SUP_CHUNK] for a in (initial[0], initial[2], initial[3])),
+        _row_sups(*(a[lo:lo + _SUP_CHUNK] for a in (initial[0], x0, x1)),
                   model, config.n0, config.n1)[0] for lo in range(0, replications, _SUP_CHUNK)])
     chunks = len(grid) * -(-replications // _SUP_CHUNK)
     # forked workers start with every module imported; fork is unsafe on
@@ -955,7 +977,7 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
     with ProcessPoolExecutor(max(1, min(_cpu_count(), chunks - 1)),
                              mp_context=multiprocessing.get_context(method)) as pool:
         for T in grid:
-            theta, _, totals, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
+            theta, _, totals, (a0, a1, k0, k1) = _gen_gap_samples(
                 _with_grid(config, T), replications, seed, delta, initial)
             ours.append(totals)
             tasks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, model,

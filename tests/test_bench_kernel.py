@@ -42,3 +42,11 @@ def test_time_csv_counts_the_cells(bench_kernel):
     assert out["files"] == 6 and out["repeats"] == 1 and out["median_us"] > 0
     assert out["cells"] == 401 * (7 + 9 + 3 * 5 + 12) == 17_243
     assert 0 < out["distinct_overall"] <= out["distinct_in_column"] < out["cells"]
+
+
+def test_time_trace_writes_both_runs(bench_kernel):
+    out = bench_kernel.time_trace(1, arrivals=2000)
+    assert out["arrivals"] == 2000 and out["repeats"] == 1
+    for name in ("adaptive", "csv"):
+        assert out[name]["median_us"] > 0 and out[name]["peak_mb"] > 0
+        assert out[name]["bytes"] > 2000 * len("0.0, ")

@@ -3,6 +3,8 @@ import csv
 import hashlib
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +162,73 @@ class TestSimulateCommand:
         assert trace["arrival_scores"] == [8.0, 5.0, 6.5]
         # theta=7, lb=6, eps=1: admit 8.0 (disclosed) and 6.5 (explored)
         assert trace["arrival_admitted"] == [True, False, True]
+
+
+def _simulate(capsys, tmp_path, config: dict, *extra) -> Path:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir),
+                           *extra)
+    assert code == 0, err
+    return out_dir
+
+
+def _arrivals_csv(path, rows: int, seed: int) -> Path:
+    gen = np.random.default_rng(seed)
+    scores = 7.0 + 1.5 * gen.standard_normal(rows)
+    labels = (gen.random(rows) < 0.5).astype(int)
+    path.write_text("score,label\n" + "".join(
+        f"{s!r},{l}\n" for s, l in zip(scores.tolist(), labels.tolist())))
+    return path
+
+
+class TestSimulateOutputBytes:
+    """sha256 of ``trace.json`` and ``summary.json``, as the dict-of-lists
+    serializer wrote them before the streaming writer replaced it."""
+
+    def _digests(self, out_dir):
+        return [hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                for name in ("trace.json", "summary.json")]
+
+    def test_retrained_run(self, capsys, tmp_path):
+        config = bench_config(arrivals=2000).to_dict() | {"theta": None, "retrain_every": 100}
+        assert self._digests(_simulate(capsys, tmp_path, config)) == [
+            "b8617e9980a91ed76e6bd085d1dc53f1b4cfd4c0a5e8b2c7251446e2f7994c47",
+            "66c1720b9a8b33294cf869224abaccd722cb823d9c2973315089994d9fb2b45c"]
+
+    def test_arrivals_csv_run(self, capsys, tmp_path):
+        # 9000 arrivals cross one block of the writer; lb = 6 draws coins
+        stream = _arrivals_csv(tmp_path / "arrivals.csv", 9000, 2024)
+        out_dir = _simulate(capsys, tmp_path, fig4_config(0.5).to_dict(),
+                            "--arrivals-csv", str(stream))
+        assert self._digests(out_dir) == [
+            "e7975e22a42bb265353c0cb158d7ac57cf8920c4e02ad551716fa8a27282afd1",
+            "5abd9ef6cb3c40075bd37b8feec4f998516c3c4bdbd1acc98f7f0d7b2976dab4"]
+
+
+class TestSimulateMemory:
+    """``cfbounds simulate`` writes trace.json a block at a time, so its
+    ``tracemalloc`` peak stays far below the text of the trace."""
+
+    def _peak_mb(self, run) -> float:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_adaptive(self, capsys, tmp_path):
+        # about 10 MB when trace.json was one json.dumps of a dict of lists
+        config = bench_config(arrivals=50_000).to_dict() | {"theta": None, "retrain_every": 500}
+        assert self._peak_mb(lambda: _simulate(capsys, tmp_path, config)) < 4
+
+    def test_arrivals_csv(self, capsys, tmp_path):
+        stream = _arrivals_csv(tmp_path / "arrivals.csv", 50_000, 7)
+        config = bench_config(arrivals=0).to_dict() | {"theta": None}
+        assert self._peak_mb(lambda: _simulate(capsys, tmp_path, config, "--arrivals-csv",
+                                               str(stream))) < 4
 
 
 class TestReproduceCommand:

@@ -1,4 +1,5 @@
 """Sequential admission process: determinism, censorship integrity, replay."""
+import io
 import json
 from dataclasses import fields, replace
 
@@ -21,6 +22,7 @@ from cfbounds.simulate import (
     REGION_CENSORED,
     REGION_DISCLOSED,
     REGION_EXPLORE,
+    _JSON_BLOCK,
     SimulationConfig,
     SimulationTrace,
     finalize,
@@ -163,7 +165,7 @@ def admission_runs(draw):
 
 def _check_batches_against_reference(config, stream):
     trace = run_simulation(config, stream)
-    assert trace.to_json_dict() == _per_arrival_reference(config, stream).to_json_dict()
+    assert trace.to_json() == _per_arrival_reference(config, stream).to_json()
     region, admitted = _replay(trace)
     assert np.array_equal(region, trace.arrival_region)
     assert np.array_equal(admitted, trace.arrival_admitted)
@@ -323,7 +325,7 @@ class TestArrivals:
     def test_byte_identical_reruns(self):
         a = run_simulation(pooled_config(lb=6.0, epsilon=0.5))
         b = run_simulation(pooled_config(lb=6.0, epsilon=0.5))
-        assert a.to_json(sort_keys=True) == b.to_json(sort_keys=True)
+        assert a.to_json() == b.to_json()
 
 
 class TestReplayAndIntegrity:
@@ -453,8 +455,8 @@ class TestAdaptive:
         fixed = run_simulation(labeled_config(theta=9.5, arrivals=60))
         adaptive = run_simulation(labeled_config(theta=9.5, arrivals=60,
                                                  retrain_every=61))
-        a = fixed.to_json_dict()
-        b = adaptive.to_json_dict()
+        a = json.loads(fixed.to_json())
+        b = json.loads(adaptive.to_json())
         a.pop("config")
         b.pop("config")
         assert a == b
@@ -671,3 +673,101 @@ class TestMalformedStream:
             got = run_arrivals(run_stage1(config), config, arrival_stream=(scores, labels))
             assert got.threshold_history == want.threshold_history
             assert np.array_equal(got.arrival_admitted, want.arrival_admitted)
+
+
+# ---------------------------------------------------------------------------
+# trace.json: the streaming writer against json.dumps of one dict of lists
+# ---------------------------------------------------------------------------
+
+
+def _reference_json(trace) -> str:
+    """``trace.json`` as ``json.dumps`` of one dict of lists wrote it.
+
+    Only ``theta0`` is spelled as the other thresholds are: the dict wrote
+    it as a bare float, so a non-finite one became ``-Infinity``.
+    """
+    def threshold(x):
+        return ("inf" if x > 0 else "-inf") if np.isinf(x) else float(x)
+
+    coins = trace.arrival_coins.astype(object)
+    coins[np.isnan(trace.arrival_coins)] = None
+    labels = trace.arrival_labels
+    return json.dumps({
+        "config": trace.config.to_dict(),
+        "theta0": threshold(trace.theta0),
+        "final_theta": threshold(trace.final_theta),
+        "initial_scores": trace.initial_scores.tolist(),
+        "initial0": trace.initial0.tolist(),
+        "initial1": trace.initial1.tolist(),
+        "arrival_scores": trace.arrival_scores.tolist(),
+        "arrival_labels": None if labels is None else labels.tolist(),
+        "arrival_region": trace.arrival_region.tolist(),
+        "arrival_admitted": trace.arrival_admitted.tolist(),
+        "arrival_coins": coins.tolist(),
+        "threshold_history": [[t, threshold(th)] for t, th in trace.threshold_history],
+    }, sort_keys=True)
+
+
+SPECIAL = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                    1e-5, 1e16, 9.5, 1 / 3])
+
+
+def _floats(rng, size: int, special: bool) -> np.ndarray:
+    """``size`` scores, a third of them repeats, with special values if asked."""
+    values = rng.normal(9.0, 1.0, size)
+    repeat = rng.random(size) < 0.3
+    values[repeat] = rng.choice(values[:5], int(repeat.sum())) if size else 0.0
+    if special:
+        odd = rng.random(size) < 0.1
+        values[odd] = rng.choice(SPECIAL, int(odd.sum()))
+    return values
+
+
+@st.composite
+def json_traces(draw):
+    """A trace of a real run, or one built directly with any values."""
+    config = draw(st.sampled_from([
+        pooled_config(), pooled_config(lb=6.0, epsilon=0.5), labeled_config(),
+        labeled_config(theta=9.5, retrain_every=7), labeled_config(retrain_every=3000)]))
+    block = _JSON_BLOCK
+    sizes = st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1]) | st.integers(0, 40)
+    if draw(st.booleans()):
+        return run_simulation(replace(config, arrivals=draw(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T, special = draw(sizes), draw(st.booleans())
+    theta0 = draw(st.sampled_from([9.5, -0.0, np.inf, -np.inf, np.nan]))
+    refits = draw(st.sampled_from([0, 2, block + 1]))
+    history = ((0, theta0),) + tuple(zip(np.sort(rng.integers(1, 10**6, refits)).tolist(),
+                                         _floats(rng, refits, special).tolist()))
+    coins = np.where(rng.random(T) < 0.5, np.nan, _floats(rng, T, special))
+    labels = None if config.pooled else rng.integers(0, 2, T).astype(
+        draw(st.sampled_from([np.int8, np.int64, bool, float])))
+    n = draw(st.integers(0, 60))
+    return SimulationTrace(
+        config=config, theta0=theta0,
+        initial_scores=_floats(rng, n if config.pooled else 0, special),
+        initial0=_floats(rng, 0 if config.pooled else n, special),
+        initial1=_floats(rng, 0 if config.pooled else n // 2, special),
+        arrival_scores=_floats(rng, T, special), arrival_labels=labels,
+        arrival_region=rng.integers(0, 3, T).astype(np.uint8),
+        arrival_admitted=rng.random(T) < 0.5, arrival_coins=coins,
+        threshold_history=history)
+
+
+@settings(max_examples=60, deadline=None)
+@given(json_traces())
+def test_trace_writer_equals_json_dumps_of_a_dict(trace):
+    fh = io.StringIO()
+    trace.write_json(fh)
+    assert fh.getvalue() == trace.to_json() == _reference_json(trace)
+
+
+def test_non_finite_theta0_is_valid_json():
+    # indistinguishable labels and one label-0 sample: the trained threshold
+    # is -inf, which trace.json used to write as a bare -Infinity
+    model = MixtureModel(0.5, GaussianCdf(9, 1), GaussianCdf(9, 1))
+    trace = run_simulation(SimulationConfig(model=model, n0=1, n1=5, arrivals=3, seed=1))
+    assert trace.theta0 == -np.inf
+    payload = json.loads(trace.to_json(), parse_constant=lambda name: pytest.fail(name))
+    assert payload["theta0"] == payload["final_theta"] == "-inf"
+    assert payload["threshold_history"] == [[0, "-inf"]]

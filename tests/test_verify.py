@@ -32,6 +32,7 @@ from cfbounds.verify import (
     _gen_gap_samples,
     _initial_samples,
     _row_sups,
+    _sorted_samples,
     _sup_chunk,
     _sup_risk_gap,
     _sup_task,
@@ -54,6 +55,14 @@ def _censored_sup(theta, x0, x1, model):
     """One replication's supremum over the points below ``theta`` (``_row_sups``)."""
     return float(_row_sups(np.array([theta], dtype=float), np.asarray(x0)[None],
                            np.asarray(x1)[None], model, len(x0), len(x1))[0][0])
+
+
+def _truth_inputs(config, replications, seed, delta):
+    """theta, x0, x1, a0, a1, k0 and k1 of each replication, as
+    ``compare_bounds`` passes them to the truth column."""
+    initial, x0, x1 = _sorted_samples(config, replications, seed)
+    theta, _, _, (a0, a1, k0, k1) = _gen_gap_samples(config, replications, seed, delta, initial)
+    return theta, x0, x1, a0, a1, k0, k1
 
 
 def fig1_like(arrivals=0, seed=1):
@@ -260,14 +269,16 @@ class TestInitialSampleBlocks:
             return made[-1]
 
         with patch.object(SeededRng, "generator", spy):
-            got = _initial_samples(config, 103, 5)
-        want = _initial_samples_one_shot(config, 103, 5)
-        for g, w in zip(got, want, strict=True):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tolist() == w.tolist()
+            initial, x0, x1 = _sorted_samples(config, 103, 5)
+            scalars = _initial_samples(config, 103, 5)
+        theta, gaps, x0_want, x1_want, *rest = _initial_samples_one_shot(config, 103, 5)
+        for got in (initial, scalars):
+            for g, w in zip((*got, x0, x1), (theta, gaps, *rest, x0_want, x1_want), strict=True):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tolist() == w.tolist()
         ref = SeededRng(5).substream(0).generator()
         ref.random((103, config.n0 + config.n1))
-        assert [gen.bit_generator.state for gen in made] == [ref.bit_generator.state]
+        assert [gen.bit_generator.state for gen in made] == [ref.bit_generator.state] * 2
 
 
 def _peak_mb(run) -> float:
@@ -291,9 +302,9 @@ class TestKernelMemory:
         assert peak < 16
 
     def test_gen_gap(self):
-        # about 40 MB with every replication's draws made at once; the
-        # sorted samples that ``_initial_samples`` returns hold 8 MB of it
-        assert _peak_mb(lambda: mc_gen_gap(bench_config(), 10_000, 0)) < 16
+        # about 40 MB with every replication's draws made at once, and 9.9 MB
+        # with every replication's sorted samples kept
+        assert _peak_mb(lambda: mc_gen_gap(bench_config(), 10_000, 0)) < 4
 
 
 class TestUnconditionedPath:
@@ -516,7 +527,7 @@ class TestSupRiskGapOracle:
         from cfbounds.presets import bench_config
 
         config = _with_grid(bench_config(), arrivals)
-        theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(config, replications, 3, 0.015)
+        theta, x0, x1, a0, a1, k0, k1 = _truth_inputs(config, replications, 3, 0.015)
         gen_new = SeededRng(3).substream(2).generator()
         gen_old = SeededRng(3).substream(2).generator()
         for r in range(replications):
@@ -547,7 +558,7 @@ class TestSupRiskGapOracle:
         from cfbounds.presets import bench_config
 
         config = _with_grid(bench_config(), 50_000)
-        theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(config, 200, 3, 0.015)
+        theta, x0, x1, a0, a1, k0, k1 = _truth_inputs(config, 200, 3, 0.015)
         gen = SeededRng(3).substream(2).generator()
         for r in range(200):
             state = gen.bit_generator.state
@@ -709,7 +720,7 @@ class TestSupRiskGapOracle:
 
         monkeypatch.setattr(verify, "_BLOCK", block)
         config = _with_grid(bench_config(), 500)
-        theta, _, _, (x0, x1, _, _, k0, k1) = _gen_gap_samples(config, 40, 3, 0.015)
+        theta, x0, x1, _, _, k0, k1 = _truth_inputs(config, 40, 3, 0.015)
         for r in range(40):
             self._check(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]), seed=r)
         rounded = MixtureModel(p1=0.4, cdf0=_RoundedGaussian(9, 1), cdf1=_RoundedGaussian(10, 1))
@@ -911,7 +922,7 @@ def _shared_stream_sups(config, grid, replications, seed, delta):
     gen = SeededRng(seed).substream(2).generator()
     out = []
     for T in grid:
-        theta, _, _, (x0, x1, a0, a1, k0, k1) = _gen_gap_samples(
+        theta, x0, x1, a0, a1, k0, k1 = _truth_inputs(
             _with_grid(config, T), replications, seed, delta)
         out.append([_sup_risk_gap(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
                                   float(a0[r]), float(a1[r]), config.model, gen,
@@ -936,7 +947,7 @@ class TestTruthColumnPool:
 
     @pytest.fixture(scope="class")
     def censored(self, config):
-        theta, _, x0, x1, *_ = _initial_samples(config, self.R, self.SEED)
+        (theta, *_), x0, x1 = _sorted_samples(config, self.R, self.SEED)
         return np.array([_censored_sup(*args, config.model) for args in zip(theta, x0, x1)])
 
     def _table(self, config):
@@ -944,7 +955,7 @@ class TestTruthColumnPool:
                               seed=self.SEED, delta=self.DELTA)
 
     def _samples(self, config, T):
-        return _gen_gap_samples(_with_grid(config, T), self.R, self.SEED, self.DELTA)
+        return _truth_inputs(_with_grid(config, T), self.R, self.SEED, self.DELTA)
 
     def test_pool_and_one_cpu_give_the_shared_stream_table(self, config, shared, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -960,7 +971,7 @@ class TestTruthColumnPool:
         stream = SeededRng(self.SEED).substream(2)
         start = 0
         for T, values in zip(self.GRID, shared):
-            theta, _, _, (x0, x1, a0, a1, k0, k1) = self._samples(config, T)
+            theta, x0, x1, a0, a1, k0, k1 = self._samples(config, T)
             draws = k0 + k1
             if T == 0:
                 assert not draws.any()            # the next grid point starts at 0
@@ -980,7 +991,8 @@ class TestTruthColumnPool:
         initial = _initial_samples(config, self.R, self.SEED)
         ours = []
         for T in self.GRID:
-            theta, gaps, totals, rest = self._samples(config, T)
+            theta, gaps, totals, rest = _gen_gap_samples(_with_grid(config, T), self.R,
+                                                         self.SEED, self.DELTA)
             reused = _gen_gap_samples(_with_grid(config, T), self.R, self.SEED, self.DELTA,
                                       initial)
             for want, got in zip((theta, gaps, totals, *rest), (*reused[:3], *reused[3])):
@@ -990,14 +1002,14 @@ class TestTruthColumnPool:
         assert table.column("ours") == ours
         assert table.column("gap_quantile") == [float(np.quantile(v, quant)) for v in shared]
         assert table.column("gap_mean") == [float(np.mean(v)) for v in shared]
-        assert table.meta["gap_at_theta_mean"] == float(np.mean(self._samples(config, 0)[1]))
+        assert table.meta["gap_at_theta_mean"] == float(np.mean(initial[1]))
 
     def test_hoisted_censored_side_gives_the_shared_stream_values(self, config, shared,
                                                                    censored):
         stream = SeededRng(self.SEED).substream(2)
         start = 0
         for T, values in zip(self.GRID, shared):
-            theta, _, _, (x0, x1, a0, a1, k0, k1) = self._samples(config, T)
+            theta, x0, x1, a0, a1, k0, k1 = self._samples(config, T)
             tasks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1,
                                       config.model, censored)
             assert np.array_equal(np.concatenate([task[-1] for task in tasks]), censored)
@@ -1082,7 +1094,7 @@ class TestTruthColumnPool:
         stream = SeededRng(self.SEED).substream(2)
         start = 0
         for T, values in zip(self.GRID, shared):
-            theta, _, _, (x0, x1, a0, a1, k0, k1) = self._samples(config, T)
+            theta, x0, x1, a0, a1, k0, k1 = self._samples(config, T)
             tasks, end = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, config.model,
                                     censored)
             draws = k0 + k1

@@ -129,31 +129,21 @@ class RegionSpec:
 
 @dataclass(frozen=True)
 class MassSpec:
-    """Region masses alpha = F(theta), beta = F(LB) and their provenance.
-
-    The bounds are stated with the true masses ("theoretical"); the
-    "plugin" mode substitutes the empirical fractions m/n and l/n, which
-    zeroes the scaling/shifting error terms and is labelled as such in
-    outputs.  The masses may be arrays; the check then holds elementwise.
+    """True region masses alpha = F(theta) and beta = F(LB), which the bounds
+    are stated with.  The masses may be arrays; the check then holds
+    elementwise.
     """
 
     alpha: float
     beta: float = 0.0
-    source: str = "theoretical"
 
     def __post_init__(self):
         if not _holds((0.0 <= self.beta) & (self.beta <= self.alpha) & (self.alpha <= 1.0)):
             raise ValueError(f"need 0 <= beta <= alpha <= 1, got beta={self.beta} alpha={self.alpha}")
-        if self.source not in ("theoretical", "plugin"):
-            raise ValueError(f"unknown mass source {self.source!r}")
 
     @classmethod
     def theoretical(cls, alpha: float, beta: float = 0.0) -> "MassSpec":
-        return cls(alpha, beta, "theoretical")
-
-    @classmethod
-    def plugin(cls, part: RegionPartition) -> "MassSpec":
-        return cls(part.m / part.n, part.l / part.n, "plugin")
+        return cls(alpha, beta)
 
 
 def partition(
@@ -287,15 +277,17 @@ def bound_two_region(part: RegionPartition, mass: MassSpec, eta: float,
     return _bound_value(c + d, c_trivial | d_trivial)
 
 
+_PMF_FLOOR = 1e-15      # binomial weights below it are skipped
+
+
 def bound_two_region_apriori(part: RegionPartition, mass: MassSpec, eta: float,
-                             wait: int, lead: float = 2.0,
-                             pmf_floor: float = 1e-15) -> BoundValue:
+                             wait: int, lead: float = 2.0) -> BoundValue:
     """Expected two-region bound after waiting for `wait` arrivals.
 
     The disclosed-region term is averaged over the binomial number of
     arrivals that land above theta (each lands there with probability
     1 - alpha).  Binomial weights are computed in log space; weights
-    below ``pmf_floor`` are skipped.  ``wait`` is a scalar whole number;
+    below ``_PMF_FLOOR`` are skipped.  ``wait`` is a scalar whole number;
     the other inputs may be arrays.
     """
     if not part.two_region:
@@ -312,7 +304,7 @@ def bound_two_region_apriori(part: RegionPartition, mass: MassSpec, eta: float,
     p_disclosed = 1.0 - alpha
     pmf = np.exp(gammaln(wait + 1) - gammaln(kk + 1) - gammaln(wait - kk + 1)
                  + xlogy(kk, p_disclosed) + xlogy(wait - kk, 1.0 - p_disclosed))
-    keep = pmf >= pmf_floor
+    keep = pmf >= _PMF_FLOOR
     (c, c_trivial), (value, trivial) = _two_region_terms(n, m, kk, alpha, eta, lead)
     expected = np.sum(np.where(keep, pmf * value, 0.0), axis=-1)
     return _bound_value(c[..., 0] + expected, c_trivial[..., 0] | np.any(keep & trivial, axis=-1))
@@ -463,6 +455,9 @@ def _bisect_scalar(bound, delta: float, hi: float, tol: float, width: int) -> fl
             lo, start = mid, middle + 1
 
 
+_MONOTONE_SLACK = 1e-12     # a step against the direction this small is rounding
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
     """Result of sweeping a bound along one parameter axis."""
@@ -475,14 +470,14 @@ class MonotonicityReport:
     precondition_met: bool = True
 
     @staticmethod
-    def from_values(direction: str, grid, values, slack: float = 1e-12,
+    def from_values(direction: str, grid, values,
                     precondition_met: bool = True) -> "MonotonicityReport":
         values = tuple(float(v) for v in values)
         sign = 1.0 if direction == "nondecreasing" else -1.0
         violation = None
         for i in range(1, len(values)):
             step = sign * (values[i] - values[i - 1])
-            if step < -slack:
+            if step < -_MONOTONE_SLACK:
                 violation = (i, step)
                 break
         return MonotonicityReport(
@@ -495,8 +490,8 @@ class MonotonicityReport:
         )
 
 
-def check_prop1(cdf, n: int, thetas: Sequence[float], c: float, eta: float,
-                slack: float = 1e-12) -> MonotonicityReport:
+def check_prop1(cdf, n: int, thetas: Sequence[float], c: float,
+                eta: float) -> MonotonicityReport:
     """Check that the two-region bound grows with the censored mass.
 
     The sweep removes estimation error by setting m = round(n * F(theta))
@@ -514,13 +509,12 @@ def check_prop1(cdf, n: int, thetas: Sequence[float], c: float, eta: float,
         c_min = (n - m) * (eta - u) ** 2 / (m * (eta - 2.0 * u) ** 2) - 1.0
     values = bound_two_region(RegionPartition(n=n, m=m, k=k), MassSpec.theoretical(alpha),
                               eta).raw
-    return MonotonicityReport.from_values("nondecreasing", thetas, values, slack,
+    return MonotonicityReport.from_values("nondecreasing", thetas, values,
                                           precondition_met=_holds(c >= c_min[applies]))
 
 
 def check_prop2(part: RegionPartition, mass: MassSpec, spec: RegionSpec,
-                eta: float, eps_grid: Sequence[float], k1_max: int,
-                slack: float = 1e-12) -> MonotonicityReport:
+                eta: float, eps_grid: Sequence[float], k1_max: int) -> MonotonicityReport:
     """Check that the three-region bound shrinks with exploration frequency.
 
     All inputs are held fixed except epsilon and the induced exploration
@@ -530,4 +524,4 @@ def check_prop2(part: RegionPartition, mass: MassSpec, spec: RegionSpec,
     p = replace(part, k1=np.round(eps * k1_max).astype(int))
     s = RegionSpec(theta=spec.theta, lb=spec.lb, epsilon=eps)
     values = bound_three_region(p, mass, s, eta).raw
-    return MonotonicityReport.from_values("nonincreasing", eps_grid, values, slack)
+    return MonotonicityReport.from_values("nonincreasing", eps_grid, values)

@@ -31,20 +31,13 @@ __all__ = [
 
 _GL_PANEL_ORDER = 16
 _MAX_NODES = 1 << 20
-
-
-def _density(cdf, x):
-    """Density of a theoretical CDF: analytic when available, else differenced."""
-    if hasattr(cdf, "density"):
-        return np.asarray(cdf.density(x), dtype=float)
-    x = np.asarray(x, dtype=float)
-    h = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    return (np.asarray(cdf.cdf(x + h)) - np.asarray(cdf.cdf(x - h))) / (2.0 * h)
+_GL_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class CostModel:
-    """Cost-decay constant c > 0 and the costly population's distribution."""
+    """Cost-decay constant c > 0 and the costly population's distribution,
+    which needs an analytic ``density``: a quadrature never sees a jump."""
 
     c: float
     f0: TheoreticalCdf
@@ -52,12 +45,14 @@ class CostModel:
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError(f"cost decay constant must be positive, got {self.c}")
+        if not callable(getattr(self.f0, "density", None)):
+            raise ValueError(f"f0 has no analytic density: {type(self.f0).__name__}")
 
     def density(self, x):
-        return _density(self.f0, x)
+        return self.f0.density(x)
 
 
-def _gl_adaptive(f, a: float, b: float, rel_tol: float = 1e-8) -> float:
+def _gl_adaptive(f, a: float, b: float) -> float:
     """Composite Gauss-Legendre with panel doubling to a relative tolerance."""
     if not a < b:
         return 0.0
@@ -70,7 +65,7 @@ def _gl_adaptive(f, a: float, b: float, rel_tol: float = 1e-8) -> float:
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         xs = mid + half * nodes0[None, :]
         total = float(np.sum(half * weights0[None, :] * f(xs)))
-        if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-300):
+        if prev is not None and abs(total - prev) <= _GL_REL_TOL * max(abs(total), 1e-300):
             return total
         prev = total
         panels *= 2
@@ -87,6 +82,8 @@ def _cost_integral(lo: float, hi: float, theta: float, model: CostModel) -> floa
 
 def cost_single(lb: float, theta: float, epsilon: float, model: CostModel) -> float:
     """Expected exploration cost over [lb, theta) at frequency epsilon."""
+    if not (np.isfinite(lb) and np.isfinite(theta)):
+        raise ValueError(f"lb and theta must be finite, got lb={lb} theta={theta}")
     if lb > theta:
         raise ValueError(f"need lb <= theta, got lb={lb} theta={theta}")
     if not 0.0 <= epsilon <= 1.0:
@@ -114,6 +111,10 @@ class BoundContext:
     eta: float
     arrivals: int
     initial_samples: Optional[tuple[np.ndarray, ...]] = None
+
+    def __post_init__(self):
+        if self.initial_samples is not None and not len(self.initial_samples):
+            raise ValueError("initial_samples must hold at least one sample set, or be None")
 
     def _partitions(self, lb: float) -> list[tuple[int, int]]:
         alpha = float(self.population.cdf(self.theta))
@@ -157,6 +158,8 @@ class OptimizationResult:
 
 
 def default_eps_grid(step: float = 0.0025) -> np.ndarray:
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"eps step must be in (0, 1], got {step}")
     return np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
 
 

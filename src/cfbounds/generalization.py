@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .stats import EmpiricalCdf, MixtureModel, StitchedCdf
+from .stats import EmpiricalCdf, MixtureModel, stitched_from_partition
 
 __all__ = [
     "LabeledDataset",
@@ -93,7 +93,7 @@ class LabeledDataset:
         new = self.new1 if label else self.new0
         if len(new) == 0:
             return EmpiricalCdf(initial) if len(initial) else None
-        return StitchedCdf.two_region(initial, new, self.admission_threshold)
+        return stitched_from_partition(initial, (), new, self.admission_threshold, None, 0.0)
 
 
 @dataclass(frozen=True)

@@ -120,16 +120,14 @@ class AdjustedCdf:
         return np.empty(0)
 
 
-def partition_2d(points, boundary: Boundary2D,
-                 new_in_explore: int = 0, new_above: int = 0) -> RegionPartition:
+def partition_2d(points, boundary: Boundary2D) -> RegionPartition:
     """Count points per region by the sign of w.x - b (and w.x - b_lb).
 
-    ``censored.partition`` on the projections w.x: points exactly on a
-    line count as the upper (disclosed/explored) side, matching the 1D
-    at-threshold admission rule.
+    ``censored.partition`` on the projections w.x, with no new samples:
+    points exactly on a line count as the upper (disclosed/explored) side,
+    matching the 1D at-threshold admission rule.
     """
-    return partition(boundary.project(points), new_in_explore, new_above,
-                     RegionSpec(boundary.b, boundary.b_lb))
+    return partition(boundary.project(points), 0, 0, RegionSpec(boundary.b, boundary.b_lb))
 
 
 def adjusted_cdf_empirical(points, boundary: Boundary2D, b_prime: float) -> float:

@@ -64,6 +64,15 @@ _POP_71 = GaussianCdf(7.0, 1.0)
 _POP_73 = GaussianCdf(7.0, 3.0)
 _BENCH_MODEL = MixtureModel(p1=0.5, cdf0=GaussianCdf(9.0, 1.0), cdf1=GaussianCdf(10.0, 1.0))
 
+# the score grid of every curve and band file, shared and so read-only
+_XS = np.round(np.arange(3.0, 11.0001, 0.02), 6)
+_XS.flags.writeable = False
+_DELTA = 0.015      # the bands' and the bench table's confidence level is 1 - delta
+_FIG3_MEMBERS = 5
+_FIG3_THETA, _FIG3_LB = 8.0, 6.0
+_FIG3_ETA = 0.015
+_FIG3_EPS_STEP = 0.025
+
 
 def run_seeds(base: int, count: int) -> list[int]:
     """Derived integer seeds for the members of a seeded ensemble."""
@@ -80,10 +89,9 @@ def fig2_config(seed: int = FIG2_SEED) -> SimulationConfig:
                             epsilon=0.5, arrivals=0, seed=seed)
 
 
-def fig3_config(seed: int, epsilon: float, theta: float = 8.0,
-                lb: Optional[float] = 6.0) -> SimulationConfig:
-    return SimulationConfig(population=_POP_73, n=8000, theta=theta, lb=lb,
-                            epsilon=epsilon, arrivals=40_000, seed=seed)
+def fig3_config(seed: int, lb: Optional[float] = _FIG3_LB) -> SimulationConfig:
+    return SimulationConfig(population=_POP_73, n=8000, theta=_FIG3_THETA, lb=lb,
+                            arrivals=40_000, seed=seed)
 
 
 def fig4_config(epsilon: float, seed: int = FIG4_SEED) -> SimulationConfig:
@@ -95,52 +103,38 @@ def bench_config(arrivals: int = 50_000, seed: int = BENCH_SEED) -> SimulationCo
     return SimulationConfig(model=_BENCH_MODEL, n0=50, n1=50, arrivals=arrivals, seed=seed)
 
 
-def _fig12_columns(pop, trace, xs, lb: Optional[float], theta: float):
-    ecdf = finalize(trace)[None].ecdf
-    cols = [np.asarray(xs), np.asarray(pop.cdf(xs)), np.asarray(ecdf.cdf(xs))]
+def _reproduce_fig12(outdir: Path, config: SimulationConfig, name: str, counts) -> dict:
+    """Write one initial sample's curves, whole and restricted to each region,
+    and return the partition's ``counts`` in the summary."""
+    pop, lb, theta = config.population, config.lb, config.theta
+    final = finalize(run_simulation(config))[None]
+    ecdf = final.ecdf
+    cols = [_XS, np.asarray(pop.cdf(_XS)), np.asarray(ecdf.cdf(_XS))]
     names = ["x", "f_true", "f_emp"]
     pieces = [("g", -np.inf, lb if lb is not None else theta)]
     if lb is not None:
         pieces.append(("e", lb, theta))
     pieces.append(("k", theta, np.inf))
-    for name, lo, hi in pieces:
+    for piece, lo, hi in pieces:
         restricted = RestrictedCdf(pop, lo=lo, hi=hi)
         emp = ecdf.restrict(lo, hi)
-        cols.append(np.asarray(restricted.cdf(xs)))
-        cols.append(np.asarray(emp.cdf(xs)))
-        names.extend([f"{name}_true", f"{name}_emp"])
-    return names, cols
+        cols.append(np.asarray(restricted.cdf(_XS)))
+        cols.append(np.asarray(emp.cdf(_XS)))
+        names.extend([f"{piece}_true", f"{piece}_emp"])
+    path = outdir / f"{name}_curves.csv"
+    write_columns(path, names, cols)
+    summary = {count: getattr(final.part, count) for count in counts}
+    return {"files": [str(path)], "summary": {**summary, "seed": config.seed}}
 
 
 def reproduce_fig1(outdir: Path, seed: int = FIG1_SEED) -> dict:
     """Initial-sample region decomposition without exploration."""
-    config = fig1_config(seed)
-    trace = run_simulation(config)
-    part = finalize(trace)[None].part
-    xs = np.round(np.arange(3.0, 11.0001, 0.02), 6)
-    names, cols = _fig12_columns(_POP_71, trace, xs, None, 7.0)
-    path = outdir / "fig1_curves.csv"
-    write_columns(path, names, cols)
-    return {
-        "files": [str(path)],
-        "summary": {"n": part.n, "m": part.m, "k": part.k, "seed": seed},
-    }
+    return _reproduce_fig12(outdir, fig1_config(seed), "fig1", ("n", "m", "k"))
 
 
 def reproduce_fig2(outdir: Path, seed: int = FIG2_SEED) -> dict:
     """Initial-sample region decomposition with an exploration range."""
-    config = fig2_config(seed)
-    trace = run_simulation(config)
-    part = finalize(trace)[None].part
-    xs = np.round(np.arange(3.0, 11.0001, 0.02), 6)
-    names, cols = _fig12_columns(_POP_71, trace, xs, 6.0, 7.0)
-    path = outdir / "fig2_curves.csv"
-    write_columns(path, names, cols)
-    return {
-        "files": [str(path)],
-        "summary": {"n": part.n, "l": part.l, "m": part.m,
-                    "k1": part.k1, "k2": part.k2, "seed": seed},
-    }
+    return _reproduce_fig12(outdir, fig2_config(seed), "fig2", ("n", "l", "m", "k1", "k2"))
 
 
 @dataclass(frozen=True)
@@ -180,9 +174,7 @@ def fig3_partitions(config: SimulationConfig, eps_grid) -> tuple[RegionPartition
             RegionPartition(n=n, m=m, l=l, k1=k1, k2=k2))
 
 
-def fig3_curves(base_seed: int = FIG3_SEED, members: int = 5,
-                eps_step: float = 0.025, eta: float = 0.015,
-                theta: float = 8.0, lb: float = 6.0) -> Fig3Curves:
+def fig3_curves(base_seed: int = FIG3_SEED) -> Fig3Curves:
     """Average the three bound families over a fresh-seed ensemble.
 
     Region masses are the population values; the counts (m, l, k1, k2)
@@ -190,14 +182,14 @@ def fig3_curves(base_seed: int = FIG3_SEED, members: int = 5,
     and exploration coins shared across the epsilon grid
     (``fig3_partitions``).
     """
-    alpha = float(_POP_73.cdf(theta))
-    beta = float(_POP_73.cdf(lb))
-    eps_grid = np.round(np.arange(0.0, 1.0 + eps_step / 2, eps_step), 6)
-    spec = RegionSpec(theta, lb, eps_grid)
+    eta = _FIG3_ETA
+    alpha = float(_POP_73.cdf(_FIG3_THETA))
+    beta = float(_POP_73.cdf(_FIG3_LB))
+    eps_grid = np.round(np.arange(0.0, 1.0 + _FIG3_EPS_STEP / 2, _FIG3_EPS_STEP), 6)
+    spec = RegionSpec(_FIG3_THETA, _FIG3_LB, eps_grid)
     bt, bl, be = [], [], []
-    for seed in run_seeds(base_seed, members):
-        part_t, part_l, part = fig3_partitions(
-            fig3_config(seed, 0.0, theta=theta, lb=lb), eps_grid)
+    for seed in run_seeds(base_seed, _FIG3_MEMBERS):
+        part_t, part_l, part = fig3_partitions(fig3_config(seed), eps_grid)
         bt.append(bound_two_region(part_t, MassSpec.theoretical(alpha), eta).probability)
         bl.append(bound_two_region(part_l, MassSpec.theoretical(beta), eta).probability)
         be.append(bound_three_region(part, MassSpec.theoretical(alpha, beta), spec,
@@ -238,14 +230,13 @@ def reproduce_fig3(outdir: Path, seed: int = FIG3_SEED) -> dict:
     }
 
 
-def fig4_band(epsilon: float, seed: int = FIG4_SEED, delta: float = 0.015,
-              xs: Optional[np.ndarray] = None) -> dict:
+def fig4_band(epsilon: float, seed: int = FIG4_SEED, xs: Optional[np.ndarray] = None) -> dict:
     """One exploration level's confidence band around the weighted estimate."""
     config = fig4_config(epsilon, seed)
     final = finalize(run_simulation(config))[None]
-    eta = eta_for_confidence(lambda e: config.deviation_bound(final.part, e), delta)
+    eta = eta_for_confidence(lambda e: config.deviation_bound(final.part, e), _DELTA)
     if xs is None:
-        xs = np.round(np.arange(3.0, 11.0001, 0.02), 6)
+        xs = _XS
     fhat = np.asarray(final.estimate.cdf(xs))
     return {
         "eta": eta,
@@ -258,12 +249,12 @@ def fig4_band(epsilon: float, seed: int = FIG4_SEED, delta: float = 0.015,
     }
 
 
-def reproduce_fig4(outdir: Path, seed: int = FIG4_SEED, delta: float = 0.015) -> dict:
+def reproduce_fig4(outdir: Path, seed: int = FIG4_SEED) -> dict:
     files = []
     etas = {}
     widths = {}
     for eps in (0.0, 0.5, 1.0):
-        band = fig4_band(eps, seed, delta)
+        band = fig4_band(eps, seed)
         path = outdir / f"fig4_band_eps{eps:.1f}.csv"
         write_columns(path, ["x", "f_true", "estimate", "band_lo", "band_hi"],
                       [band[k] for k in ("xs", "f_true", "estimate", "lo", "hi")])
@@ -274,15 +265,14 @@ def reproduce_fig4(outdir: Path, seed: int = FIG4_SEED, delta: float = 0.015) ->
     return {
         "files": files,
         "summary": {"eta": etas, "explore_band_width": widths,
-                    "delta": delta, "seed": seed},
+                    "delta": _DELTA, "seed": seed},
     }
 
 
-def reproduce_bench(outdir: Path, seed: int = BENCH_SEED, replications: int = 1000,
-                    delta: float = 0.015) -> dict:
+def reproduce_bench(outdir: Path, seed: int = BENCH_SEED, replications: int = 1000) -> dict:
     grid = [0, 10_000, 20_000, 30_000, 40_000, 50_000]
     table = compare_bounds(bench_config(seed=seed), arrival_grid=grid,
-                           replications=replications, seed=seed, delta=delta)
+                           replications=replications, seed=seed, delta=_DELTA)
     path = outdir / "bench_bounds.csv"
     table.write_csv(path)
     truth = table.column("gap_quantile")
@@ -295,22 +285,22 @@ def reproduce_bench(outdir: Path, seed: int = BENCH_SEED, replications: int = 10
     return {
         "files": [str(path)],
         "summary": {"crossings": crossings, "ours_stays_above": ours_above,
-                    "delta": delta, "replications": replications, "seed": seed},
+                    "delta": _DELTA, "replications": replications, "seed": seed},
     }
 
 
-def reproduce_appendixJ(outdir: Path, seed: int = FIG4_SEED, delta: float = 0.015) -> dict:
+def reproduce_appendixJ(outdir: Path, seed: int = FIG4_SEED) -> dict:
     """No-exploration band comparison: weighted estimate vs naive IID bands."""
     config = SimulationConfig(population=_POP_71, n=50, theta=7.0,
                               arrivals=200, seed=seed)
     final = finalize(run_simulation(config))[None]
-    eta_ours = eta_for_confidence(lambda e: config.deviation_bound(final.part, e), delta)
+    eta_ours = eta_for_confidence(lambda e: config.deviation_bound(final.part, e), _DELTA)
     naive = final.ecdf
     n_obs = naive.n
-    eta_dkw = dkw_eta(n_obs, delta)
-    eta_gc = gc_eta(n_obs, delta)
-    eta_vc = vc_eta(n_obs, delta, 2)
-    xs = np.round(np.arange(3.0, 11.0001, 0.02), 6)
+    eta_dkw = dkw_eta(n_obs, _DELTA)
+    eta_gc = gc_eta(n_obs, _DELTA)
+    eta_vc = vc_eta(n_obs, _DELTA, 2)
+    xs = _XS
     f_true = np.asarray(_POP_71.cdf(xs))
     fhat = np.asarray(final.estimate.cdf(xs))
     fnaive = np.asarray(naive.cdf(xs))
@@ -341,19 +331,18 @@ def reproduce_appendixJ(outdir: Path, seed: int = FIG4_SEED, delta: float = 0.01
     }
 
 
-def optimize_fig3(seed: int = FIG3_SEED, members: int = 5, lb: float = 6.0,
-                  cost_c: float = 5.0, eps_step: float = 0.0025) -> dict:
-    """Exploration-frequency choice for the ensemble setting at fixed lb."""
+def optimize_fig3(seed: int = FIG3_SEED, lb: float = _FIG3_LB, cost_c: float = 5.0) -> dict:
+    """Exploration-frequency choice for the ensemble setting at fixed lb,
+    over ``default_eps_grid()``."""
     from .simulate import run_stage1
 
     samples = []
-    for s in run_seeds(seed, members):
-        samples.append(run_stage1(fig3_config(s, 0.0, theta=8.0, lb=None)).initial_scores)
-    ctx = BoundContext(population=_POP_73, n=8000, theta=8.0, eta=0.015,
+    for s in run_seeds(seed, _FIG3_MEMBERS):
+        samples.append(run_stage1(fig3_config(s, lb=None)).initial_scores)
+    ctx = BoundContext(population=_POP_73, n=8000, theta=_FIG3_THETA, eta=_FIG3_ETA,
                        arrivals=40_000, initial_samples=tuple(samples))
     model = CostModel(c=cost_c, f0=_POP_73)
-    result = optimize_exploration(ctx, model, lb_grid=[lb],
-                                  eps_grid=default_eps_grid(eps_step))
+    result = optimize_exploration(ctx, model, lb_grid=[lb], eps_grid=default_eps_grid())
     return {"eps_star": result.epsilon, "lb_star": result.lb,
             "objective": result.objective, "result": result}
 

@@ -34,7 +34,6 @@ from .censored import (
     RegionSpec,
     bound_three_region,
     bound_two_region,
-    region_weights,
 )
 from .classic import BoundValue
 from .generalization import sort_labeled, thresholds_from_sorted
@@ -47,6 +46,7 @@ from .stats import (
     StitchedCdf,
     TheoreticalCdf,
     sample_labeled,
+    stitched_from_partition,
 )
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "run_arrivals",
     "run_simulation",
     "finalize",
-    "stitched_from_partition",
     "ingest_scores",
     "cdf_to_spec",
     "cdf_from_spec",
@@ -101,6 +100,8 @@ class SimulationConfig:
             raise ValueError("arrivals must be nonnegative")
         if self.retrain_every is not None and self.retrain_every < 1:
             raise ValueError("retrain batch size must be >= 1")
+        if any(v is not None and not math.isfinite(v) for v in (self.theta, self.lb)):
+            raise ValueError(f"theta and lb must be finite, got theta={self.theta} lb={self.lb}")
         if self.theta is None and self.model is None:
             raise ValueError("training the threshold requires labeled data")
         if self.lb is not None and self.theta is not None and not self.lb < self.theta:
@@ -578,29 +579,6 @@ def finalize(trace: SimulationTrace) -> dict:
         out[label] = _finalize_one(initial, trace.arrival_scores[mask],
                                    trace.arrival_region[mask], theta, lb, eps)
     return out
-
-
-def stitched_from_partition(initial: np.ndarray, new_explore: np.ndarray,
-                            new_above: np.ndarray, theta: float,
-                            lb: Optional[float], epsilon: float) -> StitchedCdf:
-    """Region-weighted full-domain CDF estimate from observed samples.
-
-    Two-region form (no lb): ``StitchedCdf.two_region``, with weights m/n
-    and (n-m)/n.  Three-region form: the weights of
-    ``censored.region_weights``, which re-estimate the split above lb from
-    the arrival counts.  As for any ``StitchedCdf``, the estimate's top
-    value may lie up to 4 ulps (4 * 2**-52) below 1.
-    """
-    if lb is None:
-        return StitchedCdf.two_region(initial, new_above, theta)
-    initial = np.asarray(initial, dtype=float)
-    cens = initial[initial < lb]
-    expl = np.concatenate([initial[(initial >= lb) & (initial < theta)], new_explore])
-    disc = np.concatenate([initial[initial >= theta], new_above])
-    part = RegionPartition(n=len(initial), m=int(np.sum(initial < theta)), l=len(cens),
-                           k1=len(new_explore), k2=len(new_above))
-    return StitchedCdf.from_samples((lb, theta), region_weights(part, epsilon),
-                                    (cens, expl, disc))
 
 
 def ingest_scores(path) -> tuple[np.ndarray, np.ndarray]:

@@ -10,11 +10,12 @@ region.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .censored import RegionPartition, region_weights
 from .rng import SeededRng
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "RestrictedCdf",
     "EmpiricalCdf",
     "StitchedCdf",
+    "stitched_from_partition",
     "MixtureModel",
     "sup_deviation",
     "sample_labeled",
@@ -268,20 +270,6 @@ class StitchedCdf:
                    weights=tuple(float(w) for w in weights),
                    segments=tuple(EmpiricalCdf(x) if len(x) else None for x in samples))
 
-    @classmethod
-    def two_region(cls, initial, new, theta: float) -> "StitchedCdf":
-        """Two-region estimate split at ``theta``, where ``new`` lies at or above it.
-
-        The m of the n ``initial`` samples below ``theta`` keep weight m/n;
-        the rest is spent over the initial samples at or above ``theta``
-        together with ``new``.
-        """
-        initial = np.asarray(initial, dtype=float)
-        cens = initial[initial < theta]
-        disc = np.concatenate([initial[initial >= theta], new])
-        w = len(cens) / len(initial)
-        return cls.from_samples((theta,), (w, 1.0 - w), (cens, disc))
-
     def _offsets(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.weights)))
 
@@ -314,6 +302,35 @@ class StitchedCdf:
         pts = [seg.sorted_scores for seg in self.segments if seg is not None]
         pts.append(np.asarray(self.edges, dtype=float))
         return np.sort(np.concatenate(pts)) if pts else np.empty(0)
+
+
+def stitched_from_partition(initial: np.ndarray, new_explore: np.ndarray,
+                            new_above: np.ndarray, theta: float,
+                            lb: Optional[float], epsilon: float) -> StitchedCdf:
+    """Region-weighted full-domain CDF estimate from observed samples.
+
+    ``new_above`` lies at or above ``theta`` and ``new_explore`` in
+    [``lb``, ``theta``).  Two-region form (no lb; ``new_explore`` and
+    ``epsilon`` are not used): the m of the n ``initial`` samples below
+    ``theta`` keep weight m/n, and the rest, (n-m)/n, is spent over the
+    initial samples at or above ``theta`` together with ``new_above``.
+    Three-region form: the weights of ``censored.region_weights``, which
+    re-estimate the split above lb from the arrival counts.  As for any
+    ``StitchedCdf``, the estimate's top value may lie up to 4 ulps
+    (4 * 2**-52) below 1.
+    """
+    initial = np.asarray(initial, dtype=float)
+    disc = np.concatenate([initial[initial >= theta], new_above])
+    if lb is None:
+        cens = initial[initial < theta]
+        w = len(cens) / len(initial)
+        return StitchedCdf.from_samples((theta,), (w, 1.0 - w), (cens, disc))
+    cens = initial[initial < lb]
+    expl = np.concatenate([initial[(initial >= lb) & (initial < theta)], new_explore])
+    part = RegionPartition(n=len(initial), m=int(np.sum(initial < theta)), l=len(cens),
+                           k1=len(new_explore), k2=len(new_above))
+    return StitchedCdf.from_samples((lb, theta), region_weights(part, epsilon),
+                                    (cens, expl, disc))
 
 
 @dataclass(frozen=True)

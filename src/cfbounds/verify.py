@@ -37,7 +37,7 @@ from .censored import (
 from .classic import dkw_eta, gc_eta, hoeffding_eta
 from .generalization import gen_bound_from_counts, train_thresholds
 from .rng import SeededRng, splitmix64
-from .simulate import SimulationConfig, distinct_text, finalize, run_simulation
+from .simulate import SimulationConfig, _count, distinct_text, finalize, run_simulation
 from .stats import GaussianCdf, sup_deviation
 
 __all__ = [
@@ -254,8 +254,8 @@ def mc_cdf_deviation(config: SimulationConfig, eta: float, replications: int,
         bound = config.deviation_bound(part, eta)
         # without lb the region below it is empty (beta = l = 0), and an
         # empty region draws nothing
-        alpha = float(config.population.cdf(config.theta))
-        beta = 0.0 if config.lb is None else float(config.population.cdf(config.lb))
+        mass, _ = config._bound_masses
+        alpha, beta = mass.alpha, mass.beta
         gen = SeededRng(seed).substream(0).generator()
         sup = _batch_sup_conditioned((beta, alpha - beta, 1.0 - alpha),
                                      (part.l, part.m - part.l, part.n - part.m),
@@ -424,15 +424,19 @@ def mc_gen_gap(config: SimulationConfig, replications: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def vc_gen_eta(n: int, delta: float, d: int = 2) -> float:
+_VC_DIM = 2         # of the one-dimensional threshold classifiers
+
+
+def vc_gen_eta(n: int, delta: float) -> float:
     """Classic uniform risk-deviation level: invert 4*(2n+1)^d*exp(-n*eta^2/8).
 
     Standard symmetrization-based classifier bound with the shattering
-    coefficient bounded polynomially; an approximate benchmark form.
+    coefficient bounded polynomially, at VC dimension d = ``_VC_DIM``; an
+    approximate benchmark form.
     """
-    if n < 1 or not delta > 0 or d < 1:
-        raise ValueError("need n >= 1, delta > 0, d >= 1")
-    return math.sqrt(8.0 * (math.log(4.0 / delta) + d * math.log(2.0 * n + 1.0)) / n)
+    if n < 1 or not delta > 0:
+        raise ValueError("need n >= 1, delta > 0")
+    return math.sqrt(8.0 * (math.log(4.0 / delta) + _VC_DIM * math.log(2.0 * n + 1.0)) / n)
 
 
 _BLOCK = 64         # every _BLOCK-th sample of each label cuts a side into blocks
@@ -910,8 +914,8 @@ def _sup_replications(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, 
 
 
 def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
-                   replications: int = 1000, seed: int = 0, delta: float = 0.015,
-                   vc_dim: int = 2) -> TableReport:
+                   replications: int = 1000, seed: int = 0,
+                   delta: float = 0.015) -> TableReport:
     """Evaluate our generalization bound, classic benchmarks, and the MC truth
     on a grid of arrival counts.
 
@@ -951,16 +955,22 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
     with ``BrokenProcessPool``.
 
     The truth column samples the two-region estimator, so a config with an
-    exploration region (``lb``) is rejected.
+    exploration region (``lb``) is rejected.  ``replications`` and every
+    grid entry must be whole numbers, at least 1 and 0; they are checked
+    before any sample is drawn.
     """
     if config.lb is not None:
         raise ValueError("bound comparison covers the two-region estimator only; "
                          "got a config with an exploration region (lb)")
     if config.pooled:
         raise ValueError("generalization comparison needs a labeled config")
+    replications = _count(replications, "replications")
+    grid = [_count(t, "arrival count") for t in arrival_grid]
+    if replications < 1 or any(t < 0 for t in grid):
+        raise ValueError("need at least 1 replication and nonnegative arrival counts, "
+                         f"got {replications} and {grid}")
     model = config.model
     n = config.n0 + config.n1
-    grid = [int(t) for t in arrival_grid]
     quant = 1.0 - 2.0 * delta
 
     stream = SeededRng(seed).substream(2)
@@ -997,7 +1007,7 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
             float(np.mean(totals)),
             hoeffding_eta(n_iid, 2.0 * delta),
             gc_eta(n_iid, 2.0 * delta),
-            vc_gen_eta(n_iid, 2.0 * delta, vc_dim),
+            vc_gen_eta(n_iid, 2.0 * delta),
             dkw_eta(n_iid, 2.0 * delta),
         ))
     return TableReport(

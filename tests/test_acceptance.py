@@ -107,8 +107,7 @@ def test_criterion_03_exploration_monotonicity():
     k1_max = int(round(wait * (alpha - beta)))
     eps_grid = np.round(np.arange(0.0, 1.0001, 0.05), 6)
     result = check_prop2(part, MassSpec.theoretical(alpha, beta),
-                         RegionSpec(8.0, 6.0), 0.015, eps_grid, k1_max,
-                         slack=1e-12)
+                         RegionSpec(8.0, 6.0), 0.015, eps_grid, k1_max)
     assert result.ok, f"violation at {result.first_violation}"
     report(3, "monotone in exploration",
            f"{len(eps_grid)} grid points, span {result.values[0]:.3e} -> {result.values[-1]:.3e}")
@@ -119,7 +118,7 @@ def test_criterion_04_threshold_monotonicity():
     pop = GaussianCdf(7, 3)
     quantiles = np.linspace(0.25, 0.75, 21)
     thetas = np.asarray(pop.inverse(quantiles))
-    result = check_prop1(pop, 8000, thetas, c=10.0, eta=0.015, slack=1e-12)
+    result = check_prop1(pop, 8000, thetas, c=10.0, eta=0.015)
     assert result.precondition_met, "growth factor below the required level"
     assert result.ok, f"violation at {result.first_violation}"
     report(4, "monotone in threshold",
@@ -293,7 +292,7 @@ def test_criterion_11_band_enclosure():
     xs = np.round(np.arange(3.0, 11.0001, 0.005), 6)
     widths = []
     for eps in (0.0, 0.5, 1.0):
-        band = fig4_band(eps, FIG4_SEED, delta=0.015, xs=xs)
+        band = fig4_band(eps, FIG4_SEED, xs=xs)
         f = band["f_true"]
         assert np.all(f >= band["lo"] - 1e-12), f"lower band breach at eps={eps}"
         assert np.all(f <= band["hi"] + 1e-12), f"upper band breach at eps={eps}"

@@ -124,7 +124,7 @@ class TestCensoredTerm:
 
     def test_plugin_mass_zeroes_shift(self):
         part = RegionPartition(n=50, m=24)
-        got = censored_term(part, MassSpec.plugin(part), 0.3)
+        got = censored_term(part, MassSpec.theoretical(part.m / part.n), 0.3)
         assert got.raw == pytest.approx(mp_term(24, 0.3, 0.48), rel=1e-12)
 
 

@@ -315,6 +315,17 @@ class TestOptimizeCommand:
             "75446c16f4527463082ecd46182482fbe0b8f7c89a625f62125697ecf5561afc"
 
 
+    @pytest.mark.parametrize("flags", [["--eps-step", "0"], ["--members", "0"]])
+    def test_bad_value_exit_code(self, capsys, tmp_path, flags):
+        # a zero step used to die with a ZeroDivisionError traceback, and no
+        # members to exit 0 with the eps* of an all-NaN objective
+        code, out, err = run_cli(capsys, "optimize", "--c", "5", "--lb", "6", "--seed", "1",
+                                 *flags, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert not (tmp_path / "o").exists()
+
+
 class TestReproduceDeterminism:
     def test_byte_identical_reruns(self, capsys, tmp_path):
         run_cli(capsys, "reproduce", "fig1", "--out", str(tmp_path / "a"))

@@ -11,7 +11,7 @@ from cfbounds.explore import (
     optimize_exploration,
 )
 from cfbounds.rng import SeededRng
-from cfbounds.stats import GaussianCdf
+from cfbounds.stats import GaussianCdf, PiecewiseCdf
 
 
 def _model(c=5.0):
@@ -30,6 +30,20 @@ class TestCostSingle:
             cost_single(9.0, 8.0, 0.5, _model())
         with pytest.raises(ValueError):
             cost_single(6.0, 8.0, 1.5, _model())
+
+    @pytest.mark.parametrize("lb, theta", [(np.nan, 8.0), (-np.inf, 8.0), (6.0, np.nan),
+                                           (6.0, np.inf)])
+    def test_non_finite_range_rejected(self, lb, theta):
+        # NaN used to cost 0.0 and lb = -inf NaN
+        with pytest.raises(ValueError, match="finite"):
+            cost_single(lb, theta, 0.5, _model())
+
+    def test_distribution_without_density_rejected(self):
+        # a finite-difference density missed this CDF's jump at 5: the cost
+        # over [4, 6) came out 0.511 against an exact 1.0548
+        jump = PiecewiseCdf([0.0, 5.0, 5.0, 10.0], [0.0, 0.4, 0.6, 1.0])
+        with pytest.raises(ValueError, match="density"):
+            CostModel(c=1.0, f0=jump)
 
     def test_against_monte_carlo_oracle(self):
         # oracle: 1e7-draw Monte Carlo estimate of the cost integral
@@ -147,6 +161,16 @@ class TestOptimizer:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             optimize_exploration(self._ctx(), _model(), [], [0.5])
+
+    def test_empty_ensemble_rejected(self):
+        # no sample set used to give an all-NaN objective and eps* = 0
+        with pytest.raises(ValueError, match="initial_samples"):
+            self._ctx(initial_samples=())
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, 1.5, np.nan, np.inf])
+    def test_default_eps_grid_rejects_bad_step(self, step):
+        with pytest.raises(ValueError, match="step"):
+            default_eps_grid(step)
 
     def test_default_eps_grid_resolution(self):
         grid = default_eps_grid()

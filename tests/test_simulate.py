@@ -30,13 +30,13 @@ from cfbounds.simulate import (
     run_arrivals,
     run_simulation,
     run_stage1,
-    stitched_from_partition,
 )
 from cfbounds.stats import (
     GaussianCdf,
     MixtureModel,
     PiecewiseCdf,
     sample_labeled,
+    stitched_from_partition,
     sup_deviation,
 )
 
@@ -241,6 +241,13 @@ class TestStage1:
     def test_zero_initial_rejected(self):
         with pytest.raises(ValueError):
             pooled_config(n=0)
+
+    @pytest.mark.parametrize("changes", [dict(theta=np.nan), dict(theta=np.inf),
+                                         dict(lb=np.nan), dict(lb=-np.inf)])
+    def test_non_finite_threshold_rejected(self, changes):
+        # a NaN theta used to reject every arrival and report m = 0
+        with pytest.raises(ValueError, match="finite"):
+            pooled_config(**changes)
 
 
 class TestArrivals:

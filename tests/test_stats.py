@@ -14,6 +14,7 @@ from cfbounds.stats import (
     RestrictedCdf,
     StitchedCdf,
     sample_labeled,
+    stitched_from_partition,
     sup_deviation,
 )
 
@@ -262,8 +263,6 @@ class TestStitchedCdf:
            st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30),
            st.lists(st.floats(0.0, 5.0), max_size=80))
     def test_estimate_is_a_cdf(self, initial, theta, width, epsilon, explore, above):
-        from cfbounds.simulate import stitched_from_partition
-
         lb = None if width is None else theta - width
         explore = np.array(explore) * width + lb if lb is not None else np.empty(0)
         explore = explore[explore < theta]
@@ -280,18 +279,22 @@ class TestStitchedCdf:
 
     def test_two_region_is_the_labeled_and_pooled_estimator(self):
         from cfbounds.generalization import LabeledDataset
-        from cfbounds.simulate import stitched_from_partition
 
         gen = SeededRng(8).generator()
         initial, new, theta = gen.normal(0.0, 1.0, 30), 0.2 + gen.random(45), 0.2
-        two = StitchedCdf.two_region(initial, new, theta)
-        m = int(np.sum(initial < theta))
-        assert two.edges == (theta,) and two.weights == (m / 30, 1.0 - m / 30)
+        # the two-region formula: weight m/n below theta, the rest over the
+        # initial samples at or above it together with the new ones
+        cens = initial[initial < theta]
+        m = len(cens)
+        two = StitchedCdf.from_samples((theta,), (m / 30, 1.0 - m / 30),
+                                       (cens, np.concatenate([initial[initial >= theta], new])))
         labeled = LabeledDataset(initial, initial[:3], new, admission_threshold=theta)
         pooled = stitched_from_partition(initial, np.empty(0), new, theta, None, 0.3)
         xs = np.concatenate([initial, new, np.linspace(-4.0, 4.0, 81)])
         for other in (labeled.estimator(0), pooled):
-            assert other.weights == two.weights
+            assert other.edges == two.edges and other.weights == two.weights
+            assert all(np.array_equal(a.sorted_scores, b.sorted_scores)
+                       for a, b in zip(other.segments, two.segments))
             assert np.array_equal(other.cdf(xs), two.cdf(xs))
             assert np.array_equal(other.cdf_left(xs), two.cdf_left(xs))
 

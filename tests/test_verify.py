@@ -397,6 +397,17 @@ class TestCompareBounds:
         with pytest.raises(ValueError, match="lb"):
             compare_bounds(config, arrival_grid=[0], replications=60, seed=9)
 
+    @pytest.mark.parametrize("replications, grid", [
+        (0, [0]), (2.5, [0]), (True, [0]), (10, [2.5]), (10, [0, -1]), (10, [0, np.inf])])
+    def test_counts_checked_before_any_draw(self, replications, grid):
+        # replications = 0 used to fail unpacking, 2.5 arrivals ran as 2, and a
+        # bad later grid point raised only after the earlier chunks had run
+        model = MixtureModel(p1=0.5, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1))
+        config = SimulationConfig(model=model, n0=50, n1=50, arrivals=0, seed=2)
+        with patch.object(verify, "_sorted_samples", side_effect=AssertionError("drew")), \
+                pytest.raises(ValueError):
+            compare_bounds(config, arrival_grid=grid, replications=replications, seed=9)
+
     def test_vc_gen_eta_decreasing(self):
         assert vc_gen_eta(100, 0.05) > vc_gen_eta(10_000, 0.05)
         with pytest.raises(ValueError):

@@ -27,8 +27,10 @@ stream as ``--arrivals-csv`` reads it; the runs are made before the clock
 starts.  The
 ``arrivals`` entry gives the time of one ``run_arrivals`` call over
 100 000 arrivals of the bench model, with no retraining and with
-``retrain_every=500``, from the same stage-1 state.  The ``bounds`` entry
-gives the time of one call of each censored bound, and of
+``retrain_every=500``, from the same stage-1 state, and over 100 000
+arrivals of the fig3 preset's population (theta 8, lb 6) at epsilon
+0.5, which draws an exploration coin for every arrival in [6, 8).  The
+``bounds`` entry gives the time of one call of each censored bound, and of
 ``eta_for_confidence`` over the two-region and the three-region bound,
 with scalar inputs and with 1000-element arrays (of eta for a bound, of
 arrival counts for an inversion), and of the inversions over 10 000
@@ -66,7 +68,14 @@ from cfbounds.censored import (
     bound_two_region_apriori,
     eta_for_confidence,
 )
-from cfbounds.presets import BENCH_SEED, bench_config, fig1_config, fig2_config
+from cfbounds.presets import (
+    BENCH_SEED,
+    FIG3_SEED,
+    bench_config,
+    fig1_config,
+    fig2_config,
+    fig3_config,
+)
 from cfbounds.rng import SeededRng
 from cfbounds.simulate import run_arrivals, run_simulation, run_stage1
 from cfbounds.verify import (
@@ -82,6 +91,7 @@ from cfbounds.verify import (
 ARRIVALS = (0, 1000, 2000, 5000, 10_000, 50_000)
 DELTA = 0.015           # the bench preset's confidence parameter
 SIM_ARRIVALS = 100_000
+FIG3_EXPLORE_EPSILON = 0.5  # half the exploration arrivals admitted, the other half censored
 CONDITIONED_REPS = 100_000
 GEN_GAP_REPS = 10_000       # the replications of ``cfbounds verify gen`` at the acceptance budget
 GEN_GAP_ARRIVALS = 50_000
@@ -224,10 +234,14 @@ def time_trace(repeats: int, arrivals: int = TRACE_ARRIVALS) -> dict:
 
 
 def time_arrivals(repeats: int) -> dict:
-    """Time of one ``run_arrivals`` call per 1e5 arrivals, static and retraining."""
+    """Time of one ``run_arrivals`` call per 1e5 arrivals: the bench model
+    static and retraining, and fig3's population with its exploration region."""
     out = {"arrivals": SIM_ARRIVALS, "repeats": repeats}
-    for name, retrain_every in (("static", None), ("retrain_every_500", 500)):
-        config = replace(bench_config(SIM_ARRIVALS), retrain_every=retrain_every)
+    bench = bench_config(SIM_ARRIVALS)
+    configs = {"static": bench, "retrain_every_500": replace(bench, retrain_every=500),
+               "fig3_explore": replace(fig3_config(FIG3_SEED), arrivals=SIM_ARRIVALS,
+                                       epsilon=FIG3_EXPLORE_EPSILON)}
+    for name, config in configs.items():
         state = run_stage1(config)
         out[name] = timed(lambda: run_arrivals(state, config), repeats)
     return out

@@ -218,8 +218,9 @@ class GenBound:
     confidence: float
 
     def __post_init__(self):
-        if min(np.min(term) for term in (self.prior_term, *self.contributions)) < 0:
-            raise ValueError("bound terms must be nonnegative")
+        if not all(np.all(np.isfinite(term) & (term >= 0))
+                   for term in (self.prior_term, *self.contributions)):
+            raise ValueError("bound terms must be finite and nonnegative")
 
 
 def gen_bound_from_counts(n0: int, n1: int, p1: float,
@@ -228,7 +229,8 @@ def gen_bound_from_counts(n0: int, n1: int, p1: float,
     """Assemble the generalization bound from initial label counts.
 
     Each ``sup_bounds`` value may be an array; the bound is then evaluated
-    elementwise.
+    elementwise.  A negative or non-finite value, or array element, raises
+    ``ValueError``.
     """
     if not 0.0 < p1 < 1.0:
         raise ValueError(f"p1 must be in (0, 1), got {p1}")

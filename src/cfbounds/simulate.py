@@ -63,6 +63,7 @@ __all__ = [
     "cdf_from_spec",
 ]
 
+# ``_region_of`` sums comparisons into these codes, so they must stay 0, 1, 2
 REGION_CENSORED, REGION_EXPLORE, REGION_DISCLOSED = 0, 1, 2
 
 
@@ -419,10 +420,15 @@ def _erm_threshold(pool: np.ndarray, pool1: np.ndarray) -> float:
 
 
 def _region_of(scores, theta, lb):
-    region = np.full(len(scores), REGION_CENSORED, dtype=np.uint8)
-    region[scores >= theta] = REGION_DISCLOSED
+    """The region code of each score: disclosed at or above ``theta``,
+    explored in [``lb``, ``theta``) when there is an ``lb``, else censored.
+
+    A ``theta`` at or below ``lb`` leaves no score in the exploration region.
+    """
+    above = scores >= theta
+    region = above.view(np.uint8) * np.uint8(REGION_DISCLOSED)
     if lb is not None:
-        region[(scores >= lb) & (scores < theta)] = REGION_EXPLORE
+        region += (scores >= lb) & ~above
     return region
 
 
@@ -454,9 +460,10 @@ def run_arrivals(state: Stage1State, config: SimulationConfig,
     ``arrival_stream`` replaces synthetic draws with externally supplied
     (scores, labels), consumed in order; scores must be 1-d and finite and
     labels, when given, 0 or 1 with one per score.  Exploration coins are
-    drawn from their own stream and consumed only for arrivals that fall
-    in [LB, theta) at decision time, so runs sharing a seed see identical
-    coins for those arrivals regardless of epsilon.
+    drawn from their own stream, in arrival order, one for each arrival
+    that falls in [LB, theta) at decision time and none for any other (so
+    none without an LB).  Runs sharing a seed therefore see identical coins
+    for those arrivals regardless of epsilon.
 
     Arrivals are decided in batches of ``retrain_every`` (the whole stream
     when it is None).  Theta is fixed within a batch, so deciding a batch
@@ -489,9 +496,12 @@ def run_arrivals(state: Stage1State, config: SimulationConfig,
     for start in range(0, T, B):
         batch = slice(start, min(start + B, T))
         region[batch] = _region_of(scores[batch], theta, config.lb)
-        explore = region[batch] == REGION_EXPLORE
-        coins[batch][explore] = coin_gen.random(int(np.sum(explore)))
-        admitted[batch] = (region[batch] == REGION_DISCLOSED) | (coins[batch] < config.epsilon)
+        admitted[batch] = region[batch] == REGION_DISCLOSED
+        if config.lb is not None:
+            explore = start + np.flatnonzero(region[batch] == REGION_EXPLORE)
+            coin = coin_gen.random(len(explore))
+            coins[explore] = coin
+            admitted[explore] = coin < config.epsilon
         if config.retrain_every is not None and batch.stop - start == B:
             kept, x = admitted[batch], scores[batch]
             new, new1 = sort_labeled(x[kept & (labels[batch] == 0)],

@@ -50,3 +50,10 @@ def test_time_trace_writes_both_runs(bench_kernel):
     for name in ("adaptive", "csv"):
         assert out[name]["median_us"] > 0 and out[name]["peak_mb"] > 0
         assert out[name]["bytes"] > 2000 * len("0.0, ")
+
+
+def test_time_arrivals_times_every_run(bench_kernel):
+    out = bench_kernel.time_arrivals(1)
+    assert out["arrivals"] == 100_000 and out["repeats"] == 1
+    for name in ("static", "retrain_every_500", "fig3_explore"):
+        assert out[name]["median_us"] > 0

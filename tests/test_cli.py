@@ -47,6 +47,14 @@ class TestBoundCommand:
         assert payload["total"] == pytest.approx(0.15)
         assert payload["confidence"] == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("sup", ["nan", "inf"])
+    def test_gen_non_finite_sup_exit_code(self, capsys, sup):
+        code, out, err = run_cli(capsys, "bound", "gen", "--n0", "50", "--n1", "50",
+                                 "--p1", "0.5", "--sup0", sup, "--sup1", "0.1",
+                                 "--delta", "0.05")
+        assert code == 2
+        assert out == "" and "finite" in err
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bound", "dkw", "--n", "100"])

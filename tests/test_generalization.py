@@ -230,6 +230,10 @@ class TestGenBound:
             assert (gb.contributions[0][i], gb.contributions[1][i]) == one.contributions
         with pytest.raises(ValueError):
             gen_bound_from_counts(30, 70, 0.4, {0: sup0, 1: sup1 - 0.5}, 0.05)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                gen_bound_from_counts(30, 70, 0.4, {0: np.where(sup0 < 0.5, bad, sup0),
+                                                    1: sup1}, 0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfbounds.censored import (
@@ -186,6 +186,19 @@ def _grid_cdf(weights):
     return PiecewiseCdf(np.repeat(GRID, 2), np.concatenate([[0.0], np.repeat(steps, 2), [1.0]]))
 
 
+GRID_WEIGHTS = st.lists(st.integers(0, 3), min_size=len(GRID), max_size=len(GRID)).filter(any)
+
+
+def _grid_stream(draw, T: int):
+    """None, or a stream of ``T`` scores on GRID with labels of one or both kinds."""
+    if not draw(st.booleans()):
+        return None
+    label_set = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+    scores = draw(st.lists(st.sampled_from(GRID), min_size=T, max_size=T))
+    labels = draw(st.lists(st.sampled_from(label_set), min_size=T, max_size=T))
+    return np.array(scores), np.array(labels, dtype=np.int8)
+
+
 @st.composite
 def tied_runs(draw):
     """A retraining config and an optional stream, all scores on GRID.
@@ -194,28 +207,70 @@ def tied_runs(draw):
     label or label CDFs in reversed order drive thresholds to -inf or +inf.
     """
     T = draw(st.integers(0, 240))
-    weights = st.lists(st.integers(0, 3), min_size=len(GRID),
-                       max_size=len(GRID)).filter(any)
     model = MixtureModel(p1=draw(st.sampled_from([0.05, 0.5, 0.95])),
-                         cdf0=_grid_cdf(draw(weights)), cdf1=_grid_cdf(draw(weights)))
+                         cdf0=_grid_cdf(draw(GRID_WEIGHTS)), cdf1=_grid_cdf(draw(GRID_WEIGHTS)))
     theta = draw(st.one_of(st.none(), st.sampled_from(GRID[1:])))
     config = SimulationConfig(
         model=model, n0=draw(st.integers(1, 8)), n1=draw(st.integers(1, 8)),
         arrivals=T, seed=draw(st.integers(0, 2**32)),
         theta=None if theta is None else float(theta),
         retrain_every=draw(st.integers(1, max(T, 1))))
-    stream = None
-    if draw(st.booleans()):
-        label_set = draw(st.sampled_from([(0,), (1,), (0, 1)]))
-        scores = draw(st.lists(st.sampled_from(GRID), min_size=T, max_size=T))
-        labels = draw(st.lists(st.sampled_from(label_set), min_size=T, max_size=T))
-        stream = (np.array(scores), np.array(labels, dtype=np.int8))
-    return config, stream
+    return config, _grid_stream(draw, T)
 
 
 @settings(max_examples=150, deadline=None)
 @given(tied_runs())
 def test_tied_batches_equal_the_per_arrival_process(run):
+    _check_batches_against_reference(*run)
+
+
+@st.composite
+def explored_grid_runs(draw):
+    """A static config with an exploration bound, theta, lb and all scores on GRID.
+
+    Scores land exactly on theta and on lb.  A trained theta is a midpoint
+    of GRID scores or -inf or +inf, and lb, drawn from all of GRID, may
+    lie at or above it, which leaves no exploration region.
+    """
+    T = draw(st.integers(0, 240))
+    theta = draw(st.one_of(st.none(), st.sampled_from(GRID[1:])))
+    lb = draw(st.sampled_from(GRID if theta is None else GRID[GRID < theta]))
+    kwargs = dict(arrivals=T, seed=draw(st.integers(0, 2**32)),
+                  theta=None if theta is None else float(theta), lb=float(lb),
+                  epsilon=draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                         st.floats(0.0, 1.0))))
+    if theta is not None and draw(st.booleans()):
+        return SimulationConfig(population=_grid_cdf(draw(GRID_WEIGHTS)),
+                                n=draw(st.integers(1, 8)), **kwargs), None
+    model = MixtureModel(p1=draw(st.sampled_from([0.05, 0.5, 0.95])),
+                         cdf0=_grid_cdf(draw(GRID_WEIGHTS)), cdf1=_grid_cdf(draw(GRID_WEIGHTS)))
+    config = SimulationConfig(model=model, n0=draw(st.integers(1, 8)),
+                              n1=draw(st.integers(1, 8)), **kwargs)
+    return config, _grid_stream(draw, T)
+
+
+def _one_point_model(x0: float, x1: float) -> MixtureModel:
+    """Labels 0 and 1 always scoring ``x0`` and ``x1``: the trained theta is
+    their midpoint."""
+    return MixtureModel(p1=0.5, cdf0=_grid_cdf(GRID == x0), cdf1=_grid_cdf(GRID == x1))
+
+
+_EVERY_GRID_SCORE = (np.tile(GRID, 4), np.repeat(np.array([0, 1, 1, 0], dtype=np.int8), len(GRID)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(explored_grid_runs())
+# trained theta 7.25 equal to lb, and below lb, with every GRID score arriving
+@example((SimulationConfig(model=_one_point_model(7.0, 7.5), n0=3, n1=3, arrivals=0,
+                           seed=5, lb=7.25, epsilon=0.5), _EVERY_GRID_SCORE))
+@example((SimulationConfig(model=_one_point_model(7.0, 7.5), n0=3, n1=3, arrivals=0,
+                           seed=5, lb=9.0, epsilon=0.5), _EVERY_GRID_SCORE))
+# fixed theta and lb with every GRID score arriving, at each end of epsilon
+@example((SimulationConfig(model=MODEL, n0=3, n1=3, arrivals=0, seed=5, theta=10.0,
+                           lb=8.5, epsilon=0.0), _EVERY_GRID_SCORE))
+@example((SimulationConfig(model=MODEL, n0=3, n1=3, arrivals=0, seed=5, theta=10.0,
+                           lb=8.5, epsilon=1.0), _EVERY_GRID_SCORE))
+def test_explored_grid_runs_equal_the_per_arrival_process(run):
     _check_batches_against_reference(*run)
 
 

@@ -8,8 +8,8 @@ Subpackage map:
   forms and the multivariate constant).
 * :mod:`cfbounds.censored` -- region-decomposed bounds for censored
   collection, their inverses, and monotonicity checks.
-* :mod:`cfbounds.generalization` -- threshold-classifier risks and the
-  assembled generalization bound.
+* :mod:`cfbounds.generalization` -- threshold-classifier risk, ERM
+  threshold training and the assembled generalization bound.
 * :mod:`cfbounds.simulate` -- the sequential admission process with
   bounded exploration and CSV score ingestion.
 * :mod:`cfbounds.explore` -- exploration cost models and the
@@ -43,12 +43,9 @@ from .censored import (
 from .explore import BoundContext, CostModel, cost_single, optimize_exploration
 from .generalization import (
     GenBound,
-    LabeledDataset,
-    RiskPair,
-    empirical_risk,
-    expected_risk,
-    gen_bound,
+    gen_bound_from_counts,
     optimal_threshold,
+    threshold_risk,
 )
 from .planar import (
     AdjustedCdf,

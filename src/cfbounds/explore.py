@@ -127,8 +127,10 @@ class BoundContext:
     def improvement(self, lb: float, epsilon):
         """avg over the ensemble of B(theta) - B_e(lb, theta, epsilon).
 
-        Elementwise over an array of epsilon values.
+        Elementwise over an array of epsilon values.  An lb at or above
+        theta explores nothing: it counts as lb = theta.
         """
+        lb = min(lb, self.theta)
         alpha = float(self.population.cdf(self.theta))
         beta = float(self.population.cdf(lb))
         T = self.arrivals

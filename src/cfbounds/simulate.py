@@ -36,7 +36,7 @@ from .censored import (
     bound_two_region,
 )
 from .classic import BoundValue
-from .generalization import sort_labeled, thresholds_from_sorted
+from .generalization import optimal_threshold, sort_labeled
 from .rng import SeededRng
 from .stats import (
     EmpiricalCdf,
@@ -97,6 +97,11 @@ class SimulationConfig:
             raise ValueError("pooled mode needs n >= 1 initial samples")
         if self.model is not None and (self.n0 < 1 or self.n1 < 1):
             raise ValueError("labeled mode needs n0, n1 >= 1")
+        # a partial table is no distribution, and the draws do not follow it
+        cdfs = (self.population,) if self.pooled else (self.model.cdf0, self.model.cdf1)
+        if any(isinstance(cdf, PiecewiseCdf) and not (cdf.ps[0] == 0.0 and cdf.ps[-1] == 1.0)
+               for cdf in cdfs):
+            raise ValueError("a piecewise CDF table must start at p = 0 and end at p = 1")
         if self.arrivals < 0:
             raise ValueError("arrivals must be nonnegative")
         if self.retrain_every is not None and self.retrain_every < 1:
@@ -409,14 +414,8 @@ def run_stage1(config: SimulationConfig) -> Stage1State:
     if config.theta is not None:
         theta0 = float(config.theta)
     else:
-        theta0 = _erm_threshold(*sort_labeled(x0, x1))
+        theta0 = optimal_threshold(*sort_labeled(x0, x1))
     return Stage1State(theta0=theta0, initial_scores=np.empty(0), initial0=x0, initial1=x1)
-
-
-def _erm_threshold(pool: np.ndarray, pool1: np.ndarray) -> float:
-    """ERM threshold of one sorted pool of scores with label-1 flags."""
-    theta, _ = thresholds_from_sorted(pool[None, :], pool1[None, :])
-    return float(theta[0])
 
 
 def _region_of(scores, theta, lb):
@@ -472,7 +471,7 @@ def run_arrivals(state: Stage1State, config: SimulationConfig,
     theta on the initial samples plus every arrival admitted so far.  Those
     are kept as one sorted pool with label-1 flags: a refit merges the
     batch's sorted admissions into it and reads the ERM threshold off it
-    (``thresholds_from_sorted``) without sorting the pool again.
+    (``optimal_threshold``) without sorting the pool again.
     """
     root = SeededRng(config.seed)
     if arrival_stream is not None:
@@ -508,7 +507,7 @@ def run_arrivals(state: Stage1State, config: SimulationConfig,
                                      x[kept & (labels[batch] == 1)])
             at = np.searchsorted(pool, new, side="right")
             pool, pool1 = np.insert(pool, at, new), np.insert(pool1, at, new1)
-            theta = _erm_threshold(pool, pool1)
+            theta = optimal_threshold(pool, pool1)
             history.append((batch.stop, theta))
 
     return SimulationTrace(

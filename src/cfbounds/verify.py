@@ -35,7 +35,7 @@ from .censored import (
     eta_for_confidence,
 )
 from .classic import dkw_eta, gc_eta, hoeffding_eta
-from .generalization import gen_bound_from_counts, train_thresholds
+from .generalization import gen_bound_from_counts, threshold_risk, train_thresholds
 from .rng import SeededRng, splitmix64
 from .simulate import SimulationConfig, _count, distinct_text, finalize, run_simulation
 from .stats import GaussianCdf, sup_deviation
@@ -335,9 +335,8 @@ def _initial_blocks(config: SimulationConfig, replications: int, seed: int,
         m0 = np.sum(s0 < theta[:, None], axis=1)
         m1 = np.sum(s1 < theta[:, None], axis=1)
         if config.theta is not None:
-            # ``empirical_risk`` at theta, from the counts below it
             n = n0 + n1
-            remp = (n1 / n) * (m1 / n1) + (n0 / n) * (1.0 - m0 / n0)
+            remp = threshold_risk(n0 / n, n1 / n, m0 / n0, m1 / n1)
         yield rows, s0, s1, theta, remp, m0, m1
 
 
@@ -354,8 +353,7 @@ def _initial_samples(config: SimulationConfig, replications: int, seed: int,
     model = config.model
     a0 = np.asarray(model.cdf0.cdf(theta), dtype=float)
     a1 = np.asarray(model.cdf1.cdf(theta), dtype=float)
-    rtrue = model.p1 * a1 + model.p0 * (1.0 - a0)
-    gaps = np.abs(rtrue - remp)
+    gaps = np.abs(threshold_risk(model.p0, model.p1, a0, a1) - remp)
     return theta, gaps, a0, a1, m0, m1
 
 
@@ -394,13 +392,17 @@ def _gen_gap_samples(config: SimulationConfig, replications: int, seed: int,
 
 def mc_gen_gap(config: SimulationConfig, replications: int, seed: int,
                delta: float = 0.05) -> CoverageReport:
-    """Frequency of |expected - empirical| risk exceeding its bound.
+    """Frequency of |expected - empirical| risk at the trained threshold
+    exceeding its bound.
 
     Each replication draws fresh initial data, trains (or takes) the
     threshold, realizes the admitted-arrival counts, assembles the
     generalization bound with per-label deviation inversions at delta,
-    and checks the realized gap against it.  The exceedance frequency is
-    compared to the claimed failure budget 2*delta.
+    and checks the realized gap at that one threshold against it.  The
+    bound covers the uniform gap sup_theta |R - R_emp|, which exceeds it
+    at least as often, so this is a weaker check than the bound's claim.
+    The exceedance frequency is compared to the claimed failure budget
+    2*delta.
     """
     if replications < 100:
         raise ValueError("need at least 100 replications")

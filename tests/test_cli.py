@@ -323,6 +323,19 @@ class TestOptimizeCommand:
             "75446c16f4527463082ecd46182482fbe0b8f7c89a625f62125697ecf5561afc"
 
 
+    def test_theta_below_the_grid_lbs(self, capsys, tmp_path):
+        # the default lb grid reaches the population median, 7.0, above
+        # theta = 6; those lbs explore nothing and score 0 at every eps
+        code, out, err = run_cli(capsys, "optimize", "--c", "5", "--seed", "1",
+                                 "--members", "1", "--theta", "6", "--eps-step", "0.25",
+                                 "--out", str(tmp_path / "o"))
+        assert code == 0, err
+        rows = list(csv.DictReader(open(tmp_path / "o" / "objective_grid.csv")))
+        assert len(rows) == 50 * 5
+        above = [float(r["objective"]) for r in rows if float(r["lb"]) >= 6.0]
+        assert len(above) == 14 * 5 and set(above) == {0.0}
+        assert float(json.loads(out)["lb_star"]) < 6.0
+
     @pytest.mark.parametrize("flags", [["--eps-step", "0"], ["--members", "0"]])
     def test_bad_value_exit_code(self, capsys, tmp_path, flags):
         # a zero step used to die with a ZeroDivisionError traceback, and no
@@ -399,6 +412,18 @@ class TestVerifyConfigFile:
                                "--eta", "auto", "-R", "120", "--seed", "6")
         assert code == 2
         assert "auto" in err
+
+    def test_partial_piecewise_table_exit_code(self, capsys, tmp_path):
+        # the table [0.2, 0.9] is no distribution; the run used to report
+        # frequency 1.0, bound-violated, and exit 3
+        cfg = tmp_path / "config.json"
+        population = {"family": "piecewise", "xs": [0, 10], "ps": [0.2, 0.9]}
+        cfg.write_text(json.dumps({"arrivals": 0, "seed": 1, "theta": 5.0, "n": 5000,
+                                   "population": population}))
+        code, out, err = run_cli(capsys, "verify", "cdf", "--config", str(cfg),
+                                 "--eta", "0.05", "-R", "200", "--seed", "1")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "piecewise" in err
 
     @pytest.mark.parametrize("theta", [None, 9.5])
     def test_labeled_config_exit_code(self, capsys, tmp_path, theta):

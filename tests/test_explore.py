@@ -158,6 +158,21 @@ class TestOptimizer:
             obj = gen.integers(0, 3, size=shape).astype(float)
             assert self._optimize_table(obj) == self._scan_in_preference_order(obj)
 
+    @pytest.mark.parametrize("exact_mass", [True, False])
+    def test_lb_at_or_above_theta_explores_nothing(self, exact_mass):
+        # theta below the population median: an lb above theta used to
+        # count more initial samples below lb than below theta and raise
+        # "need 0 <= l <= m <= n"
+        gen = SeededRng(6).generator()
+        samples = None if exact_mass else (GaussianCdf(7, 3).inverse(gen.random(200)),)
+        ctx = self._ctx(theta=6.0, initial_samples=samples)
+        eps = np.linspace(0.0, 1.0, 5)
+        for lb in (6.0, 6.5, 7.0, 9.0):
+            assert ctx.improvement(lb, eps).tolist() == [0.0] * 5
+            assert ctx.improvement(lb, 0.5) == 0.0
+        result = optimize_exploration(ctx, _model(), [5.0, 6.0, 7.0], eps)
+        assert result.objective_grid[1:].tolist() == [[0.0] * 5] * 2
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             optimize_exploration(self._ctx(), _model(), [], [0.5])

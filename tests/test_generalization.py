@@ -1,4 +1,4 @@
-"""Risk computations, threshold training, and the assembled bound."""
+"""Threshold risk, threshold training, and the assembled bound."""
 import math
 
 import numpy as np
@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from cfbounds.generalization import (
-    LabeledDataset,
-    empirical_risk,
-    expected_risk,
-    gen_bound,
     gen_bound_from_counts,
     optimal_threshold,
     sort_labeled,
     thresholds_from_sorted,
+    threshold_risk,
     train_thresholds,
 )
 from cfbounds.classic import dkw_eta
@@ -27,42 +24,75 @@ def _model(p1=0.5):
     return MixtureModel(p1=p1, cdf0=GaussianCdf(9, 1), cdf1=GaussianCdf(10, 1))
 
 
+def _expected_risk(theta, model):
+    return threshold_risk(model.p0, model.p1, model.cdf0.cdf(theta), model.cdf1.cdf(theta))
+
+
+def _empirical_risk(x0, x1, theta):
+    """``threshold_risk`` at theta from the initial label proportions and
+    each label's count strictly below theta."""
+    n0, n1 = len(x0), len(x1)
+    n = n0 + n1
+    return threshold_risk(n0 / n, n1 / n, np.sum(np.asarray(x0) < theta) / n0,
+                          np.sum(np.asarray(x1) < theta) / n1)
+
+
+def _error_rate(x0, x1, theta):
+    """The brute-force confusion tally: label-1 scores below theta and
+    label-0 scores at or above it, over all scores."""
+    x0, x1 = np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
+    return (np.sum(x1 < theta) + np.sum(x0 >= theta)) / (len(x0) + len(x1))
+
+
+def _fit(x0, x1):
+    return optimal_threshold(*sort_labeled(np.asarray(x0, dtype=float),
+                                           np.asarray(x1, dtype=float)))
+
+
 class TestExpectedRisk:
     def test_low_threshold_limit(self):
         model = _model(p1=0.3)
-        assert expected_risk(-1e9, model) == pytest.approx(model.p0, abs=1e-12)
+        assert _expected_risk(-1e9, model) == pytest.approx(model.p0, abs=1e-12)
 
     def test_high_threshold_limit(self):
         model = _model(p1=0.3)
-        assert expected_risk(1e9, model) == pytest.approx(model.p1, abs=1e-12)
+        assert _expected_risk(1e9, model) == pytest.approx(model.p1, abs=1e-12)
 
     def test_symmetric_midpoint(self):
         # oracle: risk at the midpoint of two symmetric unit Gaussians
         model = _model(p1=0.5)
         want = 0.5 * ndtr(9.5 - 10) + 0.5 * (1 - ndtr(9.5 - 9))
-        assert expected_risk(9.5, model) == pytest.approx(want, abs=1e-14)
-        assert expected_risk(9.5, model) == pytest.approx(
+        assert _expected_risk(9.5, model) == pytest.approx(want, abs=1e-14)
+        assert _expected_risk(9.5, model) == pytest.approx(
             ndtr(-0.5), abs=1e-12)
+
+    def test_bounded_by_extreme_priors(self):
+        model = _model(p1=0.3)
+        risks = _expected_risk(np.linspace(4, 15, 111), model)
+        assert np.all((0 <= risks) & (risks <= 1))
+        assert risks[0] == pytest.approx(model.p0, abs=1e-6)
+        assert risks[-1] == pytest.approx(model.p1, abs=1e-6)
+
+    def test_elementwise_equals_scalar_calls(self):
+        gen = SeededRng(5).generator()
+        w1, f0, f1 = gen.random(3), gen.random(3), gen.random(3)
+        risks = threshold_risk(1.0 - w1, w1, f0, f1)
+        for i in range(3):
+            assert risks[i] == threshold_risk(1.0 - w1[i], w1[i], f0[i], f1[i])
 
 
 class TestEmpiricalRisk:
     def test_perfect_separation(self):
-        data = LabeledDataset(initial0=[1.0, 2.0], initial1=[5.0, 6.0])
-        assert empirical_risk(3.0, data) == 0.0
+        assert _empirical_risk([1.0, 2.0], [5.0, 6.0], 3.0) == 0.0
 
     def test_total_misclassification(self):
-        data = LabeledDataset(initial0=[], initial1=[1.0, 2.0])
-        with pytest.raises(ValueError):
-            LabeledDataset(initial0=[], initial1=[])
-        assert empirical_risk(10.0, data) == 1.0
+        assert _empirical_risk([11.0], [1.0, 2.0], 10.0) == 1.0
 
     def test_at_threshold_admitted(self):
         # a label-1 score at the threshold is admitted, hence correct
-        data = LabeledDataset(initial0=[5.0], initial1=[7.0])
-        assert empirical_risk(7.0, data) == pytest.approx(0.0)
+        assert _empirical_risk([5.0], [7.0], 7.0) == pytest.approx(0.0)
         # a label-0 score at the threshold is admitted, hence an error
-        data0 = LabeledDataset(initial0=[7.0], initial1=[9.0])
-        assert empirical_risk(7.0, data0) == pytest.approx(0.5)
+        assert _empirical_risk([7.0], [9.0], 7.0) == pytest.approx(0.5)
 
     def test_matches_confusion_tally(self):
         # oracle: brute-force confusion counting on seeded mixed samples
@@ -78,39 +108,24 @@ class TestEmpiricalRisk:
             labels.append(label)
         scores = np.asarray(scores)
         labels = np.asarray(labels)
-        data = LabeledDataset(initial0=scores[labels == 0], initial1=scores[labels == 1])
+        x0, x1 = scores[labels == 0], scores[labels == 1]
         for theta in (8.5, 9.5, 10.5):
             errors = np.sum((labels == 1) & (scores < theta)) + \
                 np.sum((labels == 0) & (scores >= theta))
-            assert empirical_risk(theta, data) == pytest.approx(errors / 20)
+            assert _empirical_risk(x0, x1, theta) == pytest.approx(errors / 20)
 
-    def test_extension_uses_frozen_region_weights(self):
-        # admitted extras all sit above the admission threshold, so the
-        # empirical risk evaluated at that threshold is unchanged
-        data0 = LabeledDataset(initial0=[8.0, 9.6], initial1=[9.4, 10.5])
-        theta = 9.5
-        base = empirical_risk(theta, data0)
-        data1 = LabeledDataset(initial0=[8.0, 9.6], initial1=[9.4, 10.5],
-                               new0=[9.7, 11.0], new1=[9.9],
-                               admission_threshold=theta)
-        assert empirical_risk(theta, data1) == pytest.approx(base, abs=1e-12)
-
-    def test_new_samples_require_threshold(self):
-        with pytest.raises(ValueError):
-            LabeledDataset(initial0=[1.0], initial1=[2.0], new1=[3.0])
-        with pytest.raises(ValueError):
-            LabeledDataset(initial0=[1.0], initial1=[2.0], new1=[3.0],
-                           admission_threshold=4.0)
+    def test_piecewise_constant(self):
+        x0, x1 = [1.0, 3.0], [2.0, 4.0]
+        assert _empirical_risk(x0, x1, 2.3) == _empirical_risk(x0, x1, 2.9)
+        assert _empirical_risk(x0, x1, 1.5) != _empirical_risk(x0, x1, 2.5)
 
 
 class TestOptimalThreshold:
     def test_single_label1_sample(self):
-        data = LabeledDataset(initial0=np.empty(0), initial1=np.asarray([5.0]))
-        assert optimal_threshold(data) == -np.inf
+        assert _fit(np.empty(0), [5.0]) == -np.inf
 
     def test_two_separable_points(self):
-        data = LabeledDataset(initial0=[0.0], initial1=[1.0])
-        assert optimal_threshold(data) == pytest.approx(0.5)
+        assert _fit([0.0], [1.0]) == pytest.approx(0.5)
 
     def test_matches_dense_grid_oracle(self):
         # oracle: empirical risk minimized over a dense threshold grid
@@ -119,12 +134,11 @@ class TestOptimalThreshold:
         u = gen.random(100)
         x0 = np.asarray(model.cdf0.inverse(u[:50]))
         x1 = np.asarray(model.cdf1.inverse(u[50:]))
-        data = LabeledDataset(initial0=x0, initial1=x1)
-        theta = optimal_threshold(data)
-        got = empirical_risk(theta, data)
+        theta = _fit(x0, x1)
+        got = _error_rate(x0, x1, theta)
         grid = np.linspace(6, 13, 200_001)
-        best = min(empirical_risk(t, data) for t in grid[::400])
-        dense = np.asarray([empirical_risk(t, data)
+        best = min(_error_rate(x0, x1, t) for t in grid[::400])
+        dense = np.asarray([_error_rate(x0, x1, t)
                             for t in np.linspace(theta - 0.5, theta + 0.5, 2001)])
         assert got <= best + 1e-12
         assert got <= dense.min() + 1e-12
@@ -133,18 +147,16 @@ class TestOptimalThreshold:
         gen = SeededRng(9).generator()
         scores = gen.random(12) * 4
         labels = (gen.random(12) < 0.5).astype(int)
-        data = LabeledDataset(initial0=scores[labels == 0], initial1=scores[labels == 1])
-        theta = optimal_threshold(data)
-        base = empirical_risk(theta, data)
+        x0, x1 = scores[labels == 0], scores[labels == 1]
+        base = _error_rate(x0, x1, _fit(x0, x1))
         candidates = np.concatenate([[-np.inf, np.inf],
                                      (np.sort(scores)[1:] + np.sort(scores)[:-1]) / 2])
         for cand in candidates:
-            assert base <= empirical_risk(cand, data) + 1e-12
+            assert base <= _error_rate(x0, x1, cand) + 1e-12
 
     def test_tie_breaks_toward_smallest(self):
         # both sides of the lone boundary give equal risk; prefer smaller
-        data = LabeledDataset(initial0=[2.0], initial1=[1.0])
-        assert optimal_threshold(data) == -np.inf
+        assert _fit([2.0], [1.0]) == -np.inf
 
     def test_batched_rows_match_candidate_scan(self):
         # oracle: scan -inf, every midpoint of adjacent distinct scores and
@@ -161,7 +173,7 @@ class TestOptimalThreshold:
             best = int(np.argmin(errors))
             assert theta[r] == candidates[best]
             assert risk[r] == errors[best] / 12
-            assert optimal_threshold(LabeledDataset(x0[r], x1[r])) == theta[r]
+            assert _fit(x0[r], x1[r]) == theta[r]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_merged_pool_equals_train_thresholds(self, seed):
@@ -186,6 +198,7 @@ class TestOptimalThreshold:
             for xs, is1 in ((pool, pool1), (pool[shuffled], pool1[shuffled])):
                 theta, risk = thresholds_from_sorted(xs[None, :], is1[None, :])
                 assert theta[0] == want[0][0] and risk[0] == want[1][0]
+                assert optimal_threshold(xs, is1) == want[0][0]
 
 
 class TestGenBound:
@@ -207,9 +220,8 @@ class TestGenBound:
             + min(0.5, n1 / n) * math.sqrt(math.log(2 / delta) / (2 * n1))
         assert gb.total == pytest.approx(want, rel=1e-14)
 
-    def test_dataset_entry_point(self):
-        data = LabeledDataset(initial0=[1.0, 2.0], initial1=[3.0])
-        gb = gen_bound(data, 0.5, {0: 0.1, 1: 0.1}, 0.1)
+    def test_unbalanced_prior_term(self):
+        gb = gen_bound_from_counts(2, 1, 0.5, {0: 0.1, 1: 0.1}, 0.1)
         assert gb.prior_term == pytest.approx(3 * abs(0.5 - 2 / 3))
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -240,36 +252,3 @@ class TestGenBound:
             gen_bound_from_counts(10, 10, 1.5, {0: 0.1, 1: 0.1}, 0.05)
         with pytest.raises(ValueError):
             gen_bound_from_counts(10, 10, 0.5, {0: 0.1, 1: 0.1}, 0.6)
-
-
-class TestRiskShapeProperties:
-    def test_expected_risk_bounded_by_extreme_priors(self):
-        model = _model(p1=0.3)
-        thetas = np.linspace(4, 15, 111)
-        risks = [expected_risk(t, model) for t in thetas]
-        assert all(0 <= r <= 1 for r in risks)
-        assert risks[0] == pytest.approx(model.p0, abs=1e-6)
-        assert risks[-1] == pytest.approx(model.p1, abs=1e-6)
-
-    def test_empirical_risk_piecewise_constant(self):
-        data = LabeledDataset(initial0=[1.0, 3.0], initial1=[2.0, 4.0])
-        assert empirical_risk(2.3, data) == empirical_risk(2.9, data)
-        assert empirical_risk(1.5, data) != empirical_risk(2.5, data)
-
-
-class TestRiskPair:
-    def test_pair_and_gap(self):
-        model = _model()
-        data = LabeledDataset(initial0=[8.5, 9.2], initial1=[10.1, 10.9])
-        from cfbounds.generalization import risks
-
-        pair = risks(9.5, model, data)
-        assert pair.expected == pytest.approx(expected_risk(9.5, model))
-        assert pair.empirical == pytest.approx(empirical_risk(9.5, data))
-        assert pair.gap == pytest.approx(abs(pair.expected - pair.empirical))
-
-    def test_range_validation(self):
-        from cfbounds.generalization import RiskPair
-
-        with pytest.raises(ValueError):
-            RiskPair(expected=1.2, empirical=0.5)

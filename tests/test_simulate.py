@@ -16,8 +16,9 @@ from cfbounds.censored import (
     bound_two_region,
 )
 from cfbounds.classic import dkw_eta
-from cfbounds.generalization import LabeledDataset, optimal_threshold
+from cfbounds.generalization import train_thresholds
 from cfbounds.rng import SeededRng, splitmix64
+import cfbounds.simulate as simulate
 from cfbounds.simulate import (
     REGION_CENSORED,
     REGION_DISCLOSED,
@@ -119,8 +120,8 @@ def _per_arrival_reference(config, arrival_stream=None):
         if admitted[t]:
             (obs1 if labels[t] == 1 else obs0).append(scores[t: t + 1])
         if (t + 1) % config.retrain_every == 0:
-            theta = optimal_threshold(
-                LabeledDataset(np.concatenate(obs0), np.concatenate(obs1)))
+            theta = float(train_thresholds(np.concatenate(obs0)[None, :],
+                                           np.concatenate(obs1)[None, :])[0][0])
             history.append((t + 1, theta))
     return SimulationTrace(
         config=config, theta0=state.theta0, initial_scores=state.initial_scores,
@@ -296,6 +297,19 @@ class TestStage1:
     def test_zero_initial_rejected(self):
         with pytest.raises(ValueError):
             pooled_config(n=0)
+
+    @pytest.mark.parametrize("ps", [[0.2, 0.9], [0.0, 0.9], [0.2, 1.0]])
+    def test_partial_piecewise_table_rejected(self, ps):
+        # a table that is no distribution used to run, and the tripwire
+        # then reported its own bound violated
+        partial = PiecewiseCdf([0.0, 10.0], ps)
+        full = PiecewiseCdf([0.0, 10.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="piecewise"):
+            pooled_config(population=partial, theta=5.0)
+        for cdf0, cdf1 in ((partial, full), (full, partial)):
+            with pytest.raises(ValueError, match="piecewise"):
+                labeled_config(model=MixtureModel(p1=0.5, cdf0=cdf0, cdf1=cdf1))
+        pooled_config(population=full, theta=5.0)
 
     @pytest.mark.parametrize("changes", [dict(theta=np.nan), dict(theta=np.inf),
                                          dict(lb=np.nan), dict(lb=-np.inf)])
@@ -550,6 +564,28 @@ class TestAdaptive:
         # must be computable from initial + admitted data only
         assert len(trace.threshold_history) >= 2
         assert np.isfinite(trace.final_theta) or trace.final_theta in (np.inf, -np.inf)
+
+    @pytest.mark.parametrize("theta, retrain_every, arrivals, calls", [
+        (None, 30, 100, 1 + 100 // 30),
+        (None, 25, 100, 1 + 100 // 25),
+        (None, None, 100, 1),
+        (9.5, 25, 100, 100 // 25),
+        (9.5, None, 100, 0),
+    ])
+    def test_every_fit_goes_through_optimal_threshold(self, monkeypatch, theta,
+                                                      retrain_every, arrivals, calls):
+        fits, fit = [], simulate.optimal_threshold
+
+        def counted(xs, is1):
+            fits.append(fit(xs, is1))
+            return fits[-1]
+
+        monkeypatch.setattr(simulate, "optimal_threshold", counted)
+        trace = run_simulation(labeled_config(theta=theta, retrain_every=retrain_every,
+                                              arrivals=arrivals))
+        assert len(fits) == calls
+        thetas = [theta for _, theta in trace.threshold_history]
+        assert fits == (thetas if theta is None else thetas[1:])
 
 
 class TestIngest:

@@ -277,9 +277,7 @@ class TestStitchedCdf:
         # the region weights may sum to up to two ulps below 1
         assert values[-1] >= 1.0 - 4 * np.finfo(float).eps
 
-    def test_two_region_is_the_labeled_and_pooled_estimator(self):
-        from cfbounds.generalization import LabeledDataset
-
+    def test_two_region_is_the_pooled_estimator(self):
         gen = SeededRng(8).generator()
         initial, new, theta = gen.normal(0.0, 1.0, 30), 0.2 + gen.random(45), 0.2
         # the two-region formula: weight m/n below theta, the rest over the
@@ -288,15 +286,13 @@ class TestStitchedCdf:
         m = len(cens)
         two = StitchedCdf.from_samples((theta,), (m / 30, 1.0 - m / 30),
                                        (cens, np.concatenate([initial[initial >= theta], new])))
-        labeled = LabeledDataset(initial, initial[:3], new, admission_threshold=theta)
         pooled = stitched_from_partition(initial, np.empty(0), new, theta, None, 0.3)
         xs = np.concatenate([initial, new, np.linspace(-4.0, 4.0, 81)])
-        for other in (labeled.estimator(0), pooled):
-            assert other.edges == two.edges and other.weights == two.weights
-            assert all(np.array_equal(a.sorted_scores, b.sorted_scores)
-                       for a, b in zip(other.segments, two.segments))
-            assert np.array_equal(other.cdf(xs), two.cdf(xs))
-            assert np.array_equal(other.cdf_left(xs), two.cdf_left(xs))
+        assert pooled.edges == two.edges and pooled.weights == two.weights
+        assert all(np.array_equal(a.sorted_scores, b.sorted_scores)
+                   for a, b in zip(pooled.segments, two.segments))
+        assert np.array_equal(pooled.cdf(xs), two.cdf(xs))
+        assert np.array_equal(pooled.cdf_left(xs), two.cdf_left(xs))
 
     def test_fig4_estimate_stays_in_unit_interval(self):
         # seed 101 at eps 0 has region weights summing one ulp above 1

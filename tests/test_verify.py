@@ -21,11 +21,11 @@ from cfbounds.censored import (
     bound_three_region,
     bound_two_region,
 )
-from cfbounds.generalization import LabeledDataset, empirical_risk, train_thresholds
+from cfbounds.generalization import train_thresholds
 from cfbounds.presets import bench_config, fig1_config
 from cfbounds.rng import SeededRng, splitmix64
 from cfbounds.simulate import SimulationConfig, finalize, run_simulation
-from cfbounds.stats import GaussianCdf, MixtureModel, PiecewiseCdf
+from cfbounds.stats import EmpiricalCdf, GaussianCdf, MixtureModel, PiecewiseCdf
 from cfbounds.verify import (
     CoverageReport,
     _batch_sup_conditioned,
@@ -231,8 +231,12 @@ def _initial_samples_one_shot(config, replications, seed):
     x1.sort(axis=1)
     if config.theta is not None:
         theta = np.full(replications, float(config.theta))
+        # the fixed threshold's empirical risk, from each label's eCDF left
+        # of it and the initial label proportions
+        w0, w1 = n0 / (n0 + n1), n1 / (n0 + n1)
         remp = np.array([
-            empirical_risk(config.theta, LabeledDataset(x0[r], x1[r]))
+            w1 * EmpiricalCdf(x1[r]).cdf_left(config.theta)
+            + w0 * (1.0 - EmpiricalCdf(x0[r]).cdf_left(config.theta))
             for r in range(replications)])
     else:
         theta, remp = train_thresholds(x0, x1)

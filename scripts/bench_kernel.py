@@ -62,7 +62,6 @@ from cfbounds import presets, verify
 from cfbounds.censored import (
     MassSpec,
     RegionPartition,
-    RegionSpec,
     bound_three_region,
     bound_two_region,
     bound_two_region_apriori,
@@ -84,7 +83,6 @@ from cfbounds.verify import (
     _sorted_samples,
     _sup_task,
     _sup_tasks,
-    _with_grid,
     mc_gen_gap,
 )
 
@@ -156,7 +154,7 @@ def path_counts(tasks) -> tuple[int, int]:
 
 def time_kernel(arrivals: int, replications: int, repeats: int) -> dict:
     """Per-replication times of the chunk kernel at one arrival count."""
-    config = _with_grid(bench_config(), arrivals)
+    config = replace(bench_config(), arrivals=arrivals)
     initial, x0, x1 = _sorted_samples(config, replications, BENCH_SEED)
     theta, _, _, (a0, a1, k0, k1) = _gen_gap_samples(
         config, replications, BENCH_SEED, DELTA, initial)
@@ -273,14 +271,14 @@ def time_bounds(repeats: int) -> dict:
     alpha = float(fig1.population.cdf(fig1.theta))
     beta = float(fig2.population.cdf(fig2.lb))
     two_mass, three_mass = MassSpec.theoretical(alpha), MassSpec.theoretical(alpha, beta)
-    spec = RegionSpec(fig2.theta, fig2.lb, fig2.epsilon)
 
     def bounds(k) -> dict:
         """The two- and three-region bounds at ``k`` arrivals, as functions of eta."""
         two = RegionPartition(n=50, m=24, k=k)
         three = RegionPartition(n=50, m=27, l=7, k1=k // 4, k2=k - k // 4)
         return {"two_region": lambda eta: bound_two_region(two, two_mass, eta),
-                "three_region": lambda eta: bound_three_region(three, three_mass, spec, eta)}
+                "three_region": lambda eta: bound_three_region(three, three_mass,
+                                                               fig2.epsilon, eta)}
 
     scalar, array = bounds(BOUND_ARRIVALS), bounds(np.arange(ARRAY_SIZE))
     large = bounds(np.arange(LARGE_ARRAY_SIZE))

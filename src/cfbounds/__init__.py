@@ -32,7 +32,6 @@ from .classic import (
 from .censored import (
     MassSpec,
     RegionPartition,
-    RegionSpec,
     bound_three_region,
     bound_two_region,
     bound_two_region_apriori,
@@ -48,7 +47,6 @@ from .generalization import (
     threshold_risk,
 )
 from .planar import (
-    AdjustedCdf,
     Boundary2D,
     adjusted_cdf_empirical,
     bound_2d_three_region,

@@ -41,7 +41,6 @@ from .classic import BoundValue
 
 __all__ = [
     "RegionPartition",
-    "RegionSpec",
     "MassSpec",
     "MonotonicityReport",
     "partition",
@@ -108,26 +107,6 @@ class RegionPartition:
 
 
 @dataclass(frozen=True)
-class RegionSpec:
-    """Decision threshold, optional exploration lower bound and frequency.
-
-    Fields may be arrays; every check then holds elementwise.
-    """
-
-    theta: float
-    lb: Optional[float] = None
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if not _holds(np.isfinite(self.theta if self.lb is None else (self.theta, self.lb))):
-            raise ValueError(f"theta and lb must be finite, got theta={self.theta} lb={self.lb}")
-        if self.lb is not None and not _holds(self.lb < self.theta):
-            raise ValueError(f"need lb < theta, got lb={self.lb} theta={self.theta}")
-        if not _holds((0.0 <= self.epsilon) & (self.epsilon <= 1.0)):
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-
-
-@dataclass(frozen=True)
 class MassSpec:
     """True region masses alpha = F(theta) and beta = F(LB), which the bounds
     are stated with.  The masses may be arrays; the check then holds
@@ -150,13 +129,20 @@ def partition(
     initial_scores: Sequence[float],
     new_in_explore: int,
     new_above: int,
-    spec: RegionSpec,
+    theta: float,
+    lb: Optional[float] = None,
 ) -> RegionPartition:
     """Count initial samples per region and attach new-sample counts.
 
-    Samples exactly at a boundary belong to the upper region (a score at
-    theta is admitted, hence disclosed).
+    ``theta`` is the decision threshold and ``lb`` < theta, if given, the
+    lower end of the exploration region; both must be finite.  Samples
+    exactly at a boundary belong to the upper region (a score at theta is
+    admitted, hence disclosed).
     """
+    if not np.all(np.isfinite(theta if lb is None else (theta, lb))):
+        raise ValueError(f"theta and lb must be finite, got theta={theta} lb={lb}")
+    if lb is not None and not lb < theta:
+        raise ValueError(f"need lb < theta, got lb={lb} theta={theta}")
     scores = np.asarray(initial_scores, dtype=float)
     if scores.size == 0:
         raise ValueError("empty sample")
@@ -164,12 +150,12 @@ def partition(
         raise ValueError("scores must be finite")
     if min(new_in_explore, new_above) < 0:
         raise ValueError("new-sample counts must be nonnegative")
-    m = int(np.sum(scores < spec.theta))
-    if spec.lb is None:
+    m = int(np.sum(scores < theta))
+    if lb is None:
         if new_in_explore:
             raise ValueError("exploration samples require an exploration region")
         return RegionPartition(n=len(scores), m=m, k=new_above)
-    l = int(np.sum(scores < spec.lb))
+    l = int(np.sum(scores < lb))
     return RegionPartition(n=len(scores), m=m, l=l, k1=new_in_explore, k2=new_above)
 
 
@@ -181,8 +167,9 @@ def region_weights(part: RegionPartition, epsilon) -> tuple:
     their sample counts, with disclosed arrivals thinned by epsilon to stay
     comparable with the epsilon-thinned exploration arrivals.  Both upper
     weights are 0 when no sample lies at or above LB.  Elementwise over
-    array counts and epsilon.
+    array counts and epsilon, which must lie in [0, 1].
     """
+    _check_epsilon(epsilon)
     n, m, l, k1, k2 = part.n, part.m, part.l, part.k1, part.k2
     upper_total = np.asarray((n - l) + k1 + epsilon * k2, dtype=float)
     upper = (n - l) / n
@@ -213,6 +200,13 @@ def _term(count, mass_th, mass_emp, eta, shift, lead: float):
 def _check_eta(eta) -> None:
     if not _holds(np.isfinite(eta) & np.greater(eta, 0)):
         raise ValueError(f"eta must be positive and finite, got {eta}")
+
+
+def _check_epsilon(epsilon) -> None:
+    inside = (0.0 <= epsilon) & (epsilon <= 1.0)
+    # a Python float's check is a Python bool, settled without numpy's per-call cost
+    if not (inside is True or _holds(inside)):
+        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
 
 
 def _bound_value(raw, trivial) -> BoundValue:
@@ -310,21 +304,21 @@ def bound_two_region_apriori(part: RegionPartition, mass: MassSpec, eta: float,
     return _bound_value(c[..., 0] + expected, c_trivial[..., 0] | np.any(keep & trivial, axis=-1))
 
 
-def bound_three_region(part: RegionPartition, mass: MassSpec, spec: RegionSpec,
-                       eta: float, lead: float = 2.0) -> BoundValue:
+def bound_three_region(part: RegionPartition, mass: MassSpec, epsilon, eta: float,
+                       lead: float = 2.0) -> BoundValue:
     """Deviation bound for censored collection with bounded exploration.
 
     Three terms: the still-censored region below LB (constant), the
     exploration region [LB, theta) (vanishing as k1 grows), and the
     disclosed region (vanishing as k2 grows).  The estimator weights of
     the regions at and above LB are re-estimated from the arrival counts
-    by ``region_weights``.
+    and the exploration frequency ``epsilon`` by ``region_weights``.
     """
     _check_eta(eta)
     n, m, l = part.n, part.m, part.l
     (v1, t1), (v2, t2), (v3, t3) = _region_terms(
         (l, m - l + part.k1, n - m + part.k2), (mass.beta, mass.alpha),
-        region_weights(part, spec.epsilon), eta, lead)
+        region_weights(part, epsilon), eta, lead)
     return _bound_value(v1 + v2 + v3, t1 | t2 | t3)
 
 
@@ -513,15 +507,15 @@ def check_prop1(cdf, n: int, thetas: Sequence[float], c: float,
                                           precondition_met=_holds(c >= c_min[applies]))
 
 
-def check_prop2(part: RegionPartition, mass: MassSpec, spec: RegionSpec,
-                eta: float, eps_grid: Sequence[float], k1_max: int) -> MonotonicityReport:
+def check_prop2(part: RegionPartition, mass: MassSpec, eta: float,
+                eps_grid: Sequence[float], k1_max: int) -> MonotonicityReport:
     """Check that the three-region bound shrinks with exploration frequency.
 
     All inputs are held fixed except epsilon and the induced exploration
-    count k1(eps) = round(eps * k1_max).
+    count k1(eps) = round(eps * k1_max).  Every epsilon must lie in [0, 1].
     """
     eps = np.asarray(eps_grid, dtype=float)
+    _check_epsilon(eps)     # before k1 is derived from it
     p = replace(part, k1=np.round(eps * k1_max).astype(int))
-    s = RegionSpec(theta=spec.theta, lb=spec.lb, epsilon=eps)
-    values = bound_three_region(p, mass, s, eta).raw
+    values = bound_three_region(p, mass, eps, eta).raw
     return MonotonicityReport.from_values("nonincreasing", eps_grid, values)

@@ -32,7 +32,6 @@ from . import __version__
 from .censored import (
     MassSpec,
     RegionPartition,
-    RegionSpec,
     bound_three_region,
     bound_two_region,
     bound_two_region_apriori,
@@ -118,9 +117,8 @@ def _cmd_bound(args) -> int:
     elif kind in ("three-region", "three-region-2d"):
         part = RegionPartition(n=args.n, m=args.m, l=args.l, k1=args.k1, k2=args.k2)
         if kind == "three-region":
-            spec = RegionSpec(theta=1.0, lb=0.0, epsilon=args.epsilon)
             _print_bound(bound_three_region(
-                part, MassSpec.theoretical(args.alpha, args.beta), spec, args.eta))
+                part, MassSpec.theoretical(args.alpha, args.beta), args.epsilon, args.eta))
         else:
             _print_bound(bound_2d_three_region(part, args.alpha, args.beta,
                                                args.epsilon, args.eta))
@@ -248,15 +246,14 @@ def _cmd_optimize(args) -> int:
 
 
 def _verify_preset(name: str):
+    """A preset's config and the partition its own seeded run realizes."""
     if name == "fig1":
         config = fig1_config()
-        condition = RegionPartition(n=50, m=24)
     elif name == "fig2":
         config = fig2_config()
-        condition = RegionPartition(n=50, m=27, l=7)
     else:
         raise ValueError(f"unknown verification preset {name!r}")
-    return config, condition
+    return config, finalize(run_simulation(config))[None].part
 
 
 def _cmd_verify(args) -> int:

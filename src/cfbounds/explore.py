@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .censored import MassSpec, RegionPartition, RegionSpec, bound_three_region, bound_two_region
+from .censored import (MassSpec, RegionPartition, _check_epsilon, bound_three_region,
+                       bound_two_region)
 from .stats import TheoreticalCdf
 
 __all__ = [
@@ -128,22 +129,25 @@ class BoundContext:
         """avg over the ensemble of B(theta) - B_e(lb, theta, epsilon).
 
         Elementwise over an array of epsilon values.  An lb at or above
-        theta explores nothing: it counts as lb = theta.
+        theta explores nothing: it counts as lb = theta.  theta must be
+        finite, and so must lb unless it lies above theta.
         """
         lb = min(lb, self.theta)
+        if not np.isfinite((self.theta, lb)).all():
+            raise ValueError(f"theta and lb must be finite, got theta={self.theta} lb={lb}")
         alpha = float(self.population.cdf(self.theta))
         beta = float(self.population.cdf(lb))
         T = self.arrivals
         eps = np.asarray(epsilon, dtype=float)
+        _check_epsilon(eps)     # before k1 is derived from it
         k = int(round(T * (1.0 - alpha)))
         k1 = np.round(eps * T * (alpha - beta)).astype(int)
-        spec = RegionSpec(self.theta, lb if lb < self.theta else None, eps)
         diffs = []
         for m, l in self._partitions(lb):
             base = bound_two_region(RegionPartition(n=self.n, m=m, k=k),
                                     MassSpec.theoretical(alpha), self.eta)
             expl = bound_three_region(RegionPartition(n=self.n, m=m, l=l, k1=k1, k2=k),
-                                      MassSpec.theoretical(alpha, beta), spec, self.eta)
+                                      MassSpec.theoretical(alpha, beta), eps, self.eta)
             diffs.append(base.probability - expl.probability)
         mean = np.mean(diffs, axis=0)
         return mean if mean.ndim else float(mean)

@@ -8,7 +8,8 @@ dimension in the base inequality, so 4 instead of 2 here).
 
 The distribution of mass below a line parallel to the boundary, as a
 function of its intercept, plays the role of the 1D CDF ("adjusted"
-CDF): for a Gaussian cloud it is the Gaussian CDF of the projection.
+CDF): for a Gaussian cloud it is the Gaussian CDF of the projection,
+``Gaussian2D.projection(w)``.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from scipy.special import ndtri
 from .censored import (
     MassSpec,
     RegionPartition,
-    RegionSpec,
     bound_three_region,
     bound_two_region,
     partition,
@@ -32,7 +32,6 @@ from .stats import GaussianCdf
 __all__ = [
     "Boundary2D",
     "Gaussian2D",
-    "AdjustedCdf",
     "partition_2d",
     "adjusted_cdf_empirical",
     "bound_2d_two_region",
@@ -97,29 +96,6 @@ class Gaussian2D:
         return np.asarray(self.mean, dtype=float)[None, :] + z @ chol.T
 
 
-@dataclass(frozen=True)
-class AdjustedCdf:
-    """Mass below the line w.x = b' as a function of the intercept b'."""
-
-    cloud: Gaussian2D
-    w: tuple[float, float]
-
-    def _proj(self) -> GaussianCdf:
-        return self.cloud.projection(self.w)
-
-    def cdf(self, b_prime):
-        return self._proj().cdf(b_prime)
-
-    def cdf_left(self, b_prime):
-        return self._proj().cdf(b_prime)
-
-    def inverse(self, p):
-        return self._proj().inverse(p)
-
-    def knots(self) -> np.ndarray:
-        return np.empty(0)
-
-
 def partition_2d(points, boundary: Boundary2D) -> RegionPartition:
     """Count points per region by the sign of w.x - b (and w.x - b_lb).
 
@@ -127,7 +103,7 @@ def partition_2d(points, boundary: Boundary2D) -> RegionPartition:
     points exactly on a line count as the upper (disclosed/explored) side,
     matching the 1D at-threshold admission rule.
     """
-    return partition(boundary.project(points), 0, 0, RegionSpec(boundary.b, boundary.b_lb))
+    return partition(boundary.project(points), 0, 0, boundary.b, boundary.b_lb)
 
 
 def adjusted_cdf_empirical(points, boundary: Boundary2D, b_prime: float) -> float:
@@ -146,6 +122,4 @@ def bound_2d_two_region(part: RegionPartition, alpha: float, eta: float) -> Boun
 def bound_2d_three_region(part: RegionPartition, alpha: float, beta: float,
                           epsilon: float, eta: float) -> BoundValue:
     """Three-region deviation bound in 2D: the 1D form with constants 4."""
-    # placeholder intercepts: the formula uses only counts, masses, epsilon
-    spec = RegionSpec(theta=1.0, lb=0.0, epsilon=epsilon)
-    return bound_three_region(part, MassSpec.theoretical(alpha, beta), spec, eta, lead=4.0)
+    return bound_three_region(part, MassSpec.theoretical(alpha, beta), epsilon, eta, lead=4.0)

@@ -21,7 +21,6 @@ import numpy as np
 from .censored import (
     MassSpec,
     RegionPartition,
-    RegionSpec,
     bound_three_region,
     bound_two_region,
     eta_for_confidence,
@@ -189,13 +188,12 @@ def fig3_curves(base_seed: int = FIG3_SEED) -> Fig3Curves:
     alpha = float(_POP_73.cdf(_FIG3_THETA))
     beta = float(_POP_73.cdf(_FIG3_LB))
     eps_grid = np.round(np.arange(0.0, 1.0 + _FIG3_EPS_STEP / 2, _FIG3_EPS_STEP), 6)
-    spec = RegionSpec(_FIG3_THETA, _FIG3_LB, eps_grid)
     bt, bl, be = [], [], []
     for seed in run_seeds(base_seed, _FIG3_MEMBERS):
         part_t, part_l, part = fig3_partitions(fig3_config(seed), eps_grid)
         bt.append(bound_two_region(part_t, MassSpec.theoretical(alpha), eta).probability)
         bl.append(bound_two_region(part_l, MassSpec.theoretical(beta), eta).probability)
-        be.append(bound_three_region(part, MassSpec.theoretical(alpha, beta), spec,
+        be.append(bound_three_region(part, MassSpec.theoretical(alpha, beta), eps_grid,
                                      eta).probability)
     be_mean = np.mean(be, axis=0)
     b_theta = float(np.mean(bt))

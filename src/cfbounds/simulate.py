@@ -31,7 +31,6 @@ import numpy as np
 from .censored import (
     MassSpec,
     RegionPartition,
-    RegionSpec,
     bound_three_region,
     bound_two_region,
 )
@@ -134,14 +133,13 @@ class SimulationConfig:
         """
         if not self.pooled:
             raise ValueError("deviation bounds need a pooled config")
-        mass, spec = self._bound_masses
-        if spec is None:
-            return bound_two_region(part, mass, eta)
-        return bound_three_region(part, mass, spec, eta)
+        if self.lb is None:
+            return bound_two_region(part, self._bound_masses, eta)
+        return bound_three_region(part, self._bound_masses, self.epsilon, eta)
 
     @cached_property
-    def _bound_masses(self) -> tuple[MassSpec, Optional[RegionSpec]]:
-        """The true region masses and, with ``lb``, the region spec.
+    def _bound_masses(self) -> MassSpec:
+        """The true region masses alpha = F(theta) and, with ``lb``, beta = F(lb).
 
         Computed once per config: an ``eta_for_confidence`` inversion
         evaluates the bound 5 times for a scalar partition, and some 30
@@ -150,9 +148,8 @@ class SimulationConfig:
         """
         alpha = float(self.population.cdf(self.theta))
         if self.lb is None:
-            return MassSpec.theoretical(alpha), None
-        beta = float(self.population.cdf(self.lb))
-        return MassSpec.theoretical(alpha, beta), RegionSpec(self.theta, self.lb, self.epsilon)
+            return MassSpec.theoretical(alpha)
+        return MassSpec.theoretical(alpha, float(self.population.cdf(self.lb)))
 
     def to_dict(self) -> dict:
         out = {

@@ -315,7 +315,8 @@ def stitched_from_partition(initial: np.ndarray, new_explore: np.ndarray,
     ``theta`` keep weight m/n, and the rest, (n-m)/n, is spent over the
     initial samples at or above ``theta`` together with ``new_above``.
     Three-region form: the weights of ``censored.region_weights``, which
-    re-estimate the split above lb from the arrival counts.  As for any
+    re-estimate the split above lb from the arrival counts and refuse an
+    ``epsilon`` outside [0, 1].  As for any
     ``StitchedCdf``, the estimate's top value may lie up to 4 ulps
     (4 * 2**-52) below 1.
     """

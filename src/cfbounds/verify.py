@@ -254,8 +254,7 @@ def mc_cdf_deviation(config: SimulationConfig, eta: float, replications: int,
         bound = config.deviation_bound(part, eta)
         # without lb the region below it is empty (beta = l = 0), and an
         # empty region draws nothing
-        mass, _ = config._bound_masses
-        alpha, beta = mass.alpha, mass.beta
+        alpha, beta = config._bound_masses.alpha, config._bound_masses.beta
         gen = SeededRng(seed).substream(0).generator()
         sup = _batch_sup_conditioned((beta, alpha - beta, 1.0 - alpha),
                                      (part.l, part.m - part.l, part.n - part.m),
@@ -269,7 +268,7 @@ def mc_cdf_deviation(config: SimulationConfig, eta: float, replications: int,
     parts = []
     run_seed0 = splitmix64(seed)
     for r in range(replications):
-        final = finalize(run_simulation(_with_seed(config, run_seed0 ^ r)))[None]
+        final = finalize(run_simulation(replace(config, seed=int(run_seed0 ^ r))))[None]
         successes += sup_deviation(config.population, final.estimate) >= eta
         parts.append(astuple(final.part))
     # one bound call over every replication's counts
@@ -278,10 +277,6 @@ def mc_cdf_deviation(config: SimulationConfig, eta: float, replications: int,
     return CoverageReport.build(int(successes), replications, seed, eta,
                                 float(np.mean(bounds)),
                                 meta={"mode": "unconditioned", "eta": eta})
-
-
-def _with_seed(config: SimulationConfig, seed: int) -> SimulationConfig:
-    return replace(config, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -990,7 +985,7 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
                              mp_context=multiprocessing.get_context(method)) as pool:
         for T in grid:
             theta, _, totals, (a0, a1, k0, k1) = _gen_gap_samples(
-                _with_grid(config, T), replications, seed, delta, initial)
+                replace(config, arrivals=int(T)), replications, seed, delta, initial)
             ours.append(totals)
             tasks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, model,
                                       censored)
@@ -1020,7 +1015,3 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
               "delta": delta, "quantile": quant,
               "gap_at_theta_mean": float(np.mean(initial[1])) if grid else None},
     )
-
-
-def _with_grid(config: SimulationConfig, arrivals: int) -> SimulationConfig:
-    return replace(config, arrivals=int(arrivals))

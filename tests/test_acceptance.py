@@ -15,7 +15,6 @@ import pytest
 from cfbounds.censored import (
     MassSpec,
     RegionPartition,
-    RegionSpec,
     bound_three_region,
     bound_two_region,
     bound_two_region_apriori,
@@ -82,8 +81,7 @@ def test_criterion_02_three_region_reduction():
         eps = float(gen.random())
         three = bound_three_region(
             RegionPartition(n=n, m=m, l=m, k1=0, k2=k),
-            MassSpec.theoretical(alpha, alpha),
-            RegionSpec(theta=1.0, lb=0.0, epsilon=eps), eta).raw
+            MassSpec.theoretical(alpha, alpha), eps, eta).raw
         two = bound_two_region(RegionPartition(n=n, m=m, k=k),
                                MassSpec.theoretical(alpha), eta).raw
         worst = max(worst, abs(three - two))
@@ -106,8 +104,7 @@ def test_criterion_03_exploration_monotonicity():
                            k1=0, k2=int(round(wait * (1 - alpha))))
     k1_max = int(round(wait * (alpha - beta)))
     eps_grid = np.round(np.arange(0.0, 1.0001, 0.05), 6)
-    result = check_prop2(part, MassSpec.theoretical(alpha, beta),
-                         RegionSpec(8.0, 6.0), 0.015, eps_grid, k1_max)
+    result = check_prop2(part, MassSpec.theoretical(alpha, beta), 0.015, eps_grid, k1_max)
     assert result.ok, f"violation at {result.first_violation}"
     report(3, "monotone in exploration",
            f"{len(eps_grid)} grid points, span {result.values[0]:.3e} -> {result.values[-1]:.3e}")
@@ -204,9 +201,7 @@ def test_criterion_08_mc_soundness_cdf():
     part1 = RegionPartition(n=50, m=24)
     bound1 = lambda e: bound_two_region(part1, MassSpec.theoretical(alpha), e)
     part2 = RegionPartition(n=50, m=27, l=7)
-    spec2 = RegionSpec(7.0, 6.0, 0.5)
-    bound2 = lambda e: bound_three_region(part2, MassSpec.theoretical(alpha, beta),
-                                          spec2, e)
+    bound2 = lambda e: bound_three_region(part2, MassSpec.theoretical(alpha, beta), 0.5, e)
     cases = [("two-region", fig1_config(), part1, bound1),
              ("three-region", fig2_config(), part2, bound2)]
     for name, config, part, bound_fn in cases:

@@ -11,7 +11,6 @@ from scipy.special import gammaln, xlogy
 from cfbounds.censored import (
     MassSpec,
     RegionPartition,
-    RegionSpec,
     _region_terms,
     bound_three_region,
     bound_two_region,
@@ -30,6 +29,10 @@ from cfbounds.stats import GaussianCdf
 mpmath.mp.dps = 50
 
 
+# exploration frequencies outside [0, 1], as scalars and as one bad element of an array
+BAD_EPSILONS = [-0.1, 1.5, math.nan, np.array([0.0, 0.5, 1.5]), np.array([0.5, math.nan])]
+
+
 def mp_term(count, eff, denom, lead=2):
     return float(lead * mpmath.exp(-2 * count * mpmath.mpf(eff) ** 2 / mpmath.mpf(denom) ** 2))
 
@@ -45,33 +48,35 @@ class TestPartition:
     def test_reference_scenario_no_exploration(self):
         pop = GaussianCdf(7, 1)
         scores = pop.inverse(SeededRng(2).substream(0).uniforms(50))
-        part = partition(scores, 0, 0, RegionSpec(theta=7.0))
+        part = partition(scores, 0, 0, 7.0)
         assert (part.n, part.m, part.k) == (50, 24, 0)
 
     def test_reference_scenario_with_exploration(self):
         pop = GaussianCdf(7, 1)
         scores = pop.inverse(SeededRng(1).substream(0).uniforms(50))
-        part = partition(scores, 0, 0, RegionSpec(theta=7.0, lb=6.0))
+        part = partition(scores, 0, 0, 7.0, 6.0)
         assert (part.l, part.m) == (7, 27)
 
     def test_theta_below_all_scores(self):
-        part = partition([5.0, 6.0], 0, 3, RegionSpec(theta=1.0))
+        part = partition([5.0, 6.0], 0, 3, 1.0)
         assert part.m == 0 and part.k == 3
 
     def test_at_threshold_counts_as_disclosed(self):
-        part = partition([7.0, 6.9], 0, 0, RegionSpec(theta=7.0))
+        part = partition([7.0, 6.9], 0, 0, 7.0)
         assert part.m == 1
 
-    def test_lb_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            RegionSpec(theta=5.0, lb=5.0)
+    @pytest.mark.parametrize("lb", [5.0, 5.5])
+    def test_lb_ordering_enforced(self, lb):
+        with pytest.raises(ValueError, match="lb < theta"):
+            partition([4.0, 6.0], 0, 0, 5.0, lb)
 
-    @pytest.mark.parametrize("kwargs", [dict(theta=math.nan), dict(theta=math.inf),
-                                        dict(theta=0.0, lb=-math.inf),
-                                        dict(theta=0.0, lb=math.nan)])
-    def test_non_finite_region_rejected(self, kwargs):
+    @pytest.mark.parametrize("theta, lb", [(math.nan, None), (math.inf, None),
+                                           (-math.inf, None), (math.nan, 0.0),
+                                           (math.inf, 0.0), (0.0, -math.inf),
+                                           (0.0, math.nan), (0.0, math.inf)])
+    def test_non_finite_region_rejected(self, theta, lb):
         with pytest.raises(ValueError, match="finite"):
-            RegionSpec(**kwargs)
+            partition([1.0, 2.0], 0, 0, theta, lb)
 
     def test_counts_invariants(self):
         with pytest.raises(ValueError):
@@ -82,9 +87,9 @@ class TestPartition:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_scores_rejected(self, bad):
         # NaN used to be counted as disclosed, and -inf as censored
-        for spec in (RegionSpec(0.5), RegionSpec(0.5, 0.0)):
+        for lb in (None, 0.0):
             with pytest.raises(ValueError, match="finite"):
-                partition([bad, 1.0, 0.2], 0, 3, spec)
+                partition([bad, 1.0, 0.2], 0, 3, 0.5, lb)
 
     @pytest.mark.parametrize("counts", [dict(k=1.5), dict(n=50.5), dict(m=True),
                                         dict(k=math.nan), dict(k=math.inf),
@@ -244,8 +249,7 @@ class TestThreeRegionBound:
         n, m, k1, k2, eps, eta = 50, 24, 5, 5, 0.5, 0.4
         part = RegionPartition(n=n, m=m, l=0, k1=k1, k2=k2)
         mass = MassSpec.theoretical(0.5, 0.0)
-        spec = RegionSpec(theta=7.0, lb=0.0, epsilon=eps)
-        value = bound_three_region(part, mass, spec, eta)
+        value = bound_three_region(part, mass, eps, eta)
         s = (n / n) * ((m + k1) / (n + k1 + eps * k2))
         w = (n / n) * ((n - m + eps * k2) / (n + k1 + eps * k2))
         want = (mp_term(m + k1, eta - abs(0.5 - s), min(0.5, s))
@@ -256,8 +260,7 @@ class TestThreeRegionBound:
         # every initial sample below LB and no arrivals: the upper weights are 0
         part = RegionPartition(n=3, m=3, l=3, k1=0, k2=0)
         assert tuple(map(float, region_weights(part, 0.0))) == (1.0, 0.0, 0.0)
-        assert bound_three_region(part, MassSpec.theoretical(0.5, 0.2),
-                                  RegionSpec(theta=7.0, lb=6.0, epsilon=0.0), 0.3).raw >= 0.0
+        assert bound_three_region(part, MassSpec.theoretical(0.5, 0.2), 0.0, 0.3).raw >= 0.0
 
     @settings(max_examples=300)
     @given(st.data())
@@ -265,8 +268,7 @@ class TestThreeRegionBound:
         n, m, k, alpha, eta, eps = random_three_region_configs(data.draw)
         part3 = RegionPartition(n=n, m=m, l=m, k1=0, k2=k)
         part2 = RegionPartition(n=n, m=m, k=k)
-        spec = RegionSpec(theta=1.0, lb=0.0, epsilon=eps)
-        three = bound_three_region(part3, MassSpec.theoretical(alpha, alpha), spec, eta)
+        three = bound_three_region(part3, MassSpec.theoretical(alpha, alpha), eps, eta)
         two = bound_two_region(part2, MassSpec.theoretical(alpha), eta)
         assert three.raw == pytest.approx(two.raw, abs=1e-12)
         assert three.trivial == two.trivial
@@ -275,8 +277,7 @@ class TestThreeRegionBound:
         n, m, l, k1, k2, eps = 50, 27, 7, 4, 9, 0.5
         alpha, beta, eta = 0.5, 0.16, 0.35
         part = RegionPartition(n=n, m=m, l=l, k1=k1, k2=k2)
-        spec = RegionSpec(theta=7.0, lb=6.0, epsilon=eps)
-        got = bound_three_region(part, MassSpec.theoretical(alpha, beta), spec, eta)
+        got = bound_three_region(part, MassSpec.theoretical(alpha, beta), eps, eta)
         u1 = abs(beta - l / n)
         s = ((n - l) / n) * ((m - l + k1) / ((n - l) + k1 + eps * k2))
         u2 = abs(alpha - beta - s)
@@ -293,14 +294,21 @@ class TestThreeRegionBound:
         # stream shrinks the bound
         alpha, beta, eps = 0.6, 0.3, 1.0
         mass = MassSpec.theoretical(alpha, beta)
-        spec = RegionSpec(theta=1.0, lb=0.0, epsilon=eps)
         vals = []
         for wait in (0, 100, 1000, 10_000):
             k1 = round(eps * wait * (alpha - beta))
             k2 = round(wait * (1 - alpha))
             part = RegionPartition(n=100, m=60, l=30, k1=k1, k2=k2)
-            vals.append(bound_three_region(part, mass, spec, 0.3).raw)
+            vals.append(bound_three_region(part, mass, eps, 0.3).raw)
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("eps", BAD_EPSILONS)
+    def test_epsilon_outside_unit_interval_rejected(self, eps):
+        part = RegionPartition(n=50, m=27, l=7, k1=4, k2=9)
+        with pytest.raises(ValueError, match="epsilon"):
+            region_weights(part, eps)
+        with pytest.raises(ValueError, match="epsilon"):
+            bound_three_region(part, MassSpec.theoretical(0.5, 0.16), eps, 0.35)
 
 
 def serial_eta(bound, delta, hi=1.0, tol=1e-9):
@@ -340,8 +348,7 @@ class TestEtaForConfidence:
     def test_matches_dense_grid_scan(self):
         part = RegionPartition(n=50, m=27, l=7, k1=0, k2=0)
         mass = MassSpec.theoretical(0.5, 0.158655)
-        spec = RegionSpec(theta=7.0, lb=6.0, epsilon=0.5)
-        bound = lambda e: bound_three_region(part, mass, spec, e)
+        bound = lambda e: bound_three_region(part, mass, 0.5, e)
         delta = 0.015
         got = eta_for_confidence(bound, delta)
         grid = np.linspace(1e-6, 1.0, 2_000_001)
@@ -460,17 +467,14 @@ class TestProp2:
 
     def test_fig_grid_nonincreasing(self):
         part, mass, k1_max = self._fig_setting()
-        spec = RegionSpec(theta=8.0, lb=6.0)
-        report = check_prop2(part, mass, spec, 0.015,
-                             np.round(np.arange(0, 1.01, 0.1), 3), k1_max)
+        report = check_prop2(part, mass, 0.015, np.round(np.arange(0, 1.01, 0.1), 3), k1_max)
         assert report.ok, report.first_violation
 
     def test_k1max_zero_without_arrivals_constant(self):
         # with no admitted arrivals at all epsilon cannot move the bound
         part0, mass, _ = self._fig_setting()
         part = RegionPartition(n=part0.n, m=part0.m, l=part0.l, k1=0, k2=0)
-        spec = RegionSpec(theta=8.0, lb=6.0)
-        report = check_prop2(part, mass, spec, 0.015, [0.0, 0.5, 1.0], 0)
+        report = check_prop2(part, mass, 0.015, [0.0, 0.5, 1.0], 0)
         assert report.ok
         assert max(report.values) == min(report.values)
 
@@ -478,10 +482,15 @@ class TestProp2:
         # freezing k1 while k2 stays large decalibrates the re-estimated
         # weights as epsilon grows; the sweep surfaces that as a violation
         part, mass, _ = self._fig_setting()
-        spec = RegionSpec(theta=8.0, lb=6.0)
-        report = check_prop2(part, mass, spec, 0.015, [0.0, 0.5, 1.0], 0)
+        report = check_prop2(part, mass, 0.015, [0.0, 0.5, 1.0], 0)
         assert not report.ok
         assert report.first_violation is not None
+
+    @pytest.mark.parametrize("eps_grid", BAD_EPSILONS)
+    def test_epsilon_outside_unit_interval_rejected(self, eps_grid):
+        part, mass, _ = self._fig_setting()
+        with pytest.raises(ValueError, match="epsilon"):
+            check_prop2(part, mass, 0.015, eps_grid, 0)
 
 
 @settings(max_examples=60)
@@ -506,10 +515,8 @@ def test_bounds_nonincreasing_in_eta(data):
     assert two(eta_hi).probability <= two(eta_lo).probability + 1e-15
     if not two(eta_lo).trivial:
         assert two(eta_hi).raw <= two(eta_lo).raw + 1e-15
-    spec = RegionSpec(theta=1.0, lb=0.0, epsilon=eps)
     part = RegionPartition(n=n, m=m, l=l, k1=k1, k2=k2)
-    three = lambda e: bound_three_region(part, MassSpec.theoretical(alpha, beta),
-                                         spec, e)
+    three = lambda e: bound_three_region(part, MassSpec.theoretical(alpha, beta), eps, e)
     assert three(eta_hi).probability <= three(eta_lo).probability + 1e-15
     if not three(eta_lo).trivial:
         assert three(eta_hi).raw <= three(eta_lo).raw + 1e-15
@@ -566,8 +573,7 @@ def _two(c, eta=None):
 
 def _three(c, eta=None):
     part = RegionPartition(n=c["n"], m=c["m"], l=c["l"], k1=c["k1"], k2=c["k2"])
-    return bound_three_region(part, MassSpec.theoretical(c["alpha"], c["beta"]),
-                              RegionSpec(1.0, 0.0, c["eps"]),
+    return bound_three_region(part, MassSpec.theoretical(c["alpha"], c["beta"]), c["eps"],
                               c["eta"] if eta is None else eta)
 
 
@@ -738,6 +744,6 @@ def test_kernel_equals_hand_written_formulas(configs, as_array, lead, wait, data
                 *ref_apriori(n, m, alpha, eta, wait, lead))
     beta = c["beta"]
     part3 = RegionPartition(n=n, m=m, l=c["l"], k1=c["k1"], k2=c["k2"])
-    assert_same(bound_three_region(part3, MassSpec.theoretical(alpha, beta),
-                                   RegionSpec(1.0, 0.0, c["eps"]), eta, lead),
+    assert_same(bound_three_region(part3, MassSpec.theoretical(alpha, beta), c["eps"], eta,
+                                   lead),
                 *ref_three_region(part3, alpha, beta, c["eps"], eta, lead))

@@ -76,6 +76,15 @@ class TestBoundCommand:
         assert code == 2
         assert out == "" and "eta" in err
 
+    @pytest.mark.parametrize("epsilon", ["1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("kind", ["three-region", "three-region-2d"])
+    def test_epsilon_outside_unit_interval_exit_code(self, capsys, kind, epsilon):
+        code, out, err = run_cli(capsys, "bound", kind, "--n", "50", "--m", "27", "--l", "7",
+                                 "--alpha", "0.5", "--beta", "0.16", "--eta", "0.3",
+                                 "--epsilon", epsilon)
+        assert code == 2
+        assert out == "" and "epsilon" in err
+
 
 class TestSimulateCommand:
     def test_outputs_and_manifest(self, capsys, tmp_path):
@@ -280,6 +289,21 @@ class TestVerifyCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["bound"] == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("cdf", "--preset", "fig1", "-R", "1000"),
+         "3fd3cd8379ef3efdeccc0366b14c30141fb0951c14fd7a8c475b27281d4fd7ea"),
+        (("cdf", "--preset", "fig2", "-R", "1000"),
+         "6801ffd6e5b52424e8998a45a03335f06198f98ed2304727c3c8e422dff1c6dc"),
+        (("gen", "--preset", "bench", "-R", "200"),
+         "a9877e9d74d5eb7808d08527f1cc376a455cf203ae33d96d529663750ffe358c"),
+    ], ids=["cdf-fig1", "cdf-fig2", "gen-bench"])
+    def test_preset_report_is_byte_identical(self, capsys, tmp_path, argv, digest):
+        # sha256 of report.json, pinned so a refactor keeps every verify
+        # report's bytes, as the preset CSVs are kept
+        code, _, _ = run_cli(capsys, "verify", *argv, "--seed", "5", "--out", str(tmp_path))
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("delta", ["0.5", "0.6"])
     def test_gen_delta_without_confidence_exit_code(self, capsys, delta):

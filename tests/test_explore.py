@@ -173,6 +173,17 @@ class TestOptimizer:
         result = optimize_exploration(ctx, _model(), [5.0, 6.0, 7.0], eps)
         assert result.objective_grid[1:].tolist() == [[0.0] * 5] * 2
 
+    @pytest.mark.parametrize("theta, lb", [(np.nan, 6.0), (np.inf, 6.0), (8.0, -np.inf),
+                                           (8.0, np.nan)])
+    def test_improvement_rejects_non_finite_region(self, theta, lb):
+        with pytest.raises(ValueError, match="finite"):
+            self._ctx(theta=theta).improvement(lb, 0.5)
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.5, np.nan, np.array([0.0, 0.5, 1.5])])
+    def test_improvement_rejects_epsilon_outside_unit_interval(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            self._ctx().improvement(6.0, eps)
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             optimize_exploration(self._ctx(), _model(), [], [0.5])

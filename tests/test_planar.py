@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfbounds.censored import MassSpec, RegionPartition, RegionSpec, bound_three_region, bound_two_region
+from cfbounds.censored import MassSpec, RegionPartition, bound_three_region, bound_two_region
 from cfbounds.classic import multivariate_dkw_bound
 from cfbounds.planar import (
-    AdjustedCdf,
     Boundary2D,
     Gaussian2D,
     adjusted_cdf_empirical,
@@ -95,7 +94,7 @@ class TestPartition2D:
         assert part.m == int(np.sum(proj < 14.0))
 
 
-class TestAdjustedCdf:
+class TestAdjustedDistribution:
     def test_limits(self):
         pts = _points()
         boundary = Boundary2D(w=(1.0, 1.0), b=14.0)
@@ -111,11 +110,10 @@ class TestAdjustedCdf:
                 ecdf.cdf(b_prime), abs=1e-15)
 
     def test_theoretical_projection_gaussian(self):
-        adj = AdjustedCdf(cloud=CLOUD, w=(1.0, 1.0))
         proj = CLOUD.projection((1.0, 1.0))
         assert proj.mean == pytest.approx(14.0)
         assert proj.stddev == pytest.approx(np.sqrt(2.0))
-        assert adj.cdf(14.0) == pytest.approx(0.5, abs=1e-14)
+        assert proj.cdf(14.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_at_decision_intercept_equals_mass_fraction(self):
         pts = _points(seed=17)
@@ -157,15 +155,13 @@ class TestBounds2D:
     def test_three_region_pure_exploration(self):
         part = RegionPartition(n=60, m=30, l=0, k1=6, k2=12)
         got = bound_2d_three_region(part, 0.5, 0.0, 0.5, 0.3)
-        ref = bound_three_region(part, MassSpec.theoretical(0.5, 0.0),
-                                 RegionSpec(1.0, 0.0, 0.5), 0.3)
+        ref = bound_three_region(part, MassSpec.theoretical(0.5, 0.0), 0.5, 0.3)
         assert got.raw == pytest.approx(2.0 * ref.raw, rel=1e-12)
 
     def test_2d_three_region_against_1d_double(self):
         part = RegionPartition(n=100, m=60, l=20, k1=8, k2=30)
         got = bound_2d_three_region(part, 0.6, 0.2, 0.5, 0.25)
-        ref = bound_three_region(part, MassSpec.theoretical(0.6, 0.2),
-                                 RegionSpec(1.0, 0.0, 0.5), 0.25)
+        ref = bound_three_region(part, MassSpec.theoretical(0.6, 0.2), 0.5, 0.25)
         assert got.raw == pytest.approx(2.0 * ref.raw, rel=1e-12)
 
 

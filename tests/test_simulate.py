@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cfbounds.censored import (
     MassSpec,
     RegionPartition,
-    RegionSpec,
     bound_three_region,
     bound_two_region,
 )
@@ -497,8 +496,7 @@ class TestDeviationBound:
     ])
     def test_three_region_with_lb(self, part):
         got = pooled_config(lb=6.0, epsilon=0.5).deviation_bound(part, 0.2)
-        want = bound_three_region(part, MassSpec.theoretical(self.ALPHA, self.BETA),
-                                  RegionSpec(7.0, 6.0, 0.5), 0.2)
+        want = bound_three_region(part, MassSpec.theoretical(self.ALPHA, self.BETA), 0.5, 0.2)
         assert np.array_equal(got.raw, want.raw)
         assert np.array_equal(got.trivial, want.trivial)
 

@@ -277,6 +277,13 @@ class TestStitchedCdf:
         # the region weights may sum to up to two ulps below 1
         assert values[-1] >= 1.0 - 4 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.5, np.nan, np.array([0.5, 1.5])])
+    def test_three_region_rejects_epsilon_outside_unit_interval(self, epsilon):
+        initial = np.array([-1.0, 0.5, 1.5, 2.5])
+        with pytest.raises(ValueError, match="epsilon"):
+            stitched_from_partition(initial, np.array([0.7]), np.array([3.0]), 2.0, 0.0,
+                                    epsilon)
+
     def test_two_region_is_the_pooled_estimator(self):
         gen = SeededRng(8).generator()
         initial, new, theta = gen.normal(0.0, 1.0, 30), 0.2 + gen.random(45), 0.2

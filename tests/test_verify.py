@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from itertools import chain, starmap
 from unittest.mock import patch
 
@@ -17,7 +18,6 @@ import cfbounds.verify as verify
 from cfbounds.censored import (
     MassSpec,
     RegionPartition,
-    RegionSpec,
     bound_three_region,
     bound_two_region,
 )
@@ -37,8 +37,6 @@ from cfbounds.verify import (
     _sup_risk_gap,
     _sup_task,
     _sup_tasks,
-    _with_grid,
-    _with_seed,
     compare_bounds,
     mc_cdf_deviation,
     mc_gen_gap,
@@ -328,12 +326,12 @@ class TestUnconditionedPath:
         alpha, beta = float(POP.cdf(7.0)), float(POP.cdf(6.0))
         bounds = []
         for r in range(100):
-            part = finalize(run_simulation(_with_seed(config, splitmix64(8) ^ r)))[None].part
+            part = finalize(run_simulation(replace(config, seed=splitmix64(8) ^ r)))[None].part
             if lb is None:
                 bound = bound_two_region(part, MassSpec.theoretical(alpha), 0.35)
             else:
-                bound = bound_three_region(part, MassSpec.theoretical(alpha, beta),
-                                           RegionSpec(7.0, lb, epsilon), 0.35)
+                bound = bound_three_region(part, MassSpec.theoretical(alpha, beta), epsilon,
+                                           0.35)
             bounds.append(bound.probability)
         assert len(set(bounds)) > 1
         assert mc_cdf_deviation(config, 0.35, 100, 8).bound == float(np.mean(bounds))
@@ -541,7 +539,7 @@ class TestSupRiskGapOracle:
     def _check_bench(self, arrivals, replications=200):
         from cfbounds.presets import bench_config
 
-        config = _with_grid(bench_config(), arrivals)
+        config = replace(bench_config(), arrivals=arrivals)
         theta, x0, x1, a0, a1, k0, k1 = _truth_inputs(config, replications, 3, 0.015)
         gen_new = SeededRng(3).substream(2).generator()
         gen_old = SeededRng(3).substream(2).generator()
@@ -572,7 +570,7 @@ class TestSupRiskGapOracle:
         # label then lies within half of it
         from cfbounds.presets import bench_config
 
-        config = _with_grid(bench_config(), 50_000)
+        config = replace(bench_config(), arrivals=50_000)
         theta, x0, x1, a0, a1, k0, k1 = _truth_inputs(config, 200, 3, 0.015)
         gen = SeededRng(3).substream(2).generator()
         for r in range(200):
@@ -734,7 +732,7 @@ class TestSupRiskGapOracle:
         from cfbounds.presets import bench_config
 
         monkeypatch.setattr(verify, "_BLOCK", block)
-        config = _with_grid(bench_config(), 500)
+        config = replace(bench_config(), arrivals=500)
         theta, x0, x1, _, _, k0, k1 = _truth_inputs(config, 40, 3, 0.015)
         for r in range(40):
             self._check(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]), seed=r)
@@ -938,7 +936,7 @@ def _shared_stream_sups(config, grid, replications, seed, delta):
     out = []
     for T in grid:
         theta, x0, x1, a0, a1, k0, k1 = _truth_inputs(
-            _with_grid(config, T), replications, seed, delta)
+            replace(config, arrivals=T), replications, seed, delta)
         out.append([_sup_risk_gap(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]),
                                   float(a0[r]), float(a1[r]), config.model, gen,
                                   _censored_sup(theta[r], x0[r], x1[r], config.model))
@@ -970,7 +968,7 @@ class TestTruthColumnPool:
                               seed=self.SEED, delta=self.DELTA)
 
     def _samples(self, config, T):
-        return _truth_inputs(_with_grid(config, T), self.R, self.SEED, self.DELTA)
+        return _truth_inputs(replace(config, arrivals=T), self.R, self.SEED, self.DELTA)
 
     def test_pool_and_one_cpu_give_the_shared_stream_table(self, config, shared, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -1006,9 +1004,9 @@ class TestTruthColumnPool:
         initial = _initial_samples(config, self.R, self.SEED)
         ours = []
         for T in self.GRID:
-            theta, gaps, totals, rest = _gen_gap_samples(_with_grid(config, T), self.R,
+            theta, gaps, totals, rest = _gen_gap_samples(replace(config, arrivals=T), self.R,
                                                          self.SEED, self.DELTA)
-            reused = _gen_gap_samples(_with_grid(config, T), self.R, self.SEED, self.DELTA,
+            reused = _gen_gap_samples(replace(config, arrivals=T), self.R, self.SEED, self.DELTA,
                                       initial)
             for want, got in zip((theta, gaps, totals, *rest), (*reused[:3], *reused[3])):
                 assert np.array_equal(want, got)
@@ -1124,22 +1122,6 @@ class TestTruthColumnPool:
         quant = 1.0 - 2.0 * self.DELTA
         assert self._table(config).column("gap_quantile") == [
             float(np.quantile(v, quant)) for v in shared]
-
-
-class TestConfigVariants:
-    def test_with_seed_and_grid_replace_one_field(self):
-        config = SimulationConfig(population=POP, n=40, theta=7.0, lb=6.0,
-                                  epsilon=0.5, arrivals=30, seed=4)
-        seeded = _with_seed(config, np.int64(11))
-        assert seeded.seed == 11 and type(seeded.seed) is int
-        assert seeded.to_dict() == {**config.to_dict(), "seed": 11}
-        grown = _with_grid(config, np.int64(500))
-        assert grown.arrivals == 500 and type(grown.arrivals) is int
-        assert grown.to_dict() == {**config.to_dict(), "arrivals": 500}
-
-    def test_invalid_replacement_still_validated(self):
-        with pytest.raises(ValueError):
-            _with_grid(fig1_like(), -1)
 
 
 class TestReportCsvExport:

@@ -275,7 +275,7 @@ def time_bounds(repeats: int) -> dict:
     def bounds(k) -> dict:
         """The two- and three-region bounds at ``k`` arrivals, as functions of eta."""
         two = RegionPartition(n=50, m=24, k=k)
-        three = RegionPartition(n=50, m=27, l=7, k1=k // 4, k2=k - k // 4)
+        three = RegionPartition(n=50, m=27, l=7, k=k - k // 4, k1=k // 4)
         return {"two_region": lambda eta: bound_two_region(two, two_mass, eta),
                 "three_region": lambda eta: bound_three_region(three, three_mass,
                                                                fig2.epsilon, eta)}

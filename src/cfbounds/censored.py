@@ -76,11 +76,11 @@ class RegionPartition:
     """Sample counts per region relative to the threshold(s).
 
     n initial samples split into l below LB, m - l in [LB, theta) and
-    n - m at or above theta; k counts new disclosed samples in two-region
-    mode, while (k1, k2) count new exploration/disclosed samples in
-    three-region mode.  Two-region partitions have l == k1 == 0.  Counts
-    are whole numbers (booleans are refused) and may be arrays; every check
-    then holds elementwise.
+    n - m at or above theta; k counts new disclosed samples (at or above
+    theta) and k1 new exploration samples (in [LB, theta)).  A partition
+    is two-region exactly when l == k1 == 0.  Counts are whole numbers
+    (booleans are refused) and may be arrays; every check then holds
+    elementwise.
     """
 
     n: int
@@ -88,17 +88,16 @@ class RegionPartition:
     l: int = 0
     k: int = 0
     k1: int = 0
-    k2: int = 0
 
     def __post_init__(self):
         if not (_integral(self.n) and _integral(self.m) and _integral(self.l)
-                and _integral(self.k) and _integral(self.k1) and _integral(self.k2)):
+                and _integral(self.k) and _integral(self.k1)):
             raise ValueError(f"counts must be whole numbers, got {self}")
         if not _holds(np.greater_equal(self.n, 1)):
             raise ValueError("need at least one initial sample")
         if not _holds((0 <= self.l) & (self.l <= self.m) & (self.m <= self.n)):
             raise ValueError(f"need 0 <= l <= m <= n, got l={self.l} m={self.m} n={self.n}")
-        if not _holds((self.k >= 0) & (self.k1 >= 0) & (self.k2 >= 0)):
+        if not _holds((self.k >= 0) & (self.k1 >= 0)):
             raise ValueError("new-sample counts must be nonnegative")
 
     @property
@@ -125,14 +124,9 @@ class MassSpec:
         return cls(alpha, beta)
 
 
-def partition(
-    initial_scores: Sequence[float],
-    new_in_explore: int,
-    new_above: int,
-    theta: float,
-    lb: Optional[float] = None,
-) -> RegionPartition:
-    """Count initial samples per region and attach new-sample counts.
+def partition(initial_scores: Sequence[float], theta: float,
+              lb: Optional[float] = None) -> RegionPartition:
+    """Count initial samples per region; the new-sample counts are 0.
 
     ``theta`` is the decision threshold and ``lb`` < theta, if given, the
     lower end of the exploration region; both must be finite.  Samples
@@ -148,15 +142,8 @@ def partition(
         raise ValueError("empty sample")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    if min(new_in_explore, new_above) < 0:
-        raise ValueError("new-sample counts must be nonnegative")
-    m = int(np.sum(scores < theta))
-    if lb is None:
-        if new_in_explore:
-            raise ValueError("exploration samples require an exploration region")
-        return RegionPartition(n=len(scores), m=m, k=new_above)
-    l = int(np.sum(scores < lb))
-    return RegionPartition(n=len(scores), m=m, l=l, k1=new_in_explore, k2=new_above)
+    return RegionPartition(n=len(scores), m=int(np.sum(scores < theta)),
+                           l=0 if lb is None else int(np.sum(scores < lb)))
 
 
 def region_weights(part: RegionPartition, epsilon) -> tuple:
@@ -170,12 +157,12 @@ def region_weights(part: RegionPartition, epsilon) -> tuple:
     array counts and epsilon, which must lie in [0, 1].
     """
     _check_epsilon(epsilon)
-    n, m, l, k1, k2 = part.n, part.m, part.l, part.k1, part.k2
-    upper_total = np.asarray((n - l) + k1 + epsilon * k2, dtype=float)
+    n, m, l, k, k1 = part.n, part.m, part.l, part.k, part.k1
+    upper_total = np.asarray((n - l) + k1 + epsilon * k, dtype=float)
     upper = (n - l) / n
     with np.errstate(divide="ignore", invalid="ignore"):
         explore_w = np.where(upper_total > 0, upper * ((m - l + k1) / upper_total), 0.0)
-        disclosed_w = np.where(upper_total > 0, upper * ((n - m + epsilon * k2) / upper_total),
+        disclosed_w = np.where(upper_total > 0, upper * ((n - m + epsilon * k) / upper_total),
                                0.0)
     return l / n, explore_w, disclosed_w
 
@@ -251,6 +238,8 @@ def _two_region_terms(n, m, k, alpha, eta, lead: float) -> list:
 def censored_term(part: RegionPartition, mass: MassSpec, eta: float,
                   lead: float = 2.0) -> BoundValue:
     """Censored-region error term of the two-region bound (constant in k)."""
+    if not part.two_region:
+        raise ValueError("partition is not in two-region mode")
     _check_eta(eta)
     return _bound_value(*_two_region_terms(part.n, part.m, part.k, mass.alpha, eta, lead)[0])
 
@@ -310,14 +299,14 @@ def bound_three_region(part: RegionPartition, mass: MassSpec, epsilon, eta: floa
 
     Three terms: the still-censored region below LB (constant), the
     exploration region [LB, theta) (vanishing as k1 grows), and the
-    disclosed region (vanishing as k2 grows).  The estimator weights of
+    disclosed region (vanishing as k grows).  The estimator weights of
     the regions at and above LB are re-estimated from the arrival counts
     and the exploration frequency ``epsilon`` by ``region_weights``.
     """
     _check_eta(eta)
     n, m, l = part.n, part.m, part.l
     (v1, t1), (v2, t2), (v3, t3) = _region_terms(
-        (l, m - l + part.k1, n - m + part.k2), (mass.beta, mass.alpha),
+        (l, m - l + part.k1, n - m + part.k), (mass.beta, mass.alpha),
         region_weights(part, epsilon), eta, lead)
     return _bound_value(v1 + v2 + v3, t1 | t2 | t3)
 

@@ -115,7 +115,7 @@ def _cmd_bound(args) -> int:
         _print_bound(bound_two_region_apriori(
             part, MassSpec.theoretical(args.alpha), args.eta, args.wait))
     elif kind in ("three-region", "three-region-2d"):
-        part = RegionPartition(n=args.n, m=args.m, l=args.l, k1=args.k1, k2=args.k2)
+        part = RegionPartition(n=args.n, m=args.m, l=args.l, k=args.k2, k1=args.k1)
         if kind == "three-region":
             _print_bound(bound_three_region(
                 part, MassSpec.theoretical(args.alpha, args.beta), args.epsilon, args.eta))
@@ -164,12 +164,7 @@ def _cmd_simulate(args) -> int:
     summary = {}
     for label, final in finals.items():
         key = "pooled" if label is None else f"label{label}"
-        part = final.part
-        summary[key] = {
-            "n": part.n, "m": part.m, "l": part.l,
-            "k": part.k, "k1": part.k1, "k2": part.k2,
-            "observed": final.ecdf.n,
-        }
+        summary[key] = {**asdict(final.part), "observed": final.ecdf.n}
     summary["theta_history"] = [[t, th if np.isfinite(th) else str(th)]
                                 for t, th in trace.threshold_history]
     summary_path = outdir / "summary.json"

@@ -49,9 +49,6 @@ class CostModel:
         if not callable(getattr(self.f0, "density", None)):
             raise ValueError(f"f0 has no analytic density: {type(self.f0).__name__}")
 
-    def density(self, x):
-        return self.f0.density(x)
-
 
 def _gl_adaptive(f, a: float, b: float) -> float:
     """Composite Gauss-Legendre with panel doubling to a relative tolerance."""
@@ -73,14 +70,6 @@ def _gl_adaptive(f, a: float, b: float) -> float:
     return prev
 
 
-def _cost_integral(lo: float, hi: float, theta: float, model: CostModel) -> float:
-    """Integral of exp((theta - x)/c) * f0(x) over [lo, hi)."""
-    if not lo < hi:
-        return 0.0
-    integrand = lambda x: np.exp((theta - x) / model.c) * model.density(x)
-    return _gl_adaptive(integrand, lo, hi)
-
-
 def cost_single(lb: float, theta: float, epsilon: float, model: CostModel) -> float:
     """Expected exploration cost over [lb, theta) at frequency epsilon."""
     if not (np.isfinite(lb) and np.isfinite(theta)):
@@ -91,7 +80,8 @@ def cost_single(lb: float, theta: float, epsilon: float, model: CostModel) -> fl
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
     if epsilon == 0.0 or lb == theta:
         return 0.0
-    return epsilon * _cost_integral(lb, theta, theta, model)
+    integrand = lambda x: np.exp((theta - x) / model.c) * model.f0.density(x)
+    return epsilon * _gl_adaptive(integrand, lb, theta)
 
 
 @dataclass(frozen=True)
@@ -99,8 +89,8 @@ class BoundContext:
     """Everything the optimizer needs to evaluate bound improvement.
 
     Counts are plugged in as expectations over the arrival process:
-    k = T*(1-alpha) disclosed samples for the no-exploration bound,
-    k1 = eps*T*(alpha-beta) and k2 = T*(1-alpha) for the exploration
+    k = T*(1-alpha) disclosed samples for both bounds, and
+    k1 = eps*T*(alpha-beta) exploration samples for the exploration
     bound.  The initial partition is either exact-mass (m = round(n*F(t)))
     or realized from supplied initial samples, averaged over the supplied
     ensemble.
@@ -146,7 +136,7 @@ class BoundContext:
         for m, l in self._partitions(lb):
             base = bound_two_region(RegionPartition(n=self.n, m=m, k=k),
                                     MassSpec.theoretical(alpha), self.eta)
-            expl = bound_three_region(RegionPartition(n=self.n, m=m, l=l, k1=k1, k2=k),
+            expl = bound_three_region(RegionPartition(n=self.n, m=m, l=l, k=k, k1=k1),
                                       MassSpec.theoretical(alpha, beta), eps, self.eta)
             diffs.append(base.probability - expl.probability)
         mean = np.mean(diffs, axis=0)

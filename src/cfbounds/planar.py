@@ -99,11 +99,11 @@ class Gaussian2D:
 def partition_2d(points, boundary: Boundary2D) -> RegionPartition:
     """Count points per region by the sign of w.x - b (and w.x - b_lb).
 
-    ``censored.partition`` on the projections w.x, with no new samples:
-    points exactly on a line count as the upper (disclosed/explored) side,
-    matching the 1D at-threshold admission rule.
+    ``censored.partition`` on the projections w.x: points exactly on a
+    line count as the upper (disclosed/explored) side, matching the 1D
+    at-threshold admission rule.
     """
-    return partition(boundary.project(points), 0, 0, boundary.b, boundary.b_lb)
+    return partition(boundary.project(points), boundary.b, boundary.b_lb)
 
 
 def adjusted_cdf_empirical(points, boundary: Boundary2D, b_prime: float) -> float:

@@ -133,7 +133,7 @@ def reproduce_fig1(outdir: Path, seed: int = FIG1_SEED) -> dict:
 
 def reproduce_fig2(outdir: Path, seed: int = FIG2_SEED) -> dict:
     """Initial-sample region decomposition with an exploration range."""
-    return _reproduce_fig12(outdir, fig2_config(seed), "fig2", ("n", "l", "m", "k1", "k2"))
+    return _reproduce_fig12(outdir, fig2_config(seed), "fig2", ("n", "l", "m", "k", "k1"))
 
 
 @dataclass(frozen=True)
@@ -165,21 +165,21 @@ def fig3_partitions(config: SimulationConfig, eps_grid) -> tuple[RegionPartition
     trace = run_simulation(config)
     x, arrivals = trace.initial_scores, trace.arrival_scores
     n, m, l = len(x), int(np.count_nonzero(x < theta)), int(np.count_nonzero(x < lb))
-    k2 = int(np.count_nonzero(arrivals >= theta))
+    k = int(np.count_nonzero(arrivals >= theta))
     # gathered by index: a boolean-mask gather of 40 000 arrivals whose
     # exploration ones are scattered at random takes about 5 times as long
     explore = np.flatnonzero(trace.arrival_region == REGION_EXPLORE)
     coins = np.sort(trace.arrival_coins[explore])
     k1 = np.searchsorted(coins, np.asarray(eps_grid, dtype=float), side="left")
-    return (RegionPartition(n=n, m=m, k=k2),
-            RegionPartition(n=n, m=l, k=k2 + len(coins)),
-            RegionPartition(n=n, m=m, l=l, k1=k1, k2=k2))
+    return (RegionPartition(n=n, m=m, k=k),
+            RegionPartition(n=n, m=l, k=k + len(coins)),
+            RegionPartition(n=n, m=m, l=l, k=k, k1=k1))
 
 
 def fig3_curves(base_seed: int = FIG3_SEED) -> Fig3Curves:
     """Average the three bound families over a fresh-seed ensemble.
 
-    Region masses are the population values; the counts (m, l, k1, k2)
+    Region masses are the population values; the counts (m, l, k, k1)
     are realized per member through one simulator trace, with arrivals
     and exploration coins shared across the epsilon grid
     (``fig3_partitions``).

@@ -96,6 +96,10 @@ class SimulationConfig:
             raise ValueError("pooled mode needs n >= 1 initial samples")
         if self.model is not None and (self.n0 < 1 or self.n1 < 1):
             raise ValueError("labeled mode needs n0, n1 >= 1")
+        if self.population is not None and (self.n0 or self.n1):
+            raise ValueError("pooled mode takes no n0 or n1")
+        if self.model is not None and self.n:
+            raise ValueError("labeled mode takes no n")
         # a partial table is no distribution, and the draws do not follow it
         cdfs = (self.population,) if self.pooled else (self.model.cdf0, self.model.cdf1)
         if any(isinstance(cdf, PiecewiseCdf) and not (cdf.ps[0] == 0.0 and cdf.ps[-1] == 1.0)
@@ -546,12 +550,9 @@ def _finalize_one(initial: np.ndarray, admitted: np.ndarray, admitted_region: np
                   theta: float, lb: Optional[float], epsilon: float) -> FinalEstimate:
     new_explore = admitted[admitted_region == REGION_EXPLORE]
     new_above = admitted[admitted_region == REGION_DISCLOSED]
-    m = int(np.sum(initial < theta))
-    if lb is None:
-        part = RegionPartition(n=len(initial), m=m, k=len(new_above))
-    else:
-        part = RegionPartition(n=len(initial), m=m, l=int(np.sum(initial < lb)),
-                               k1=len(new_explore), k2=len(new_above))
+    part = RegionPartition(n=len(initial), m=int(np.sum(initial < theta)),
+                           l=0 if lb is None else int(np.sum(initial < lb)),
+                           k=len(new_above), k1=len(new_explore))
     return FinalEstimate(
         part=part, ecdf=EmpiricalCdf(np.concatenate([initial, admitted])),
         estimate=stitched_from_partition(initial, new_explore, new_above, theta, lb, epsilon))

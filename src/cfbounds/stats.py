@@ -316,10 +316,13 @@ def stitched_from_partition(initial: np.ndarray, new_explore: np.ndarray,
     initial samples at or above ``theta`` together with ``new_above``.
     Three-region form: the weights of ``censored.region_weights``, which
     re-estimate the split above lb from the arrival counts and refuse an
-    ``epsilon`` outside [0, 1].  As for any
-    ``StitchedCdf``, the estimate's top value may lie up to 4 ulps
+    ``epsilon`` outside [0, 1].  A NaN ``theta`` or ``lb`` raises
+    ``ValueError``; +-inf is allowed, as a trained threshold may be.  As
+    for any ``StitchedCdf``, the estimate's top value may lie up to 4 ulps
     (4 * 2**-52) below 1.
     """
+    if np.isnan(theta) or (lb is not None and np.isnan(lb)):
+        raise ValueError(f"theta and lb must not be NaN, got theta={theta} lb={lb}")
     initial = np.asarray(initial, dtype=float)
     disc = np.concatenate([initial[initial >= theta], new_above])
     if lb is None:
@@ -329,7 +332,7 @@ def stitched_from_partition(initial: np.ndarray, new_explore: np.ndarray,
     cens = initial[initial < lb]
     expl = np.concatenate([initial[(initial >= lb) & (initial < theta)], new_explore])
     part = RegionPartition(n=len(initial), m=int(np.sum(initial < theta)), l=len(cens),
-                           k1=len(new_explore), k2=len(new_above))
+                           k=len(new_above), k1=len(new_explore))
     return StitchedCdf.from_samples((lb, theta), region_weights(part, epsilon),
                                     (cens, expl, disc))
 

@@ -235,12 +235,13 @@ def mc_cdf_deviation(config: SimulationConfig, eta: float, replications: int,
                      ) -> CoverageReport:
     """Estimate P(sup |F - F_hat| >= eta) and compare it to the bound.
 
-    With ``condition`` given (and no arrivals), every replication draws
-    exactly the conditioned counts per region from the restricted
-    distributions, matching the bounds' conditional statements; the bound
-    is evaluated once at that partition.  Otherwise each replication
-    re-realizes counts via the full simulator and the frequency is
-    compared against the mean of the per-replication bounds.
+    With ``condition`` given (no arrivals, and no new samples in it),
+    every replication draws exactly the conditioned initial counts per
+    region from the restricted distributions, matching the bounds'
+    conditional statements; the bound is evaluated once at that
+    partition.  Otherwise each replication re-realizes counts via the
+    full simulator and the frequency is compared against the mean of the
+    per-replication bounds.
     """
     if replications < 100:
         raise ValueError("need at least 100 replications")
@@ -250,6 +251,9 @@ def mc_cdf_deviation(config: SimulationConfig, eta: float, replications: int,
     if condition is not None:
         if config.arrivals:
             raise ValueError("conditioned verification requires zero arrivals")
+        if np.any(condition.k) or np.any(condition.k1):
+            raise ValueError("conditioned verification draws only initial samples; "
+                             "pass a condition with k = k1 = 0")
         part = condition
         bound = config.deviation_bound(part, eta)
         # without lb the region below it is empty (beta = l = 0), and an

@@ -80,7 +80,7 @@ def test_criterion_02_three_region_reduction():
         eta = float(gen.random() * 0.9 + 0.01)
         eps = float(gen.random())
         three = bound_three_region(
-            RegionPartition(n=n, m=m, l=m, k1=0, k2=k),
+            RegionPartition(n=n, m=m, l=m, k=k),
             MassSpec.theoretical(alpha, alpha), eps, eta).raw
         two = bound_two_region(RegionPartition(n=n, m=m, k=k),
                                MassSpec.theoretical(alpha), eta).raw
@@ -101,7 +101,7 @@ def test_criterion_03_exploration_monotonicity():
     _, alpha, beta = _fig3_masses()
     n, wait = 8000, 40_000
     part = RegionPartition(n=n, m=int(round(n * alpha)), l=int(round(n * beta)),
-                           k1=0, k2=int(round(wait * (1 - alpha))))
+                           k=int(round(wait * (1 - alpha))))
     k1_max = int(round(wait * (alpha - beta)))
     eps_grid = np.round(np.arange(0.0, 1.0001, 0.05), 6)
     result = check_prop2(part, MassSpec.theoretical(alpha, beta), 0.015, eps_grid, k1_max)
@@ -331,7 +331,7 @@ def test_criterion_12_planar_soundness():
         one_d = bound_two_region(pp, MassSpec.theoretical(a), e)
         if not one_d.trivial and not two_d.trivial:
             worst = max(worst, abs(two_d.raw - 2.0 * one_d.raw))
-        p3 = RegionPartition(n=nn, m=mm, l=mm, k1=0, k2=kk)
+        p3 = RegionPartition(n=nn, m=mm, l=mm, k=kk)
         collapse = bound_2d_three_region(p3, a, a, e, e)
         worst = max(worst, abs(collapse.raw - two_d.raw))
     assert worst <= 1e-12

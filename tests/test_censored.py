@@ -1,5 +1,6 @@
 """Region-decomposed deviation bounds: oracles, identities, inverses."""
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -48,27 +49,36 @@ class TestPartition:
     def test_reference_scenario_no_exploration(self):
         pop = GaussianCdf(7, 1)
         scores = pop.inverse(SeededRng(2).substream(0).uniforms(50))
-        part = partition(scores, 0, 0, 7.0)
+        part = partition(scores, 7.0)
         assert (part.n, part.m, part.k) == (50, 24, 0)
 
     def test_reference_scenario_with_exploration(self):
         pop = GaussianCdf(7, 1)
         scores = pop.inverse(SeededRng(1).substream(0).uniforms(50))
-        part = partition(scores, 0, 0, 7.0, 6.0)
-        assert (part.l, part.m) == (7, 27)
+        part = partition(scores, 7.0, 6.0)
+        assert part == RegionPartition(n=50, m=27, l=7)
 
     def test_theta_below_all_scores(self):
-        part = partition([5.0, 6.0], 0, 3, 1.0)
-        assert part.m == 0 and part.k == 3
+        part = partition([5.0, 6.0], 1.0)
+        assert part == RegionPartition(n=2, m=0)
+
+    def test_one_disclosed_count_in_both_modes(self):
+        # k counts the new disclosed samples of two- and three-region
+        # partitions alike, and the three-region bound reads it
+        assert [f.name for f in fields(RegionPartition)] == ["n", "m", "l", "k", "k1"]
+        mass = MassSpec.theoretical(0.5, 0.1)
+        idle, busy = (bound_three_region(RegionPartition(n=50, m=25, l=5, k=k), mass, 0.0,
+                                         0.2).raw for k in (0, 10_000))
+        assert busy < idle
 
     def test_at_threshold_counts_as_disclosed(self):
-        part = partition([7.0, 6.9], 0, 0, 7.0)
+        part = partition([7.0, 6.9], 7.0)
         assert part.m == 1
 
     @pytest.mark.parametrize("lb", [5.0, 5.5])
     def test_lb_ordering_enforced(self, lb):
         with pytest.raises(ValueError, match="lb < theta"):
-            partition([4.0, 6.0], 0, 0, 5.0, lb)
+            partition([4.0, 6.0], 5.0, lb)
 
     @pytest.mark.parametrize("theta, lb", [(math.nan, None), (math.inf, None),
                                            (-math.inf, None), (math.nan, 0.0),
@@ -76,7 +86,7 @@ class TestPartition:
                                            (0.0, math.nan), (0.0, math.inf)])
     def test_non_finite_region_rejected(self, theta, lb):
         with pytest.raises(ValueError, match="finite"):
-            partition([1.0, 2.0], 0, 0, theta, lb)
+            partition([1.0, 2.0], theta, lb)
 
     def test_counts_invariants(self):
         with pytest.raises(ValueError):
@@ -89,12 +99,12 @@ class TestPartition:
         # NaN used to be counted as disclosed, and -inf as censored
         for lb in (None, 0.0):
             with pytest.raises(ValueError, match="finite"):
-                partition([bad, 1.0, 0.2], 0, 3, 0.5, lb)
+                partition([bad, 1.0, 0.2], 0.5, lb)
 
     @pytest.mark.parametrize("counts", [dict(k=1.5), dict(n=50.5), dict(m=True),
                                         dict(k=math.nan), dict(k=math.inf),
                                         dict(k1=np.array([0, 2, 2.5]), l=3),
-                                        dict(k2=np.array([True, False]))])
+                                        dict(k=np.array([True, False]))])
     def test_non_integral_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="whole numbers"):
             RegionPartition(**{"n": 50, "m": 24, **counts})
@@ -126,6 +136,14 @@ class TestCensoredTerm:
         assert censored_term(part, MassSpec.theoretical(0.05), 0.1).raw == 0.0
         big = censored_term(part, MassSpec.theoretical(0.4), 0.1)
         assert big.trivial and big.probability == 1.0
+
+    @pytest.mark.parametrize("part", [RegionPartition(n=50, m=25, l=10, k1=5),
+                                      RegionPartition(n=50, m=25, l=10),
+                                      RegionPartition(n=50, m=25, k1=5)])
+    def test_three_region_partition_rejected(self, part):
+        # the term reads only n and m, so l and k1 would be dropped unseen
+        with pytest.raises(ValueError, match="two-region"):
+            censored_term(part, MassSpec.theoretical(0.5, 0.2), 0.3)
 
     def test_plugin_mass_zeroes_shift(self):
         part = RegionPartition(n=50, m=24)
@@ -246,19 +264,19 @@ class TestThreeRegionBound:
     def test_pure_exploration_kills_first_term(self):
         # beta = 0, l = 0: the still-censored term vanishes exactly and the
         # total equals the exploration + disclosed terms alone
-        n, m, k1, k2, eps, eta = 50, 24, 5, 5, 0.5, 0.4
-        part = RegionPartition(n=n, m=m, l=0, k1=k1, k2=k2)
+        n, m, k, k1, eps, eta = 50, 24, 5, 5, 0.5, 0.4
+        part = RegionPartition(n=n, m=m, l=0, k=k, k1=k1)
         mass = MassSpec.theoretical(0.5, 0.0)
         value = bound_three_region(part, mass, eps, eta)
-        s = (n / n) * ((m + k1) / (n + k1 + eps * k2))
-        w = (n / n) * ((n - m + eps * k2) / (n + k1 + eps * k2))
+        s = (n / n) * ((m + k1) / (n + k1 + eps * k))
+        w = (n / n) * ((n - m + eps * k) / (n + k1 + eps * k))
         want = (mp_term(m + k1, eta - abs(0.5 - s), min(0.5, s))
-                + mp_term(n - m + k2, eta - 2 * abs(0.5 - s), min(0.5, w)))
+                + mp_term(n - m + k, eta - 2 * abs(0.5 - s), min(0.5, w)))
         assert value.raw == pytest.approx(want, rel=1e-12)
 
     def test_weights_without_samples_above_lb(self):
         # every initial sample below LB and no arrivals: the upper weights are 0
-        part = RegionPartition(n=3, m=3, l=3, k1=0, k2=0)
+        part = RegionPartition(n=3, m=3, l=3)
         assert tuple(map(float, region_weights(part, 0.0))) == (1.0, 0.0, 0.0)
         assert bound_three_region(part, MassSpec.theoretical(0.5, 0.2), 0.0, 0.3).raw >= 0.0
 
@@ -266,7 +284,7 @@ class TestThreeRegionBound:
     @given(st.data())
     def test_reduction_to_two_region(self, data):
         n, m, k, alpha, eta, eps = random_three_region_configs(data.draw)
-        part3 = RegionPartition(n=n, m=m, l=m, k1=0, k2=k)
+        part3 = RegionPartition(n=n, m=m, l=m, k=k)
         part2 = RegionPartition(n=n, m=m, k=k)
         three = bound_three_region(part3, MassSpec.theoretical(alpha, alpha), eps, eta)
         two = bound_two_region(part2, MassSpec.theoretical(alpha), eta)
@@ -274,22 +292,22 @@ class TestThreeRegionBound:
         assert three.trivial == two.trivial
 
     def test_formula_against_oracle(self):
-        n, m, l, k1, k2, eps = 50, 27, 7, 4, 9, 0.5
+        n, m, l, k, k1, eps = 50, 27, 7, 9, 4, 0.5
         alpha, beta, eta = 0.5, 0.16, 0.35
-        part = RegionPartition(n=n, m=m, l=l, k1=k1, k2=k2)
+        part = RegionPartition(n=n, m=m, l=l, k=k, k1=k1)
         got = bound_three_region(part, MassSpec.theoretical(alpha, beta), eps, eta)
         u1 = abs(beta - l / n)
-        s = ((n - l) / n) * ((m - l + k1) / ((n - l) + k1 + eps * k2))
+        s = ((n - l) / n) * ((m - l + k1) / ((n - l) + k1 + eps * k))
         u2 = abs(alpha - beta - s)
         u3 = abs(alpha - l / n - s)
-        w = ((n - l) / n) * ((n - m + eps * k2) / ((n - l) + k1 + eps * k2))
+        w = ((n - l) / n) * ((n - m + eps * k) / ((n - l) + k1 + eps * k))
         want = (mp_term(l, eta - u1, min(beta, l / n))
                 + mp_term(m - l + k1, eta - u1 - u2, min(alpha - beta, s))
-                + mp_term(n - m + k2, eta - 2 * u3, min(1 - alpha, w)))
+                + mp_term(n - m + k, eta - 2 * u3, min(1 - alpha, w)))
         assert got.raw == pytest.approx(want, rel=1e-12)
 
     def test_nonincreasing_under_coupled_arrival_growth(self):
-        # k1 and k2 must co-vary with the arrival process for the weight
+        # k and k1 must co-vary with the arrival process for the weight
         # re-estimation to stay calibrated; scaling both down the arrival
         # stream shrinks the bound
         alpha, beta, eps = 0.6, 0.3, 1.0
@@ -297,14 +315,14 @@ class TestThreeRegionBound:
         vals = []
         for wait in (0, 100, 1000, 10_000):
             k1 = round(eps * wait * (alpha - beta))
-            k2 = round(wait * (1 - alpha))
-            part = RegionPartition(n=100, m=60, l=30, k1=k1, k2=k2)
+            k = round(wait * (1 - alpha))
+            part = RegionPartition(n=100, m=60, l=30, k=k, k1=k1)
             vals.append(bound_three_region(part, mass, eps, 0.3).raw)
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("eps", BAD_EPSILONS)
     def test_epsilon_outside_unit_interval_rejected(self, eps):
-        part = RegionPartition(n=50, m=27, l=7, k1=4, k2=9)
+        part = RegionPartition(n=50, m=27, l=7, k=9, k1=4)
         with pytest.raises(ValueError, match="epsilon"):
             region_weights(part, eps)
         with pytest.raises(ValueError, match="epsilon"):
@@ -346,7 +364,7 @@ class TestEtaForConfidence:
         assert reachable is not None
 
     def test_matches_dense_grid_scan(self):
-        part = RegionPartition(n=50, m=27, l=7, k1=0, k2=0)
+        part = RegionPartition(n=50, m=27, l=7)
         mass = MassSpec.theoretical(0.5, 0.158655)
         bound = lambda e: bound_three_region(part, mass, 0.5, e)
         delta = 0.015
@@ -461,7 +479,7 @@ class TestProp2:
         beta = float(pop.cdf(6.0))
         n, wait = 8000, 40_000
         part = RegionPartition(n=n, m=int(round(n * alpha)), l=int(round(n * beta)),
-                               k1=0, k2=int(round(wait * (1 - alpha))))
+                               k=int(round(wait * (1 - alpha))))
         k1_max = int(round(wait * (alpha - beta)))
         return part, MassSpec.theoretical(alpha, beta), k1_max
 
@@ -473,13 +491,13 @@ class TestProp2:
     def test_k1max_zero_without_arrivals_constant(self):
         # with no admitted arrivals at all epsilon cannot move the bound
         part0, mass, _ = self._fig_setting()
-        part = RegionPartition(n=part0.n, m=part0.m, l=part0.l, k1=0, k2=0)
+        part = RegionPartition(n=part0.n, m=part0.m, l=part0.l)
         report = check_prop2(part, mass, 0.015, [0.0, 0.5, 1.0], 0)
         assert report.ok
         assert max(report.values) == min(report.values)
 
     def test_k1_frozen_moves_only_through_thinning(self):
-        # freezing k1 while k2 stays large decalibrates the re-estimated
+        # freezing k1 while k stays large decalibrates the re-estimated
         # weights as epsilon grows; the sweep surfaces that as a violation
         part, mass, _ = self._fig_setting()
         report = check_prop2(part, mass, 0.015, [0.0, 0.5, 1.0], 0)
@@ -504,18 +522,18 @@ def test_bounds_nonincreasing_in_eta(data):
     m = data.draw(st.integers(1, n - 1))
     l = data.draw(st.integers(0, m))
     k1 = data.draw(st.integers(0, 200))
-    k2 = data.draw(st.integers(0, 200))
+    k = data.draw(st.integers(0, 200))
     beta = data.draw(st.floats(0.0, 0.45))
     alpha = data.draw(st.floats(0.5, 0.95))
     eps = data.draw(st.floats(0.0, 1.0))
     eta_lo = data.draw(st.floats(0.01, 0.5))
     eta_hi = data.draw(st.floats(0.5, 0.99))
-    two = lambda e: bound_two_region(RegionPartition(n=n, m=m, k=k2),
+    two = lambda e: bound_two_region(RegionPartition(n=n, m=m, k=k),
                                      MassSpec.theoretical(alpha), e)
     assert two(eta_hi).probability <= two(eta_lo).probability + 1e-15
     if not two(eta_lo).trivial:
         assert two(eta_hi).raw <= two(eta_lo).raw + 1e-15
-    part = RegionPartition(n=n, m=m, l=l, k1=k1, k2=k2)
+    part = RegionPartition(n=n, m=m, l=l, k=k, k1=k1)
     three = lambda e: bound_three_region(part, MassSpec.theoretical(alpha, beta), eps, e)
     assert three(eta_hi).probability <= three(eta_lo).probability + 1e-15
     if not three(eta_lo).trivial:
@@ -560,7 +578,7 @@ def region_configs(draw):
     alpha = draw(st.sampled_from([0.0, m / n, 1.0]) | st.floats(0.0, 1.0))
     beta = draw(st.sampled_from([0.0, l / n, alpha]) | st.floats(0.0, alpha))
     beta = min(beta, alpha)
-    return dict(n=n, m=m, l=l, k=draw(counts), k1=draw(counts), k2=draw(counts),
+    return dict(n=n, m=m, l=l, k=draw(counts), k1=draw(counts),
                 alpha=alpha, beta=beta, eps=draw(st.floats(0.0, 1.0)),
                 eta=draw(st.sampled_from([1.0, 1e-3]) | st.floats(1e-3, 1.0)))
 
@@ -572,7 +590,7 @@ def _two(c, eta=None):
 
 
 def _three(c, eta=None):
-    part = RegionPartition(n=c["n"], m=c["m"], l=c["l"], k1=c["k1"], k2=c["k2"])
+    part = RegionPartition(n=c["n"], m=c["m"], l=c["l"], k=c["k"], k1=c["k1"])
     return bound_three_region(part, MassSpec.theoretical(c["alpha"], c["beta"]), c["eps"],
                               c["eta"] if eta is None else eta)
 
@@ -612,12 +630,12 @@ def test_array_call_equals_scalar_calls(configs, wait, delta):
 @settings(max_examples=100, deadline=None)
 @given(region_configs())
 def test_bounds_nonincreasing_in_counts(c):
-    # the two-region bound in k; the three-region bound in k2 at eps = 0,
-    # where k2 is only the disclosed count (for eps > 0, and for k1, a
-    # count also moves the re-estimated weights and with them the shifts)
+    # both bounds in k, the three-region one at eps = 0, where k is only
+    # the disclosed count (for eps > 0, and for k1, a count also moves the
+    # re-estimated weights and with them the shifts)
     grid = np.arange(0, 600, 7)
     two = _two(dict(c, k=grid)).probability
-    three = _three(dict(c, k2=grid, eps=0.0)).probability
+    three = _three(dict(c, k=grid, eps=0.0)).probability
     for values in (two, three):
         assert np.all(np.diff(values) <= 1e-15)
 
@@ -708,14 +726,14 @@ def ref_apriori(n, m, alpha, eta, wait, lead):
 
 
 def ref_three_region(part, alpha, beta, eps, eta, lead):
-    n, m, l, k1, k2 = part.n, part.m, part.l, part.k1, part.k2
+    n, m, l, k, k1 = part.n, part.m, part.l, part.k, part.k1
     l_frac, explore_w, disclosed_w = region_weights(part, eps)
     u1 = abs(beta - l_frac)
     u2 = abs(alpha - beta - explore_w)
     u3 = abs(alpha - l_frac - explore_w)
     v1, t1 = ref_term(l, beta, l_frac, eta, u1, lead)
     v2, t2 = ref_term(m - l + k1, alpha - beta, explore_w, eta, u1 + u2, lead)
-    v3, t3 = ref_term(n - m + k2, 1.0 - alpha, disclosed_w, eta, 2.0 * u3, lead)
+    v3, t3 = ref_term(n - m + k, 1.0 - alpha, disclosed_w, eta, 2.0 * u3, lead)
     return v1 + v2 + v3, t1 | t2 | t3
 
 
@@ -743,7 +761,7 @@ def test_kernel_equals_hand_written_formulas(configs, as_array, lead, wait, data
     assert_same(bound_two_region_apriori(RegionPartition(n=n, m=m), mass2, eta, wait, lead),
                 *ref_apriori(n, m, alpha, eta, wait, lead))
     beta = c["beta"]
-    part3 = RegionPartition(n=n, m=m, l=c["l"], k1=c["k1"], k2=c["k2"])
+    part3 = RegionPartition(n=n, m=m, l=c["l"], k=c["k"], k1=c["k1"])
     assert_same(bound_three_region(part3, MassSpec.theoretical(alpha, beta), c["eps"], eta,
                                    lead),
                 *ref_three_region(part3, alpha, beta, c["eps"], eta, lead))

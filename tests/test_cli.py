@@ -201,8 +201,9 @@ def _arrivals_csv(path, rows: int, seed: int) -> Path:
 
 
 class TestSimulateOutputBytes:
-    """sha256 of ``trace.json`` and ``summary.json``, as the dict-of-lists
-    serializer wrote them before the streaming writer replaced it."""
+    """sha256 of ``trace.json``, as the dict-of-lists serializer wrote it
+    before the streaming writer replaced it, and of ``summary.json``, whose
+    keys are the ``RegionPartition`` fields and ``observed``."""
 
     def _digests(self, out_dir):
         return [hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
@@ -212,7 +213,7 @@ class TestSimulateOutputBytes:
         config = bench_config(arrivals=2000).to_dict() | {"theta": None, "retrain_every": 100}
         assert self._digests(_simulate(capsys, tmp_path, config)) == [
             "b8617e9980a91ed76e6bd085d1dc53f1b4cfd4c0a5e8b2c7251446e2f7994c47",
-            "66c1720b9a8b33294cf869224abaccd722cb823d9c2973315089994d9fb2b45c"]
+            "8aae05bc6997221ed01fbf682880fbbce8893723884d8518e87b20bb61d04dba"]
 
     def test_arrivals_csv_run(self, capsys, tmp_path):
         # 9000 arrivals cross one block of the writer; lb = 6 draws coins
@@ -221,7 +222,7 @@ class TestSimulateOutputBytes:
                             "--arrivals-csv", str(stream))
         assert self._digests(out_dir) == [
             "e7975e22a42bb265353c0cb158d7ac57cf8920c4e02ad551716fa8a27282afd1",
-            "5abd9ef6cb3c40075bd37b8feec4f998516c3c4bdbd1acc98f7f0d7b2976dab4"]
+            "7e19a222ea20acd6781b89be91c0cbc037ca329a677fe57fb7bb289a8b0f383e"]
 
 
 class TestSimulateMemory:

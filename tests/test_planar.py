@@ -146,20 +146,20 @@ class TestBounds2D:
 
     def test_three_region_lb_collapse(self):
         # exploring right up to the boundary reduces to the two-region form
-        part3 = RegionPartition(n=60, m=30, l=30, k1=0, k2=12)
+        part3 = RegionPartition(n=60, m=30, l=30, k=12)
         part2 = RegionPartition(n=60, m=30, k=12)
         three = bound_2d_three_region(part3, 0.5, 0.5, 0.4, 0.2)
         two = bound_2d_two_region(part2, 0.5, 0.2)
         assert three.raw == pytest.approx(two.raw, abs=1e-12)
 
     def test_three_region_pure_exploration(self):
-        part = RegionPartition(n=60, m=30, l=0, k1=6, k2=12)
+        part = RegionPartition(n=60, m=30, l=0, k=12, k1=6)
         got = bound_2d_three_region(part, 0.5, 0.0, 0.5, 0.3)
         ref = bound_three_region(part, MassSpec.theoretical(0.5, 0.0), 0.5, 0.3)
         assert got.raw == pytest.approx(2.0 * ref.raw, rel=1e-12)
 
     def test_2d_three_region_against_1d_double(self):
-        part = RegionPartition(n=100, m=60, l=20, k1=8, k2=30)
+        part = RegionPartition(n=100, m=60, l=20, k=30, k1=8)
         got = bound_2d_three_region(part, 0.6, 0.2, 0.5, 0.25)
         ref = bound_three_region(part, MassSpec.theoretical(0.6, 0.2), 0.5, 0.25)
         assert got.raw == pytest.approx(2.0 * ref.raw, rel=1e-12)

@@ -310,6 +310,14 @@ class TestStage1:
                 labeled_config(model=MixtureModel(p1=0.5, cdf0=cdf0, cdf1=cdf1))
         pooled_config(population=full, theta=5.0)
 
+    @pytest.mark.parametrize("build, counts", [(pooled_config, dict(n0=5)),
+                                               (pooled_config, dict(n1=5)),
+                                               (labeled_config, dict(n=50))])
+    def test_other_modes_counts_rejected(self, build, counts):
+        # to_dict would drop them, so the manifest would not show them
+        with pytest.raises(ValueError, match="takes no"):
+            build(**counts)
+
     @pytest.mark.parametrize("changes", [dict(theta=np.nan), dict(theta=np.inf),
                                          dict(lb=np.nan), dict(lb=-np.inf)])
     def test_non_finite_threshold_rejected(self, changes):
@@ -352,7 +360,7 @@ class TestArrivals:
         t = config.arrivals
         p2 = 1 - alpha
         p1 = 0.5 * (alpha - beta)
-        assert abs(part.k2 - t * p2) < 3 * np.sqrt(t * p2 * (1 - p2))
+        assert abs(part.k - t * p2) < 3 * np.sqrt(t * p2 * (1 - p2))
         assert abs(part.k1 - t * p1) < 3 * np.sqrt(t * p1 * (1 - p1))
 
     def test_shared_trace_partitions_match_per_epsilon_runs(self):
@@ -436,7 +444,7 @@ class TestReplayAndIntegrity:
     def test_counts_round_trip(self):
         trace = run_simulation(pooled_config(lb=6.0, epsilon=0.5))
         final = finalize(trace)[None]
-        assert final.part.n + final.part.k1 + final.part.k2 == final.ecdf.n
+        assert final.part.n + final.part.k + final.part.k1 == final.ecdf.n
 
 
 class TestFinalize:
@@ -490,9 +498,9 @@ class TestDeviationBound:
         assert np.array_equal(got.trivial, want.trivial)
 
     @pytest.mark.parametrize("part", [
-        RegionPartition(n=50, m=27, l=7, k1=12, k2=90),
+        RegionPartition(n=50, m=27, l=7, k=90, k1=12),
         RegionPartition(n=50, m=np.array([20, 27, 31]), l=np.array([5, 7, 9]),
-                        k1=np.array([0, 12, 40]), k2=np.array([0, 90, 150])),
+                        k=np.array([0, 90, 150]), k1=np.array([0, 12, 40])),
     ])
     def test_three_region_with_lb(self, part):
         got = pooled_config(lb=6.0, epsilon=0.5).deviation_bound(part, 0.2)
@@ -507,7 +515,7 @@ class TestDeviationBound:
     def test_replaced_config_keeps_no_stale_masses(self, change):
         # the masses are cached per instance; a replaced config computes its own
         parts = {False: RegionPartition(n=50, m=27, k=90),
-                 True: RegionPartition(n=50, m=27, l=7, k1=12, k2=90)}
+                 True: RegionPartition(n=50, m=27, l=7, k=90, k1=12)}
         for config in (pooled_config(lb=6.0, epsilon=0.75), pooled_config()):
             config.deviation_bound(parts[config.lb is not None], 0.2)    # fills the cache
             replaced = replace(config, **change)

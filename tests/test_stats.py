@@ -284,6 +284,19 @@ class TestStitchedCdf:
             stitched_from_partition(initial, np.array([0.7]), np.array([3.0]), 2.0, 0.0,
                                     epsilon)
 
+    @pytest.mark.parametrize("theta, lb", [(np.nan, None), (np.nan, 0.0), (2.0, np.nan)])
+    def test_nan_threshold_rejected(self, theta, lb):
+        initial = np.array([-1.0, 0.5, 1.5, 2.5])
+        with pytest.raises(ValueError, match="NaN"):
+            stitched_from_partition(initial, np.empty(0), np.array([3.0]), theta, lb, 0.5)
+
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf])
+    def test_infinite_threshold_allowed(self, theta):
+        # a trained threshold may be infinite: every sample then lies on one side
+        initial = np.array([-1.0, 0.5, 1.5, 2.5])
+        estimate = stitched_from_partition(initial, np.empty(0), np.empty(0), theta, None, 0.0)
+        assert estimate.cdf(0.5) == 0.5 and estimate.cdf(3.0) == 1.0
+
     def test_two_region_is_the_pooled_estimator(self):
         gen = SeededRng(8).generator()
         initial, new, theta = gen.normal(0.0, 1.0, 30), 0.2 + gen.random(45), 0.2

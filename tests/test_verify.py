@@ -154,6 +154,14 @@ class TestConditionedKernel:
             mc_cdf_deviation(fig1_like(), 0.1, 10, 0,
                              condition=RegionPartition(n=50, m=24))
 
+    @pytest.mark.parametrize("new", [dict(k=5000), dict(k1=3), dict(k=np.array([0, 5]))])
+    def test_condition_with_new_samples_rejected(self, new):
+        # the replications draw only the initial counts; a bound taken at
+        # the condition's arrivals would be held against draws without them
+        with pytest.raises(ValueError, match="k = k1 = 0"):
+            mc_cdf_deviation(fig1_like(), 0.15, 200, 1,
+                             condition=RegionPartition(n=50, m=24, **new))
+
 
 def _batch_sup_one_shot(masses, counts, replications, gen):
     """``_batch_sup_conditioned`` before row blocks: each region's draws for

@@ -34,7 +34,9 @@ arrivals of the fig3 preset's population (theta 8, lb 6) at epsilon
 ``eta_for_confidence`` over the two-region and the three-region bound,
 with scalar inputs and with 1000-element arrays (of eta for a bound, of
 arrival counts for an inversion), and of the inversions over 10 000
-arrival counts too; with each inversion, the bound calls it makes.  A
+arrival counts too; with each inversion, the bound calls it makes.  The
+expected-wait bound is also timed in a scalar call at the fig3 preset's
+exact-mass partition (n 8000) and its 40 000 arrivals.  A
 peak is measured in an untimed call of its own.  The ``csv`` entry gives
 the time of ``verify.write_columns`` over the tables of one repetition of
 the fig1, fig2, fig4 and appendixJ presets, their cell count, the cells
@@ -97,6 +99,7 @@ TRACE_ARRIVALS = 50_000     # the arrivals of perfbench's cli-session simulate r
 ARRAY_SIZE = 1000           # elements of an array call of a bound or inversion
 LARGE_ARRAY_SIZE = 10_000   # elements of an inversion in ``cfbounds verify gen`` at 1e4 replications
 BOUND_ARRIVALS = 200        # the fig4 preset's arrivals, for the bounds' partitions
+FIG3_ETA = 0.015            # the fig3 preset's deviation level
 CSV_PRESETS = ("fig1", "fig2", "fig4", "appendixJ")     # the curve and band tables
 # the partitions ``cfbounds verify cdf --preset fig1/fig2`` conditions on: (n, m, l)
 CONDITIONS = {"fig1": (fig1_config, (50, 24, 0)), "fig2": (fig2_config, (50, 27, 7))}
@@ -260,7 +263,8 @@ def bound_calls(bound) -> int:
 
 def time_bounds(repeats: int) -> dict:
     """Time of one scalar and one 1000-element call of each bound and
-    inversion, of a 10 000-element inversion, and each inversion's bound calls.
+    inversion, of a 10 000-element inversion, and each inversion's bound calls;
+    and of one scalar expected-wait call at fig3's partition and arrivals.
 
     The partitions are fig1's and fig2's conditioned ones after
     ``BOUND_ARRIVALS`` arrivals (fig2's split 1:3 between its exploration
@@ -283,6 +287,10 @@ def time_bounds(repeats: int) -> dict:
     scalar, array = bounds(BOUND_ARRIVALS), bounds(np.arange(ARRAY_SIZE))
     large = bounds(np.arange(LARGE_ARRAY_SIZE))
     apriori = RegionPartition(n=50, m=24)
+    # fig3's exact-mass partition (m = round(n F(theta))) over its arrivals
+    fig3 = fig3_config(FIG3_SEED)
+    fig3_mass = MassSpec.theoretical(float(fig3.population.cdf(fig3.theta)))
+    fig3_part = RegionPartition(n=fig3.n, m=round(fig3.n * fig3_mass.alpha))
     calls = {f"bound_{name}": bound for name, bound in scalar.items()}
     calls["bound_two_region_apriori"] = lambda eta: bound_two_region_apriori(
         apriori, two_mass, eta, BOUND_ARRIVALS)
@@ -300,6 +308,9 @@ def time_bounds(repeats: int) -> dict:
             "bound_calls": {"scalar": bound_calls(scalar[name]),
                             "array": bound_calls(array[name]),
                             f"array_{LARGE_ARRAY_SIZE}": bound_calls(large[name])}}
+    out["bound_two_region_apriori"]["scalar_fig3"] = timed(
+        lambda: bound_two_region_apriori(fig3_part, fig3_mass, FIG3_ETA, fig3.arrivals),
+        repeats, 100)
     return out
 
 

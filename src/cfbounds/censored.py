@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import xlog1py
 
 from .classic import BoundValue
 
@@ -260,18 +260,18 @@ def bound_two_region(part: RegionPartition, mass: MassSpec, eta: float,
     return _bound_value(c + d, c_trivial | d_trivial)
 
 
-_PMF_FLOOR = 1e-15      # binomial weights below it are skipped
-
-
 def bound_two_region_apriori(part: RegionPartition, mass: MassSpec, eta: float,
                              wait: int, lead: float = 2.0) -> BoundValue:
     """Expected two-region bound after waiting for `wait` arrivals.
 
-    The disclosed-region term is averaged over the binomial number of
-    arrivals that land above theta (each lands there with probability
-    1 - alpha).  Binomial weights are computed in log space; weights
-    below ``_PMF_FLOOR`` are skipped.  ``wait`` is a scalar whole number;
-    the other inputs may be arrays.
+    Each arrival lands above theta with probability 1 - alpha, so the
+    disclosed count k is Binomial(wait, 1 - alpha).  The disclosed term is
+    d * q^k, with d its value at k = 0 and q = exp(-2 r^2) for the ratio r
+    of its reduced tolerance to its mass, so its expectation is
+    d * (alpha + (1 - alpha) q)^wait, computed as
+    exp(wait * log1p((alpha - 1)(1 - q))).  A trivial or degenerate
+    disclosed term does not depend on k and is kept as it is.  ``wait`` is
+    a scalar whole number; the other inputs may be arrays.
     """
     if not part.two_region:
         raise ValueError("partition is not in two-region mode")
@@ -280,17 +280,14 @@ def bound_two_region_apriori(part: RegionPartition, mass: MassSpec, eta: float,
     if np.ndim(wait) or not _integral(wait) or wait < 0:
         raise ValueError(f"wait must be a nonnegative whole number, got {wait!r}")
     _check_eta(eta)
-
-    # the binomial outcome kk runs along a new last axis
-    n, m, alpha, eta = (np.expand_dims(v, -1) for v in (part.n, part.m, mass.alpha, eta))
-    kk = np.arange(wait + 1)
-    p_disclosed = 1.0 - alpha
-    pmf = np.exp(gammaln(wait + 1) - gammaln(kk + 1) - gammaln(wait - kk + 1)
-                 + xlogy(kk, p_disclosed) + xlogy(wait - kk, 1.0 - p_disclosed))
-    keep = pmf >= _PMF_FLOOR
-    (c, c_trivial), (value, trivial) = _two_region_terms(n, m, kk, alpha, eta, lead)
-    expected = np.sum(np.where(keep, pmf * value, 0.0), axis=-1)
-    return _bound_value(c[..., 0] + expected, c_trivial[..., 0] | np.any(keep & trivial, axis=-1))
+    n, m, alpha = part.n, part.m, mass.alpha
+    (c, c_trivial), (d, d_trivial) = _two_region_terms(n, m, 0, alpha, eta, lead)
+    denom = np.minimum(1.0 - alpha, (n - m) / n)
+    with np.errstate(all="ignore"):     # a degenerate term's ratio is not used
+        ratio = (eta - 2.0 * abs(alpha - m / n)) / denom
+        factor = np.exp(xlog1py(wait, (alpha - 1.0) * -np.expm1(-2.0 * ratio * ratio)))
+    expected = np.where(d_trivial | (denom <= 0.0), d, d * factor)
+    return _bound_value(c + expected, c_trivial | d_trivial)
 
 
 def bound_three_region(part: RegionPartition, mass: MassSpec, epsilon, eta: float,

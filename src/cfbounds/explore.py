@@ -51,7 +51,12 @@ class CostModel:
 
 
 def _gl_adaptive(f, a: float, b: float) -> float:
-    """Composite Gauss-Legendre with panel doubling to a relative tolerance."""
+    """Composite Gauss-Legendre with panel doubling to a relative tolerance.
+
+    A panel sum that is not finite is settled at once, since more panels
+    cannot mend an overflowed integrand: inf is returned, and NaN (an
+    overflow times an underflow, inf * 0) raises ``ValueError``.
+    """
     if not a < b:
         return 0.0
     nodes0, weights0 = leggauss(_GL_PANEL_ORDER)
@@ -63,6 +68,10 @@ def _gl_adaptive(f, a: float, b: float) -> float:
         half = 0.5 * (edges[1:] - edges[:-1])[:, None]
         xs = mid + half * nodes0[None, :]
         total = float(np.sum(half * weights0[None, :] * f(xs)))
+        if not np.isfinite(total):
+            if np.isnan(total):
+                raise ValueError(f"the integrand over [{a}, {b}] overflows to inf * 0")
+            return total
         if prev is not None and abs(total - prev) <= _GL_REL_TOL * max(abs(total), 1e-300):
             return total
         prev = total
@@ -180,7 +189,11 @@ def optimize_exploration(ctx: BoundContext, model: CostModel,
     obj = np.empty((len(lb_grid), len(eps_grid)))
     for i, lb in enumerate(lb_grid):
         cost_full = cost_single(min(lb, ctx.theta), ctx.theta, 1.0, model)
-        obj[i] = ctx.improvement(lb, eps_grid) - eps_grid * cost_full
+        # epsilon = 0 explores nothing and costs 0, as in cost_single, even
+        # where the full cost overflows to inf
+        cost = np.multiply(eps_grid, cost_full, out=np.zeros_like(eps_grid),
+                           where=eps_grid > 0)
+        obj[i] = ctx.improvement(lb, eps_grid) - cost
     # the first maximum in preference order (eps ascending, lb descending)
     # is the cheapest policy among ties
     j, r = np.unravel_index(np.argmax(obj[::-1].T), (len(eps_grid), len(lb_grid)))

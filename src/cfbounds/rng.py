@@ -56,7 +56,3 @@ class SeededRng:
         if index < 0:
             raise ValueError("stream index must be nonnegative")
         return SeededRng(self.state(), index)
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """Draw ``count`` uniforms in [0, 1) from the start of the stream."""
-        return self.generator().random(count)

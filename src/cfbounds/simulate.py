@@ -313,10 +313,6 @@ class SimulationTrace:
         """
         fh.writelines(self._json_pieces())
 
-    def to_json(self) -> str:
-        """The text that ``write_json`` writes."""
-        return "".join(self._json_pieces())
-
     def _json_pieces(self):
         times, thetas = (np.array(v) for v in zip(*self.threshold_history))
         values = {

@@ -260,16 +260,6 @@ class StitchedCdf:
         if list(self.edges) != sorted(self.edges):
             raise ValueError("edges must be ascending")
 
-    @classmethod
-    def from_samples(cls, edges, weights, samples) -> "StitchedCdf":
-        """Estimate spending ``weights[i]`` along the eCDF of ``samples[i]``.
-
-        A region without samples gets a flat segment.
-        """
-        return cls(edges=tuple(edges),
-                   weights=tuple(float(w) for w in weights),
-                   segments=tuple(EmpiricalCdf(x) if len(x) else None for x in samples))
-
     def _offsets(self) -> np.ndarray:
         return np.concatenate(([0.0], np.cumsum(self.weights)))
 
@@ -328,13 +318,16 @@ def stitched_from_partition(initial: np.ndarray, new_explore: np.ndarray,
     if lb is None:
         cens = initial[initial < theta]
         w = len(cens) / len(initial)
-        return StitchedCdf.from_samples((theta,), (w, 1.0 - w), (cens, disc))
-    cens = initial[initial < lb]
-    expl = np.concatenate([initial[(initial >= lb) & (initial < theta)], new_explore])
-    part = RegionPartition(n=len(initial), m=int(np.sum(initial < theta)), l=len(cens),
-                           k=len(new_above), k1=len(new_explore))
-    return StitchedCdf.from_samples((lb, theta), region_weights(part, epsilon),
-                                    (cens, expl, disc))
+        edges, weights, samples = (theta,), (w, 1.0 - w), (cens, disc)
+    else:
+        cens = initial[initial < lb]
+        expl = np.concatenate([initial[(initial >= lb) & (initial < theta)], new_explore])
+        part = RegionPartition(n=len(initial), m=int(np.sum(initial < theta)), l=len(cens),
+                               k=len(new_above), k1=len(new_explore))
+        edges, weights, samples = (lb, theta), region_weights(part, epsilon), (cens, expl, disc)
+    # a region without samples gets a flat segment
+    return StitchedCdf(edges=edges, weights=tuple(float(w) for w in weights),
+                       segments=tuple(EmpiricalCdf(x) if len(x) else None for x in samples))
 
 
 @dataclass(frozen=True)
@@ -352,10 +345,6 @@ class MixtureModel:
     @property
     def p0(self) -> float:
         return 1.0 - self.p1
-
-    def cdf(self, x):
-        """Pooled score CDF p0*F0 + p1*F1."""
-        return self.p0 * self.cdf0.cdf(x) + self.p1 * self.cdf1.cdf(x)
 
 
 def _candidate_points(theory, empirical, lo: float, hi: float) -> np.ndarray:

@@ -35,6 +35,12 @@ def test_time_bounds_counts_bound_calls(bench_kernel):
         assert calls == {"scalar": 5, "array": 31, "array_10000": 31}
 
 
+def test_time_bounds_times_apriori_at_fig3(bench_kernel):
+    out = bench_kernel.time_bounds(1)["bound_two_region_apriori"]
+    assert set(out) == {"scalar", "array", "scalar_fig3"}
+    assert out["scalar_fig3"]["median_us"] > 0
+
+
 def test_time_csv_counts_the_cells(bench_kernel):
     out = bench_kernel.time_csv(1)
     # fig1 (7 columns), fig2 (9), fig4's three bands (5 each) and

@@ -5,9 +5,9 @@ from dataclasses import fields
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, xlogy
+from scipy.special import xlog1py
 
 from cfbounds.censored import (
     MassSpec,
@@ -48,13 +48,13 @@ def disclosed_term(part, mass, eta):
 class TestPartition:
     def test_reference_scenario_no_exploration(self):
         pop = GaussianCdf(7, 1)
-        scores = pop.inverse(SeededRng(2).substream(0).uniforms(50))
+        scores = pop.inverse(SeededRng(2).substream(0).generator().random(50))
         part = partition(scores, 7.0)
         assert (part.n, part.m, part.k) == (50, 24, 0)
 
     def test_reference_scenario_with_exploration(self):
         pop = GaussianCdf(7, 1)
-        scores = pop.inverse(SeededRng(1).substream(0).uniforms(50))
+        scores = pop.inverse(SeededRng(1).substream(0).generator().random(50))
         part = partition(scores, 7.0, 6.0)
         assert part == RegionPartition(n=50, m=27, l=7)
 
@@ -219,16 +219,28 @@ class TestAprioriBound:
             pmf = mpmath.binomial(wait, k) * mpmath.mpf(1 - alpha) ** k * mpmath.mpf(alpha) ** (wait - k)
             total += pmf * 2 * mpmath.exp(-2 * (n - m + k) * mpmath.mpf(eta - 2 * u) ** 2 / mpmath.mpf(denom) ** 2)
         want = mp_term(m, eta - u, min(alpha, m / n)) + float(total)
-        assert got.raw == pytest.approx(want, rel=1e-12)
+        assert got.raw == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_binomial_weights_sum_to_one(self):
+    @pytest.mark.parametrize("wait", [37, 40_000])
+    def test_trivial_disclosed_term_is_kept_exactly(self, wait):
         # eta below the doubled shift: the disclosed term is trivial for
-        # every outcome, so the weighted sum collapses to the pmf total
+        # every outcome, so its expectation is exactly 1 at any wait
         part = RegionPartition(n=50, m=24)
-        got = bound_two_region_apriori(part, MassSpec.theoretical(0.5), 0.03, 37)
+        got = bound_two_region_apriori(part, MassSpec.theoretical(0.5), 0.03, wait)
         censored = censored_term(part, MassSpec.theoretical(0.5), 0.03).raw
         assert got.trivial
-        assert got.raw == pytest.approx(censored + 1.0, abs=1e-12)
+        assert got.raw == censored + 1.0
+
+    def test_outcomes_of_small_probability_count(self):
+        # the outcomes with few disclosed arrivals are unlikely (each below
+        # 1e-15) but carry the largest disclosed terms, which make up most
+        # of the expectation
+        n, m, alpha, eta, wait = 294, 63, 0.2947151855895082, 0.6420067581902654, 357
+        got = bound_two_region_apriori(RegionPartition(n=n, m=m), MassSpec.theoretical(alpha),
+                                       eta, wait)
+        want, trivial = mp_apriori(n, m, alpha, eta, wait, 2.0)
+        assert want == pytest.approx(3.2991161183300657e-180, rel=1e-12, abs=0.0)
+        assert got.raw == pytest.approx(want, rel=1e-12, abs=0.0) and got.trivial == trivial
 
     def test_large_wait_no_overflow_and_sandwich(self):
         pop = GaussianCdf(7, 3)
@@ -712,17 +724,34 @@ def ref_two_region_terms(n, m, k, alpha, eta, lead):
 
 
 def ref_apriori(n, m, alpha, eta, wait, lead):
+    (c, c_trivial), (d, d_trivial) = ref_two_region_terms(n, m, 0, alpha, eta, lead)
+    denom = np.minimum(1.0 - alpha, (n - m) / n)
+    with np.errstate(all="ignore"):
+        ratio = (eta - 2.0 * abs(alpha - m / n)) / denom
+        # E[q^k] = (alpha + (1 - alpha) q)^wait for k ~ Binomial(wait, 1 - alpha)
+        scale = np.exp(xlog1py(wait, (alpha - 1.0) * -np.expm1(-2.0 * ratio * ratio)))
+    return (c + np.where(d_trivial | (denom <= 0.0), d, d * scale),
+            c_trivial | d_trivial)
+
+
+def mp_apriori(n, m, alpha, eta, wait, lead):
+    """The expected-wait bound by enumerating every binomial outcome k in
+    mpmath: (value, trivial).  Each outcome's disclosed term follows
+    ``ref_term``; a populated nontrivial one is re-evaluated in mpmath from
+    the float ratio of its reduced tolerance to its mass."""
     (c, c_trivial), _ = ref_two_region_terms(n, m, 0, alpha, eta, lead)
-    n, m, alpha, eta = (np.expand_dims(v, -1) for v in (n, m, alpha, eta))
-    kk = np.arange(wait + 1)
-    p_disclosed = 1.0 - alpha
-    pmf = np.exp(gammaln(wait + 1) - gammaln(kk + 1) - gammaln(wait - kk + 1)
-                 + xlogy(kk, p_disclosed) + xlogy(wait - kk, 1.0 - p_disclosed))
-    keep = pmf >= 1e-15
-    value, trivial = ref_term(n - m + kk, p_disclosed, (n - m) / n, eta,
-                              2.0 * abs(alpha - m / n), lead)
-    return (c + np.sum(np.where(keep, pmf * value, 0.0), axis=-1),
-            c_trivial | np.any(keep & trivial, axis=-1))
+    shift = 2.0 * abs(alpha - m / n)
+    denom = min(1.0 - alpha, (n - m) / n)
+    total, trivial = mpmath.mpf(float(c)), bool(c_trivial)
+    p = 1 - mpmath.mpf(alpha)
+    for k in range(wait + 1):
+        value, k_trivial = ref_term(n - m + k, 1.0 - alpha, (n - m) / n, eta, shift, lead)
+        trivial |= bool(k_trivial)
+        value = float(value)
+        if not k_trivial and denom > 0.0:
+            value = lead * mpmath.exp(-2 * (n - m + k) * mpmath.mpf((eta - shift) / denom) ** 2)
+        total += mpmath.binomial(wait, k) * p ** k * (1 - p) ** (wait - k) * value
+    return float(total), trivial
 
 
 def ref_three_region(part, alpha, beta, eps, eta, lead):
@@ -765,3 +794,16 @@ def test_kernel_equals_hand_written_formulas(configs, as_array, lead, wait, data
     assert_same(bound_three_region(part3, MassSpec.theoretical(alpha, beta), c["eps"], eta,
                                    lead),
                 *ref_three_region(part3, alpha, beta, c["eps"], eta, lead))
+
+
+@settings(max_examples=200, deadline=None)
+@given(region_configs(), st.integers(0, 40), st.sampled_from([2.0, 4.0]))
+@example(dict(n=178, m=59, alpha=0.25640922100347385, eta=0.976506381299942), 40, 2.0)
+def test_apriori_equals_binomial_enumeration(c, wait, lead):
+    # a result below the smallest normal float holds no relative precision
+    n, m, alpha, eta = c["n"], c["m"], c["alpha"], c["eta"]
+    got = bound_two_region_apriori(RegionPartition(n=n, m=m), MassSpec.theoretical(alpha),
+                                   eta, wait, lead)
+    want, trivial = mp_apriori(n, m, alpha, eta, wait, lead)
+    assert got.raw == pytest.approx(want, rel=1e-12, abs=np.finfo(float).tiny)
+    assert got.trivial == trivial

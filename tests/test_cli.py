@@ -348,6 +348,17 @@ class TestOptimizeCommand:
             "75446c16f4527463082ecd46182482fbe0b8f7c89a625f62125697ecf5561afc"
 
 
+    def test_overflowing_cost_prints_valid_json(self, capsys):
+        # the full cost at c = 0.001 overflows to inf: epsilon = 0 must still
+        # cost 0, or stdout carries NaN, which is not JSON
+        with np.errstate(over="ignore"):
+            code, out, _ = run_cli(capsys, "optimize", "--c", "0.001", "--lb", "1",
+                                   "--seed", "1", "--exact-mass", "--eps-step", "0.25")
+        assert code == 0
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
+        assert payload["eps_star"] == 0.0 and payload["lb_star"] == 1.0
+        assert 0.0 < payload["objective"] < 1.0
+
     def test_theta_below_the_grid_lbs(self, capsys, tmp_path):
         # the default lb grid reaches the population median, 7.0, above
         # theta = 6; those lbs explore nothing and score 0 at every eps

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from cfbounds.explore import (
     BoundContext,
     CostModel,
+    _gl_adaptive,
     cost_single,
     default_eps_grid,
     optimize_exploration,
@@ -50,7 +51,7 @@ class TestCostSingle:
         model = _model(c=5.0)
         got = cost_single(6.0, 8.0, 1.0, model)
         pop = GaussianCdf(7, 3)
-        draws = np.asarray(pop.inverse(SeededRng(31).uniforms(10_000_000)))
+        draws = np.asarray(pop.inverse(SeededRng(31).generator().random(10_000_000)))
         inside = (draws >= 6.0) & (draws < 8.0)
         values = np.where(inside, np.exp((8.0 - draws) / 5.0), 0.0)
         mc = values.mean()
@@ -64,6 +65,26 @@ class TestCostSingle:
         want, err = quad(lambda x: np.exp((8.0 - x) / 2.0) * float(pop.density(x)),
                          5.0, 8.0)
         assert got == pytest.approx(0.7 * want, rel=1e-8)
+
+    def test_overflowing_panel_sum_settles_at_once(self):
+        # exp((8 - x) / 0.001) overflows over most of [1, 8): the first panel
+        # sum is inf, and doubling the panels up to 2^20 nodes cannot mend it
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp((8.0 - x) / 0.001)
+
+        with np.errstate(over="ignore"):
+            assert _gl_adaptive(f, 1.0, 8.0) == np.inf
+        assert sizes == [16]
+
+    def test_overflow_times_underflow_rejected(self):
+        # at c = 0.16 the factor exp((8 - x) / c) overflows and the density
+        # underflows below about -108: inf * 0 has no value, so no cost either
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="inf \\* 0"):
+            cost_single(-200.0, 8.0, 0.5, _model(c=0.16))
 
     def test_monotone_in_epsilon_and_lb(self):
         model = _model()
@@ -94,6 +115,14 @@ class TestOptimizer:
         pricey = CostModel(c=0.05, f0=GaussianCdf(7.9, 0.05))
         result = optimize_exploration(ctx, pricey, [6.0], np.linspace(0, 1, 21))
         assert result.epsilon == 0.0
+
+    def test_overflowing_cost_leaves_zero_epsilon_free(self):
+        # the full cost over [1, 8) at c = 0.001 overflows to inf; epsilon = 0
+        # must still cost 0, as 0 * inf is NaN, which argmax would pick
+        with np.errstate(over="ignore"):
+            res = optimize_exploration(self._ctx(), _model(c=0.001), [1.0], [0.0, 0.5, 1.0])
+        assert res.epsilon == 0.0 and np.isfinite(res.objective)
+        assert res.objective_grid[0, 1:].tolist() == [-np.inf, -np.inf]
 
     def test_exhaustive_grid_maximum(self):
         ctx = self._ctx()

@@ -13,14 +13,14 @@ def test_splitmix_known_values():
 
 
 def test_same_pair_same_sequence():
-    a = SeededRng(7, 3).uniforms(16)
-    b = SeededRng(7, 3).uniforms(16)
+    a = SeededRng(7, 3).generator().random(16)
+    b = SeededRng(7, 3).generator().random(16)
     assert np.array_equal(a, b)
 
 
 def test_different_streams_differ():
-    a = SeededRng(7, 0).uniforms(16)
-    b = SeededRng(7, 1).uniforms(16)
+    a = SeededRng(7, 0).generator().random(16)
+    b = SeededRng(7, 1).generator().random(16)
     assert not np.array_equal(a, b)
 
 
@@ -29,7 +29,7 @@ def test_substream_rekeys():
     child = parent.substream(2)
     assert child.stream == 2
     assert child.seed == parent.state()
-    assert not np.array_equal(parent.uniforms(8), child.uniforms(8))
+    assert not np.array_equal(parent.generator().random(8), child.generator().random(8))
 
 
 def test_negative_substream_rejected():

@@ -56,6 +56,13 @@ def labeled_config(**kw):
     return SimulationConfig(**base)
 
 
+def _json_text(trace) -> str:
+    """The text that ``trace.write_json`` writes."""
+    fh = io.StringIO()
+    trace.write_json(fh)
+    return fh.getvalue()
+
+
 def _replay(trace):
     """Recompute decisions from scores, threshold history, and coins."""
     config = trace.config
@@ -165,7 +172,7 @@ def admission_runs(draw):
 
 def _check_batches_against_reference(config, stream):
     trace = run_simulation(config, stream)
-    assert trace.to_json() == _per_arrival_reference(config, stream).to_json()
+    assert _json_text(trace) == _json_text(_per_arrival_reference(config, stream))
     region, admitted = _replay(trace)
     assert np.array_equal(region, trace.arrival_region)
     assert np.array_equal(admitted, trace.arrival_admitted)
@@ -389,7 +396,7 @@ class TestArrivals:
 
     def test_json_coins_are_null_where_no_coin_was_drawn(self):
         trace = run_simulation(pooled_config(lb=6.0, epsilon=0.5))
-        text = trace.to_json()
+        text = _json_text(trace)
         coins = json.loads(text)["arrival_coins"]
         drawn = ~np.isnan(trace.arrival_coins)
         assert "NaN" not in text
@@ -408,7 +415,7 @@ class TestArrivals:
     def test_byte_identical_reruns(self):
         a = run_simulation(pooled_config(lb=6.0, epsilon=0.5))
         b = run_simulation(pooled_config(lb=6.0, epsilon=0.5))
-        assert a.to_json() == b.to_json()
+        assert _json_text(a) == _json_text(b)
 
 
 class TestReplayAndIntegrity:
@@ -537,8 +544,8 @@ class TestAdaptive:
         fixed = run_simulation(labeled_config(theta=9.5, arrivals=60))
         adaptive = run_simulation(labeled_config(theta=9.5, arrivals=60,
                                                  retrain_every=61))
-        a = json.loads(fixed.to_json())
-        b = json.loads(adaptive.to_json())
+        a = json.loads(_json_text(fixed))
+        b = json.loads(_json_text(adaptive))
         a.pop("config")
         b.pop("config")
         assert a == b
@@ -657,7 +664,7 @@ class TestConvergence:
 
     def test_trace_json_serializable(self):
         trace = run_simulation(pooled_config(lb=6.0, epsilon=0.5, arrivals=5))
-        payload = json.loads(trace.to_json())
+        payload = json.loads(_json_text(trace))
         assert payload["config"]["n"] == 50
         assert len(payload["arrival_scores"]) == 5
 
@@ -667,7 +674,7 @@ class TestConfigSerialization:
         config = pooled_config(lb=6.0, epsilon=0.25)
         again = SimulationConfig.from_dict(config.to_dict())
         assert again.to_dict() == config.to_dict()
-        assert run_simulation(again).to_json() == run_simulation(config).to_json()
+        assert _json_text(run_simulation(again)) == _json_text(run_simulation(config))
 
     def test_round_trip_labeled(self):
         config = labeled_config(theta=9.5, retrain_every=40)
@@ -681,7 +688,7 @@ class TestConfigSerialization:
         config = SimulationConfig(population=pop, n=10, theta=1.5,
                                   arrivals=5, seed=1)
         again = SimulationConfig.from_dict(config.to_dict())
-        assert run_simulation(again).to_json() == run_simulation(config).to_json()
+        assert _json_text(run_simulation(again)) == _json_text(run_simulation(config))
 
 
 class TestStrictConfigDict:
@@ -861,9 +868,7 @@ def json_traces(draw):
 @settings(max_examples=60, deadline=None)
 @given(json_traces())
 def test_trace_writer_equals_json_dumps_of_a_dict(trace):
-    fh = io.StringIO()
-    trace.write_json(fh)
-    assert fh.getvalue() == trace.to_json() == _reference_json(trace)
+    assert _json_text(trace) == _reference_json(trace)
 
 
 def test_non_finite_theta0_is_valid_json():
@@ -872,6 +877,6 @@ def test_non_finite_theta0_is_valid_json():
     model = MixtureModel(0.5, GaussianCdf(9, 1), GaussianCdf(9, 1))
     trace = run_simulation(SimulationConfig(model=model, n0=1, n1=5, arrivals=3, seed=1))
     assert trace.theta0 == -np.inf
-    payload = json.loads(trace.to_json(), parse_constant=lambda name: pytest.fail(name))
+    payload = json.loads(_json_text(trace), parse_constant=lambda name: pytest.fail(name))
     assert payload["theta0"] == payload["final_theta"] == "-inf"
     assert payload["threshold_history"] == [[0, "-inf"]]

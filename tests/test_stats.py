@@ -187,7 +187,7 @@ class TestSupDeviation:
     def test_matches_dense_grid_oracle(self):
         # oracle: brute-force scan of |F - F_n| on a 10^6-point grid
         pop = GaussianCdf(7, 1)
-        scores = pop.inverse(SeededRng(13).uniforms(50))
+        scores = pop.inverse(SeededRng(13).generator().random(50))
         ecdf = EmpiricalCdf(scores)
         got = sup_deviation(pop, ecdf)
         grid = np.linspace(scores.min() - 1, scores.max() + 1, 1_000_000)
@@ -304,8 +304,9 @@ class TestStitchedCdf:
         # initial samples at or above it together with the new ones
         cens = initial[initial < theta]
         m = len(cens)
-        two = StitchedCdf.from_samples((theta,), (m / 30, 1.0 - m / 30),
-                                       (cens, np.concatenate([initial[initial >= theta], new])))
+        two = StitchedCdf(edges=(theta,), weights=(m / 30, 1.0 - m / 30),
+                          segments=(EmpiricalCdf(cens),
+                                    EmpiricalCdf(np.concatenate([initial[initial >= theta], new]))))
         pooled = stitched_from_partition(initial, np.empty(0), new, theta, None, 0.3)
         xs = np.concatenate([initial, new, np.linspace(-4.0, 4.0, 81)])
         assert pooled.edges == two.edges and pooled.weights == two.weights
@@ -353,7 +354,7 @@ class TestSampling:
         crit = 1.6276 / np.sqrt(10_000)
         passed = 0
         for trial in range(100):
-            u = SeededRng(1234, trial).uniforms(10_000)
+            u = SeededRng(1234, trial).generator().random(10_000)
             ecdf = EmpiricalCdf(pop.inverse(u))
             if sup_deviation(pop, ecdf) < crit:
                 passed += 1
@@ -365,17 +366,12 @@ class TestMixtureModel:
         with pytest.raises(ValueError):
             MixtureModel(p1=1.0, cdf0=GaussianCdf(), cdf1=GaussianCdf())
 
-    def test_pooled_cdf(self):
-        model = MixtureModel(p1=0.25, cdf0=GaussianCdf(0, 1), cdf1=GaussianCdf(5, 1))
-        want = 0.75 * GaussianCdf(0, 1).cdf(1) + 0.25 * GaussianCdf(5, 1).cdf(1)
-        assert model.cdf(1.0) == pytest.approx(want, abs=1e-15)
-
 
 @settings(max_examples=25)
 @given(st.integers(10, 200), st.integers(0, 2**32 - 1))
 def test_sup_deviation_matches_grid_on_random_pairs(n, seed):
     pop = GaussianCdf(7, 1)
-    scores = pop.inverse(SeededRng(seed).uniforms(n))
+    scores = pop.inverse(SeededRng(seed).generator().random(n))
     ecdf = EmpiricalCdf(scores)
     got = sup_deviation(pop, ecdf)
     vals = np.asarray(pop.cdf(ecdf.sorted_scores))
@@ -457,7 +453,7 @@ class TestRegionRestrictedDeviation:
         # deviation of the censored-region conditional CDF against the
         # censored-region empirical CDF, evaluated on its own region
         pop = GaussianCdf(7, 1)
-        scores = np.asarray(pop.inverse(SeededRng(77).uniforms(60)))
+        scores = np.asarray(pop.inverse(SeededRng(77).generator().random(60)))
         theta = 7.0
         g = RestrictedCdf(pop, hi=theta)
         g_emp = EmpiricalCdf(scores).restrict(-np.inf, theta)

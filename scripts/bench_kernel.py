@@ -37,7 +37,10 @@ arrival counts for an inversion), and of the inversions over 10 000
 arrival counts too; with each inversion, the bound calls it makes.  The
 expected-wait bound is also timed in a scalar call at the fig3 preset's
 exact-mass partition (n 8000) and its 40 000 arrivals.  A
-peak is measured in an untimed call of its own.  The ``csv`` entry gives
+peak is measured in an untimed call of its own.  The ``cost`` entry gives
+the time of one ``cost_single`` call at the fig3 preset's setting (f0
+N(7, 3), c 5, lb 6, theta 8), and of the 50 calls ``cfbounds optimize``
+makes over its default lb grid at that setting.  The ``csv`` entry gives
 the time of ``verify.write_columns`` over the tables of one repetition of
 the fig1, fig2, fig4 and appendixJ presets, their cell count, the cells
 distinct within their column (the values the writer formats) and the
@@ -69,6 +72,7 @@ from cfbounds.censored import (
     bound_two_region_apriori,
     eta_for_confidence,
 )
+from cfbounds.explore import CostModel, cost_single, default_lb_grid
 from cfbounds.presets import (
     BENCH_SEED,
     FIG3_SEED,
@@ -100,6 +104,7 @@ ARRAY_SIZE = 1000           # elements of an array call of a bound or inversion
 LARGE_ARRAY_SIZE = 10_000   # elements of an inversion in ``cfbounds verify gen`` at 1e4 replications
 BOUND_ARRIVALS = 200        # the fig4 preset's arrivals, for the bounds' partitions
 FIG3_ETA = 0.015            # the fig3 preset's deviation level
+FIG3_COST_C = 5.0           # the cost decay constant of ``presets.optimize_fig3``
 CSV_PRESETS = ("fig1", "fig2", "fig4", "appendixJ")     # the curve and band tables
 # the partitions ``cfbounds verify cdf --preset fig1/fig2`` conditions on: (n, m, l)
 CONDITIONS = {"fig1": (fig1_config, (50, 24, 0)), "fig2": (fig2_config, (50, 27, 7))}
@@ -314,6 +319,22 @@ def time_bounds(repeats: int) -> dict:
     return out
 
 
+def time_cost(repeats: int) -> dict:
+    """Time of one exploration cost at fig3's setting, and of ``cfbounds
+    optimize``'s default lb grid of them."""
+    fig3 = fig3_config(FIG3_SEED)
+    model = CostModel(c=FIG3_COST_C, f0=fig3.population)
+    lbs = default_lb_grid(fig3.population).tolist()
+
+    def grid():
+        for lb in lbs:
+            cost_single(min(lb, fig3.theta), fig3.theta, 1.0, model)
+
+    return {"repeats": repeats, "grid_size": len(lbs),
+            "fig3": timed(lambda: cost_single(fig3.lb, fig3.theta, 1.0, model), repeats, 100),
+            "default_lb_grid": timed(grid, repeats, 5)}
+
+
 def time_csv(repeats: int) -> dict:
     """Time of writing the ``CSV_PRESETS`` tables once, and their distinct cells.
 
@@ -364,6 +385,7 @@ def main() -> int:
         "trace": time_trace(opts.repeats),
         "arrivals": time_arrivals(opts.repeats),
         "bounds": time_bounds(opts.repeats),
+        "cost": time_cost(opts.repeats),
         "csv": time_csv(opts.repeats),
     }
     print(json.dumps(out, indent=1))

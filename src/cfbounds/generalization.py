@@ -69,19 +69,18 @@ def thresholds_from_sorted(xs: np.ndarray, is1: np.ndarray) -> tuple[np.ndarray,
     the result does not depend on how tied scores are ordered.
     """
     R, n = xs.shape
-    # errors[:, j]: threshold placed after the j smallest scores, which
-    # hold below1[:, j] label-1 scores; the n0 - (j - below1) label-0
-    # scores above it are errors too
-    below1 = np.zeros((R, n + 1), dtype=np.intp)
-    np.cumsum(is1, axis=1, out=below1[:, 1:])
-    n0 = n - below1[:, -1:]
-    errors = below1 + (n0 - (np.arange(n + 1) - below1))
+    # excess[:, j]: errors less n0 for the threshold placed after the j
+    # smallest scores; each label-1 score below it adds an error, and each
+    # label-0 score below it removes one of the n0 it starts with
+    excess = np.zeros((R, n + 1), dtype=np.intp)
+    np.cumsum(is1.view(np.int8) * 2 - 1, axis=1, out=excess[:, 1:])
     # positions between tied scores admit no strictly-between threshold
-    valid = np.ones((R, n + 1), dtype=bool)
-    valid[:, 1:n] = xs[:, 1:] > xs[:, :-1]
-    errors = np.where(valid, errors, n + 1)
-    j = np.argmin(errors, axis=1)
-    risks = errors[np.arange(R), j] / n
+    tied = ~(xs[:, 1:] > xs[:, :-1])
+    if tied.any():
+        excess[:, 1:n][tied] = n + 1
+    j = np.argmin(excess, axis=1)
+    n0 = n - np.count_nonzero(is1, axis=1)
+    risks = (n0 + excess[np.arange(R), j]) / n
     theta = np.empty(R)
     interior = (j > 0) & (j < n)
     theta[j == 0] = -np.inf

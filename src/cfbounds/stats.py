@@ -67,10 +67,6 @@ class GaussianCdf:
     def inverse(self, p):
         return self.mean + self.stddev * ndtri(np.asarray(p, dtype=float))
 
-    def density(self, x):
-        z = (np.asarray(x, dtype=float) - self.mean) / self.stddev
-        return np.exp(-0.5 * z * z) / (self.stddev * np.sqrt(2.0 * np.pi))
-
     def knots(self) -> np.ndarray:
         return np.empty(0)
 

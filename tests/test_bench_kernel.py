@@ -41,6 +41,12 @@ def test_time_bounds_times_apriori_at_fig3(bench_kernel):
     assert out["scalar_fig3"]["median_us"] > 0
 
 
+def test_time_cost_times_fig3_and_the_default_grid(bench_kernel):
+    out = bench_kernel.time_cost(1)
+    assert out["repeats"] == 1 and out["grid_size"] == 50
+    assert out["fig3"]["median_us"] > 0 and out["default_lb_grid"]["median_us"] > 0
+
+
 def test_time_csv_counts_the_cells(bench_kernel):
     out = bench_kernel.time_csv(1)
     # fig1 (7 columns), fig2 (9), fig4's three bands (5 each) and

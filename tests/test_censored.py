@@ -124,7 +124,7 @@ class TestCensoredTerm:
         part = RegionPartition(n=50, m=24)
         got = censored_term(part, MassSpec.theoretical(0.5), 0.3)
         want = mp_term(24, 0.3 - 0.02, 0.48)
-        assert got.raw == pytest.approx(want, rel=1e-12)
+        assert got.raw == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_exact_boundary_is_trivial(self):
         part = RegionPartition(n=50, m=24)
@@ -148,20 +148,20 @@ class TestCensoredTerm:
     def test_plugin_mass_zeroes_shift(self):
         part = RegionPartition(n=50, m=24)
         got = censored_term(part, MassSpec.theoretical(part.m / part.n), 0.3)
-        assert got.raw == pytest.approx(mp_term(24, 0.3, 0.48), rel=1e-12)
+        assert got.raw == pytest.approx(mp_term(24, 0.3, 0.48), rel=1e-12, abs=0.0)
 
 
 class TestDisclosedTerm:
     def test_zero_shift_reduction(self):
         part = RegionPartition(n=50, m=25, k=10)
         got = disclosed_term(part, MassSpec.theoretical(0.5), 0.3)
-        assert got.raw == pytest.approx(mp_term(35, 0.3, 0.5), rel=1e-12)
+        assert got.raw == pytest.approx(mp_term(35, 0.3, 0.5), rel=1e-12, abs=0.0)
 
     def test_formula_against_oracle(self):
         part = RegionPartition(n=50, m=24, k=0)
         got = disclosed_term(part, MassSpec.theoretical(0.5), 0.3)
         want = mp_term(26, 0.3 - 0.04, 0.5)
-        assert got.raw == pytest.approx(want, rel=1e-12)
+        assert got.raw == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_monotone_in_k(self):
         part = lambda k: RegionPartition(n=50, m=24, k=k)
@@ -259,7 +259,7 @@ class TestAprioriBound:
     def test_alpha_edge_cases(self):
         part = RegionPartition(n=50, m=0)
         got = bound_two_region_apriori(part, MassSpec.theoretical(0.0), 0.1, 25)
-        assert got.raw == pytest.approx(dkw_bound(75, 0.1).raw, rel=1e-12)
+        assert got.raw == pytest.approx(dkw_bound(75, 0.1).raw, rel=1e-12, abs=0.0)
 
 
 def random_three_region_configs(draw):
@@ -284,7 +284,7 @@ class TestThreeRegionBound:
         w = (n / n) * ((n - m + eps * k) / (n + k1 + eps * k))
         want = (mp_term(m + k1, eta - abs(0.5 - s), min(0.5, s))
                 + mp_term(n - m + k, eta - 2 * abs(0.5 - s), min(0.5, w)))
-        assert value.raw == pytest.approx(want, rel=1e-12)
+        assert value.raw == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_weights_without_samples_above_lb(self):
         # every initial sample below LB and no arrivals: the upper weights are 0
@@ -316,7 +316,7 @@ class TestThreeRegionBound:
         want = (mp_term(l, eta - u1, min(beta, l / n))
                 + mp_term(m - l + k1, eta - u1 - u2, min(alpha - beta, s))
                 + mp_term(n - m + k, eta - 2 * u3, min(1 - alpha, w)))
-        assert got.raw == pytest.approx(want, rel=1e-12)
+        assert got.raw == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_nonincreasing_under_coupled_arrival_growth(self):
         # k and k1 must co-vary with the arrival process for the weight

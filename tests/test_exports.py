@@ -1,5 +1,5 @@
 """Guards against deletions: exported names resolve, and perfbench's hooks
-still find the layers they trace."""
+still find the layers they trace; and against a second stream layout."""
 import importlib
 import importlib.util
 import pkgutil
@@ -30,3 +30,13 @@ def test_perfbench_hooks_find_their_targets(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
     assert tracing.missing_hooks() == []
+
+
+def test_one_generator_jump_in_the_package():
+    # the replication driver, verify._replicate, is the one place that
+    # positions a generator in a stream
+    jumps = [f"{path.name}:{number}"
+             for path in sorted(Path(cfbounds.__file__).parent.glob("*.py"))
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if ".advance(" in line]
+    assert len(jumps) <= 1, jumps

@@ -621,6 +621,16 @@ class TestIngest:
         with pytest.raises(ValueError, match=":3"):
             ingest_scores(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("3.0,7", "label"), ("x,1", "bad score"), ("inf,1", "score must be finite"),
+        ("3.0,1,2", "expected 2 fields")])
+    def test_line_after_a_quoted_field_spanning_two_lines(self, tmp_path, row, message):
+        # the record on lines 3-4 is the second one, and the bad row is on line 5
+        path = tmp_path / "bad.csv"
+        path.write_text(f'score,label\n1.0,1\n"2.0\n",0\n{row}\n')
+        with pytest.raises(ValueError, match=rf"bad\.csv:5: {message}"):
+            ingest_scores(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1.0,1\n")

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from itertools import chain, starmap
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cfbounds.verify as verify
@@ -31,12 +32,11 @@ from cfbounds.verify import (
     _batch_sup_conditioned,
     _gen_gap_samples,
     _initial_samples,
+    _replicate,
     _row_sups,
     _sorted_samples,
     _sup_chunk,
     _sup_risk_gap,
-    _sup_task,
-    _sup_tasks,
     compare_bounds,
     mc_cdf_deviation,
     mc_gen_gap,
@@ -188,16 +188,55 @@ def _batch_sup_one_shot(masses, counts, replications, gen):
 
 
 class TestRowBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 5), max_size=40), st.integers(1, 45), st.integers(0, 9),
+           st.booleans())
+    def test_chunks_draw_at_their_offsets(self, draws, chunk, start, pooled):
+        # each chunk returns its replications' draws: inline or on a pool,
+        # they are one generator's draws in replication order, from where
+        # the generator stood, in chunks of `chunk` replications
+        draws = np.array(draws, dtype=int)
+        gen, ref = (SeededRng(3).substream(2).generator() for _ in range(2))
+        gen.random(start)
+        ref.random(start)
+
+        def kernel(gen, counts):
+            return [gen.random(c).tolist() for c in counts]
+
+        with ThreadPoolExecutor(2) as pool:
+            parts = list(_replicate(kernel, (draws,), chunk, gen, pool if pooled else None, draws))
+        R = len(draws)
+        assert [len(part) for part in parts] == (
+            [chunk] * (R // chunk) + [R % chunk] * (R % chunk > 0))
+        assert [v for part in parts for v in part] == [ref.random(c).tolist() for c in draws]
+        assert gen.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("group, width, rows", [
         (1, 24, 1), (8 * 7 * 24, 24, 7), (8 * 8 * 24 - 1, 24, 7), (80, 24, 1),
         (1 << 18, 24, 1365), (1 << 18, 100, 327)])
-    def test_slices_cover_the_rows_in_order(self, monkeypatch, group, width, rows):
-        monkeypatch.setattr(verify, "_SUP_GROUP", group)
-        blocks = verify._row_blocks(1003, width)
-        assert [b.stop - b.start for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
-        assert list(chain.from_iterable(range(b.start, b.stop) for b in blocks)) == list(
-            range(1003))
-        assert verify._row_blocks(0, width) == []
+    def test_slices_cover_the_rows_in_order(self, group, width, rows):
+        # a region of `width` draws runs in chunks of `rows` replications
+        # (the last one shorter), and no replication runs no chunk
+        sizes = []
+        replicate = verify._replicate
+
+        def spy(kernel, args, chunk, gen, pool=None, draws=None):
+            def counted(gen, sup):
+                sizes.append(len(sup))
+                return kernel(gen, sup)
+
+            return replicate(counted, args, chunk, gen, pool, draws)
+
+        gen, ref = (SeededRng(42).substream(0).generator() for _ in range(2))
+        with patch.object(verify, "_SUP_GROUP", group), patch.object(verify, "_replicate", spy):
+            sup = _batch_sup_conditioned((1.0,), (width,), 1003, gen)
+            assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
+            assert sum(sizes) == 1003
+            sizes.clear()
+            assert _batch_sup_conditioned((1.0,), (width,), 0, gen).size == 0
+            assert sizes == []
+        assert sup.tolist() == _batch_sup_one_shot((1.0,), (width,), 1003, ref).tolist()
+        assert gen.bit_generator.state == ref.bit_generator.state
 
     # fig1's and fig2's conditioned partitions (an empty region below lb in
     # fig1), an empty last region and a mismatched interior edge
@@ -205,12 +244,17 @@ class TestRowBlocks:
         ((0.0, 0.5, 0.5), (0, 24, 26)), ((0.16, 0.34, 0.5), (7, 20, 23)),
         ((0.5, 0.5), (5, 0)), ((0.3, 0.7), (3, 4))])
     @pytest.mark.parametrize("rows", [None, 1, 7])
-    def test_conditioned_kernel_equals_one_shot(self, monkeypatch, masses, counts, rows):
-        # 1003 replications: blocks of 7 rows leave a last block of 2
-        if rows:
-            monkeypatch.setattr(verify, "_SUP_GROUP", 8 * rows * max(counts))
+    @settings(max_examples=5, deadline=None)
+    @given(slack=st.integers(0, 1 << 20))
+    @example(slack=0)
+    def test_conditioned_kernel_equals_one_shot(self, masses, counts, rows, slack):
+        # 1003 replications, with a chunk budget of `slack` more doubles than
+        # `rows` rows of the widest region (7 rows leave a last chunk of 2),
+        # or than the default budget
+        group = (verify._SUP_GROUP if rows is None else 8 * rows * max(counts)) + slack
         gen, ref = (SeededRng(42).substream(0).generator() for _ in range(2))
-        sup = _batch_sup_conditioned(masses, counts, 1003, gen)
+        with patch.object(verify, "_SUP_GROUP", group):
+            sup = _batch_sup_conditioned(masses, counts, 1003, gen)
         assert sup.tolist() == _batch_sup_one_shot(masses, counts, 1003, ref).tolist()
         assert gen.bit_generator.state == ref.bit_generator.state
 
@@ -267,10 +311,13 @@ class TestInitialSampleBlocks:
         SimulationConfig(model=PIECEWISE, n0=7, n1=43, arrivals=0, seed=1, theta=9.7),
     ], ids=["trained", "fixed-theta", "piecewise", "piecewise-fixed-theta"])
     @pytest.mark.parametrize("rows", [None, 1, 7])
-    def test_equal_one_shot(self, monkeypatch, config, rows):
-        # 103 replications: blocks of 7 rows leave a last block of 5
-        if rows:
-            monkeypatch.setattr(verify, "_SUP_GROUP", 8 * rows * (config.n0 + config.n1))
+    @settings(max_examples=5, deadline=None)
+    @given(slack=st.integers(0, 1 << 20))
+    @example(slack=0)
+    def test_equal_one_shot(self, config, rows, slack):
+        # 103 replications, with a chunk budget of `slack` more doubles than
+        # `rows` rows (7 rows leave a last chunk of 5), or than the default
+        group = (verify._SUP_GROUP if rows is None else 8 * rows * (config.n0 + config.n1)) + slack
         made = []
         generator = SeededRng.generator
 
@@ -278,7 +325,7 @@ class TestInitialSampleBlocks:
             made.append(generator(self))
             return made[-1]
 
-        with patch.object(SeededRng, "generator", spy):
+        with patch.object(SeededRng, "generator", spy), patch.object(verify, "_SUP_GROUP", group):
             initial, x0, x1 = _sorted_samples(config, 103, 5)
             scalars = _initial_samples(config, 103, 5)
         theta, gaps, x0_want, x1_want, *rest = _initial_samples_one_shot(config, 103, 5)
@@ -806,7 +853,7 @@ def test_sup_chunk_equals_the_oracle(chunk):
         return own(cdf) if w is None else w
 
     with patch.object(verify, "_SUP_GROUP", group), patch.object(verify, "_window", window):
-        got = _sup_chunk(gen_new, theta, x0, x1, a0, a1, k0, k1, model, censored)
+        got = _sup_chunk(gen_new, theta, x0, x1, a0, a1, k0, k1, censored, model)
     assert got == want
     # the generator ends exactly the chunk's draws in
     end = SeededRng(seed).substream(1).generator()
@@ -989,7 +1036,8 @@ class TestTruthColumnPool:
         assert pooled.column("gap_mean") == [float(np.mean(v)) for v in shared]
 
     def test_replay_one_replication_at_its_offset(self, config, shared, censored):
-        stream = SeededRng(self.SEED).substream(2)
+        # replication r of grid point T starts after the draws of every
+        # earlier grid point and replication
         start = 0
         for T, values in zip(self.GRID, shared):
             theta, x0, x1, a0, a1, k0, k1 = self._samples(config, T)
@@ -998,9 +1046,10 @@ class TestTruthColumnPool:
                 assert not draws.any()            # the next grid point starts at 0
             for r in (0, 1, 117, self.R - 1):
                 one = slice(r, r + 1)
-                got = _sup_task(stream, start + int(draws[:r].sum()), theta[one], x0[one],
-                                x1[one], a0[one], a1[one], k0[one], k1[one], config.model,
-                                censored[one])
+                gen = SeededRng(self.SEED).substream(2).generator()
+                gen.bit_generator.advance(start + int(draws[:r].sum()))
+                got = _sup_chunk(gen, theta[one], x0[one], x1[one], a0[one], a1[one], k0[one],
+                                 k1[one], censored[one], config.model)
                 assert got == [values[r]]
             start += int(draws.sum())
 
@@ -1026,48 +1075,79 @@ class TestTruthColumnPool:
         assert table.meta["gap_at_theta_mean"] == float(np.mean(initial[1]))
 
     def test_hoisted_censored_side_gives_the_shared_stream_values(self, config, shared,
-                                                                   censored):
-        stream = SeededRng(self.SEED).substream(2)
-        start = 0
-        for T, values in zip(self.GRID, shared):
-            theta, x0, x1, a0, a1, k0, k1 = self._samples(config, T)
-            tasks, start = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1,
-                                      config.model, censored)
-            assert np.array_equal(np.concatenate([task[-1] for task in tasks]), censored)
-            assert list(chain.from_iterable(starmap(_sup_task, tasks))) == values
-
-    def test_calling_process_runs_the_first_chunk(self, config, shared, monkeypatch):
-        # forked workers' calls never reach this process's list
-        calls, workers = [], []
+                                                                   censored, monkeypatch):
+        # every grid point's chunks, the first one in the calling process too,
+        # get the censored side computed once per replication, in order
+        seen, values = [], []
         kernel = verify._sup_chunk
 
-        def counted(gen, theta, *args):
-            calls.extend(theta)
-            return kernel(gen, theta, *args)
+        def spy(gen, *args, **model):
+            # the first chunk's replications reach it through _sup_risk_gap
+            seen.extend(args[7])
+            values.extend(kernel(gen, *args, **model))
+            return values[-len(args[7]):]
+
+        class Pool(verify._InCaller):
+            # the chunks run in this process, in the order they are collected
+            def __init__(self, max_workers, mp_context):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                pass
+
+        monkeypatch.setattr(verify, "_sup_chunk", spy)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", Pool)
+        self._table(config)
+        assert np.array_equal(seen, np.tile(censored, len(self.GRID)))
+        assert values == [v for vs in shared for v in vs]
+
+    def test_calling_process_runs_the_first_chunk(self, config, shared, monkeypatch):
+        # forked workers' calls never reach this process's list, and they
+        # run chunks without _sup_risk_gap; every other replication is
+        # submitted to the pool, all of them before the first chunk runs
+        calls, workers, submitted = [], [], []
+        kernel = verify._sup_risk_gap
+
+        def counted(theta, *args):
+            calls.append(theta)
+            if len(calls) == 1:
+                submitted.append("ran")
+            return kernel(theta, *args)
 
         class Pool(verify.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 workers.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(verify, "_sup_chunk", counted)
+            def submit(self, fn, gen, theta, *args):
+                submitted.append(len(theta))
+                return super().submit(fn, gen, theta, *args)
+
+        monkeypatch.setattr(verify, "_sup_risk_gap", counted)
         monkeypatch.setattr(verify, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         table = self._table(config)
         assert len(calls) == verify._SUP_CHUNK
+        assert submitted[-1] == "ran"
+        assert sum(submitted[:-1]) == len(self.GRID) * self.R - verify._SUP_CHUNK
         assert workers == [8]
         quant = 1.0 - 2.0 * self.DELTA
         assert table.column("gap_quantile") == [float(np.quantile(v, quant)) for v in shared]
         # two chunks: the calling process runs one and one worker the other
         calls.clear()
+        submitted.clear()
         table = compare_bounds(config, arrival_grid=self.GRID[:1], replications=100,
                                seed=self.SEED, delta=self.DELTA)
-        assert len(calls) == 50 and workers == [8, 1]
+        assert len(calls) == 50 and submitted == [100 - 50, "ran"] and workers == [8, 1]
         # no chunk: nothing runs
         calls.clear()
+        submitted.clear()
         table = compare_bounds(config, arrival_grid=[], replications=100,
                                seed=self.SEED, delta=self.DELTA)
-        assert table.rows == () and calls == [] and workers == [8, 1, 1]
+        assert table.rows == () and calls == submitted == [] and workers == [8, 1, 1]
 
     def _run_script(self, tmp_path, setup):
         """Run a guard-less script calling gen mode after ``setup``, in a subprocess."""
@@ -1105,31 +1185,34 @@ class TestTruthColumnPool:
         assert "if __name__ == '__main__'" in run.stderr
 
     @pytest.mark.parametrize("chunk, group", [(1, None), (7, None), (50, None), (50, 3000)])
-    def test_chunk_size_not_dividing_replications(self, config, shared, censored,
-                                                  monkeypatch, chunk, group):
-        # chunks of 1, 7 (not dividing 200) and 50 replications, and groups of
-        # about one replication's draws at 5000 arrivals
-        monkeypatch.setattr(verify, "_SUP_CHUNK", chunk)
-        if group:
-            monkeypatch.setattr(verify, "_SUP_GROUP", group)
-        stream = SeededRng(self.SEED).substream(2)
-        start = 0
-        for T, values in zip(self.GRID, shared):
-            theta, x0, x1, a0, a1, k0, k1 = self._samples(config, T)
-            tasks, end = _sup_tasks(stream, start, theta, x0, x1, a0, a1, k0, k1, config.model,
-                                    censored)
-            draws = k0 + k1
-            assert [len(task[2]) for task in tasks] == (
-                [chunk] * (self.R // chunk) + [self.R % chunk] * (self.R % chunk > 0))
-            assert [task[1] for task in tasks] == [start + int(draws[:lo].sum())
-                                                   for lo in range(0, self.R, chunk)]
-            assert end == start + int(draws.sum())
-            assert list(chain.from_iterable(starmap(_sup_task, tasks))) == values
-            start = end
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    @settings(max_examples=2, deadline=None)
+    @given(pooled=st.booleans())
+    def test_chunk_size_not_dividing_replications(self, config, shared, censored, chunk,
+                                                  group, pooled):
+        # the grid's chunks of 1, 7 (not dividing 200) and 50 replications,
+        # inline or on a pool, and groups of about one replication's draws at
+        # 5000 arrivals give the shared-stream values and leave the generator
+        # after every draw; so does the table at that chunk size
+        gen = SeededRng(self.SEED).substream(2).generator()
+        values, draws = [], 0
+        with patch.object(verify, "_SUP_CHUNK", chunk), \
+                patch.object(verify, "_SUP_GROUP", group or verify._SUP_GROUP), \
+                ThreadPoolExecutor(2) as pool:
+            for T in self.GRID:
+                theta, x0, x1, a0, a1, k0, k1 = self._samples(config, T)
+                values.append([v for part in _replicate(
+                    partial(_sup_chunk, model=config.model),
+                    (theta, x0, x1, a0, a1, k0, k1, censored), chunk, gen,
+                    pool if pooled else None, k0 + k1) for v in part])
+                draws += int((k0 + k1).sum())
+            with patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+                table = self._table(config)
+        assert values == shared
+        end = SeededRng(self.SEED).substream(2).generator()
+        end.bit_generator.advance(draws)
+        assert gen.bit_generator.state == end.bit_generator.state
         quant = 1.0 - 2.0 * self.DELTA
-        assert self._table(config).column("gap_quantile") == [
-            float(np.quantile(v, quant)) for v in shared]
+        assert table.column("gap_quantile") == [float(np.quantile(v, quant)) for v in shared]
 
 
 class TestReportCsvExport:

@@ -25,7 +25,10 @@ the time and ``tracemalloc`` peak of writing ``trace.json``
 (``SimulationTrace.write_json``) for a run of 50 000 arrivals of the bench
 model, adaptive (trained, ``retrain_every=500``) and driven by an arrival
 stream as ``--arrivals-csv`` reads it; the runs are made before the clock
-starts.  The
+starts.  The ``float_text`` entry gives the time per value of the text of
+8192 and of 50 000 normal scores: by the trace writer's byte formatter
+(``jsontext``, over ``_JSON_BLOCK`` blocks as ``write_json`` runs it) and
+by ``float.__repr__`` on each value, joined by ``", "``.  The
 ``arrivals`` entry gives the time of one ``run_arrivals`` call over
 100 000 arrivals of the bench model, with no retraining and with
 ``retrain_every=500``, from the same stage-1 state, and over 100 000
@@ -84,7 +87,7 @@ from cfbounds.presets import (
     fig3_config,
 )
 from cfbounds.rng import SeededRng
-from cfbounds.simulate import run_arrivals, run_simulation, run_stage1
+from cfbounds.simulate import _json_array, run_arrivals, run_simulation, run_stage1
 from cfbounds.verify import (
     _gen_gap_samples,
     _replicate,
@@ -102,6 +105,7 @@ CONDITIONED_REPS = 100_000
 GEN_GAP_REPS = 10_000       # the replications of ``cfbounds verify gen`` at the acceptance budget
 GEN_GAP_ARRIVALS = 50_000
 TRACE_ARRIVALS = 50_000     # the arrivals of perfbench's cli-session simulate runs
+FLOAT_TEXT_SIZES = (8192, TRACE_ARRIVALS)   # one writer block, and a whole trace's scores
 ARRAY_SIZE = 1000           # elements of an array call of a bound or inversion
 LARGE_ARRAY_SIZE = 10_000   # elements of an inversion in ``cfbounds verify gen`` at 1e4 replications
 BOUND_ARRIVALS = 200        # the fig4 preset's arrivals, for the bounds' partitions
@@ -241,6 +245,19 @@ def time_trace(repeats: int, arrivals: int = TRACE_ARRIVALS) -> dict:
 
             out[name] = {**timed(call, repeats), "peak_mb": peak_mb(call),
                          "bytes": (Path(tmp) / "trace.json").stat().st_size}
+    return out
+
+
+def time_float_text(repeats: int) -> dict:
+    """Time per value of the JSON text of normal scores, by the byte
+    formatter and by ``float.__repr__``."""
+    out = {"repeats": repeats}
+    for n in FLOAT_TEXT_SIZES:
+        scores = 9.5 + np.random.default_rng(0).standard_normal(n)
+        calls = {"jsontext": lambda: "".join(_json_array(scores)),
+                 "repr": lambda: ", ".join(map(float.__repr__, scores.tolist()))}
+        out[str(n)] = {name: {key: round(us / n, 4) for key, us in timed(call, repeats).items()}
+                       for name, call in calls.items()}
     return out
 
 
@@ -388,6 +405,7 @@ def main() -> int:
         "conditioned": time_conditioned(opts.repeats),
         "gen_gap": time_gen_gap(opts.repeats),
         "trace": time_trace(opts.repeats),
+        "float_text": time_float_text(opts.repeats),
         "arrivals": time_arrivals(opts.repeats),
         "bounds": time_bounds(opts.repeats),
         "cost": time_cost(opts.repeats),

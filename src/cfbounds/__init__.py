@@ -12,6 +12,8 @@ Subpackage map:
   threshold training and the assembled generalization bound.
 * :mod:`cfbounds.simulate` -- the sequential admission process with
   bounded exploration and CSV score ingestion.
+* :mod:`cfbounds.jsontext` -- the trace writer's JSON text of numeric
+  arrays, formatted as bytes a block at a time.
 * :mod:`cfbounds.explore` -- exploration cost models and the
   benefit-minus-cost strategy optimizer.
 * :mod:`cfbounds.planar` -- two-dimensional linear-boundary extension.

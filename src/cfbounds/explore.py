@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+_SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,28 @@ def _scaled_tail_gap(u: float, v: float, w: float) -> float:
     return 0.5 * (erfcx(u / _SQRT2) - erfcx(v / _SQRT2) * np.exp(-0.5 * w * (u + v)))
 
 
+def _narrow_gap(m: float, w: float) -> float:
+    """exp(m^2/2) * (Phi(m + w/2) - Phi(m - w/2)) from its series in the
+    width w around the midpoint m, for w * max(1, |m|) below ``_NARROW``.
+
+    The mass is w phi(m) (1 + (m^2 - 1) w^2/24 + (m^4 - 6 m^2 + 3) w^4/1920
+    + ...), and the first dropped term is below 3e-16 of it there.
+    """
+    m2, w2 = m * m, w * w
+    series = 1.0 + (m2 - 1.0) * w2 / 24.0 + (m2 * m2 - 6.0 * m2 + 3.0) * w2 * w2 / 1920.0
+    return w * series / _SQRT2PI
+
+
+_NARROW = 1e-2      # below this w * max(1, |m|) the two tails' difference cancels
+
+
 def cost_single(lb: float, theta: float, epsilon: float, model: CostModel) -> float:
     """Expected exploration cost over [lb, theta) at frequency epsilon.
 
-    inf where the cost is beyond the float range.  The relative error is
-    below 1e-10 for theta - lb of at least 1e-3 sigma; narrower intervals
-    lose digits to the difference of the two Gaussian tails.
+    inf where the cost is beyond the float range.  A narrow interval,
+    (theta - lb) * max(1, |m|) below ``_NARROW`` sigma with m its midpoint
+    in the shifted z, takes its Gaussian mass from the series in its width
+    (``_narrow_gap``), where the difference of the two tails would cancel.
     """
     if not (np.isfinite(lb) and np.isfinite(theta)):
         raise ValueError(f"lb and theta must be finite, got lb={lb} theta={theta}")
@@ -81,14 +98,21 @@ def cost_single(lb: float, theta: float, epsilon: float, model: CostModel) -> fl
     s = sigma / model.c
     zl, zt = (lb - mu) / sigma, (theta - mu) / sigma
     a, b, w = zl + s, zt + s, (theta - lb) / sigma
+    m = 0.5 * (a + b)
+    narrow = w * max(1.0, abs(m)) < _NARROW
     # the integral is exp(log_scale) * mass, with exp(log_scale) sqrt(2 pi)
     # times the peak over [lb, theta] of the integrand in z
     if a > 0:       # the peak is at lb
-        log_scale, mass = (theta - lb) / model.c - 0.5 * zl * zl, _scaled_tail_gap(a, b, w)
+        log_scale = (theta - lb) / model.c - 0.5 * zl * zl
+        mass = (_narrow_gap(m, w) * np.exp(-0.25 * w * (a + m)) if narrow
+                else _scaled_tail_gap(a, b, w))
     elif b < 0:     # the peak is at theta
-        log_scale, mass = -0.5 * zt * zt, _scaled_tail_gap(-b, -a, w)
+        log_scale = -0.5 * zt * zt
+        mass = (_narrow_gap(m, w) * np.exp(0.25 * w * (b + m)) if narrow
+                else _scaled_tail_gap(-b, -a, w))
     else:           # the peak is at mu - sigma^2 / c, inside
-        log_scale, mass = (theta - mu) / model.c + 0.5 * s * s, ndtr(b) - ndtr(a)
+        log_scale = (theta - mu) / model.c + 0.5 * s * s
+        mass = _narrow_gap(m, w) * np.exp(-0.5 * m * m) if narrow else ndtr(b) - ndtr(a)
     with np.errstate(over="ignore", divide="ignore"):
         return epsilon * float(np.exp(log_scale + np.log(mass)))
 

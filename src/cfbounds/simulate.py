@@ -36,6 +36,7 @@ from .censored import (
 )
 from .classic import BoundValue
 from .generalization import optimal_threshold, sort_labeled
+from .jsontext import joined, json_cells
 from .rng import SeededRng
 from .stats import (
     EmpiricalCdf,
@@ -308,8 +309,9 @@ class SimulationTrace:
         non-finite threshold (``theta0``, ``final_theta`` and the thetas
         of ``threshold_history``) is the string ``"inf"`` or ``"-inf"``.
         Each array goes out ``_JSON_BLOCK`` values at a time, every block
-        formatting its distinct values once (``distinct_text``), so the text
-        of a long run is never held whole.
+        formatted to bytes by whole-array steps (``jsontext``) with no
+        ``str`` or ``repr`` call per value, so the text of a long run is
+        never held whole.
         """
         fh.writelines(self._json_pieces())
 
@@ -323,14 +325,14 @@ class SimulationTrace:
             "arrival_region": _json_array(self.arrival_region),
             "arrival_scores": _json_array(self.arrival_scores),
             "config": (json.dumps(self.config.to_dict(), sort_keys=True),),
-            "final_theta": _json_items(np.array([self.final_theta]), _JSON_THETAS),
+            "final_theta": (joined(json_cells(np.array([self.final_theta]), _JSON_THETAS)),),
             "initial0": _json_array(self.initial0),
             "initial1": _json_array(self.initial1),
             "initial_scores": _json_array(self.initial_scores),
-            "theta0": _json_items(np.array([self.theta0]), _JSON_THETAS),
-            "threshold_history": _json_array(times, items=lambda block: map(
-                "[{}, {}]".format, _json_items(times[block]),
-                _json_items(thetas[block], _JSON_THETAS))),
+            "theta0": (joined(json_cells(np.array([self.theta0]), _JSON_THETAS)),),
+            "threshold_history": _json_array(times, items=lambda block: joined(
+                b"[", json_cells(times[block], _JSON_FLOATS),
+                json_cells(thetas[block], _JSON_THETAS, end=b"], "))),
         }
         for i, key in enumerate(sorted(values)):
             yield f'{", " if i else "{"}"{key}": '
@@ -346,55 +348,20 @@ _JSON_COINS = {**_JSON_FLOATS, "nan": "null"}
 _JSON_THETAS = {**_JSON_FLOATS, "inf": '"inf"', "-inf": '"-inf"'}
 
 
-def distinct_text(values: np.ndarray, nonfinite: Optional[dict] = None) -> np.ndarray:
-    """``str`` of every ``.tolist()`` item of the 1-d numeric array
-    ``values``, as an object array of strings.
-
-    Each distinct value is formatted once and its text indexed back to
-    every place it occurs; float64 values are told apart by bit pattern,
-    so ``-0.0`` and NaN payloads stay apart.  ``nonfinite`` respells the
-    float texts ``"nan"``, ``"inf"`` and ``"-inf"``.
-    """
-    values = np.asarray(values)
-    floats = values.dtype == np.float64
-    keys, inverse = np.unique(values.view(np.int64) if floats else values,
-                              return_inverse=True)
-    if not floats:
-        return np.array(list(map(str, keys.tolist())), dtype=object)[inverse]
-    keys = keys.view(np.float64)
-    text = np.array(list(map(float.__repr__, keys.tolist())), dtype=object)
-    if nonfinite:
-        for i in np.flatnonzero(~np.isfinite(keys)):
-            text[i] = nonfinite[text[i]]
-    return text[inverse]
-
-
-_JSON_BOOLS = np.array(["false", "true"], dtype=object)
-
-
-def _json_items(values: np.ndarray, nonfinite: dict = _JSON_FLOATS) -> list[str]:
-    """The JSON text of each item of the 1-d array ``values``, as
-    ``json.dumps`` spells it, floats respelled by ``nonfinite``."""
-    if values.dtype == bool:
-        return _JSON_BOOLS[values.view(np.uint8)].tolist()
-    if values.dtype.kind == "f":
-        values = values.astype(np.float64, copy=False)
-    return distinct_text(values, nonfinite).tolist()
-
-
 def _json_array(values: np.ndarray, nonfinite: dict = _JSON_FLOATS, items=None):
     """The pieces of a JSON list of ``values``, ``_JSON_BLOCK`` items at a time.
 
-    ``items(block)`` gives a block's item texts; by default they are
-    ``_json_items(values[block], nonfinite)``.
+    ``items(block)`` gives a block's text; by default it is the
+    ``jsontext.json_cells`` of ``values[block]`` with floats respelled by
+    ``nonfinite``, joined.
     """
     if items is None:
-        items = lambda block: _json_items(values[block], nonfinite)     # noqa: E731
+        items = lambda block: joined(json_cells(values[block], nonfinite))     # noqa: E731
     yield "["
     for start in range(0, len(values), _JSON_BLOCK):
         if start:
             yield ", "
-        yield ", ".join(items(slice(start, start + _JSON_BLOCK)))
+        yield items(slice(start, start + _JSON_BLOCK))
     yield "]"
 
 

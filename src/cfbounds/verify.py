@@ -40,7 +40,7 @@ from .censored import (
 from .classic import dkw_eta, gc_eta, hoeffding_eta
 from .generalization import gen_bound_from_counts, threshold_risk, train_thresholds
 from .rng import SeededRng, splitmix64
-from .simulate import SimulationConfig, _count, distinct_text, finalize, run_simulation
+from .simulate import SimulationConfig, _count, finalize, run_simulation
 from .stats import GaussianCdf, sup_deviation
 
 __all__ = [
@@ -146,6 +146,19 @@ class TableReport:
         write_columns(path, self.columns, [self.column(name) for name in self.columns])
 
 
+def distinct_text(values: np.ndarray) -> np.ndarray:
+    """``repr`` of every value of the 1-d float64 array ``values``, as an
+    object array of strings.
+
+    Each distinct value is formatted once and its text indexed back to
+    every place it occurs; values are told apart by bit pattern, so
+    ``-0.0`` and NaN payloads stay apart.
+    """
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, keys.view(np.float64).tolist())), dtype=object)
+    return text[inverse]
+
+
 def write_columns(path, header: Sequence[str], columns) -> None:
     """Write equal-length ``columns`` under ``header`` as CSV at ``path``.
 
@@ -155,8 +168,9 @@ def write_columns(path, header: Sequence[str], columns) -> None:
     as ``str`` of its ``.tolist()`` item.  Each column goes through
     ``np.asarray``, so one that mixes ints and floats is written as
     floats.  A float64 column formats each distinct value once
-    (``distinct_text``, which ``trace.json`` shares); empirical CDFs are step
-    functions, so their columns repeat most values.
+    (``distinct_text``): empirical CDFs are step functions, so their
+    columns repeat most values, and on tables of a few hundred distinct
+    values this beats formatting every cell to bytes (``jsontext``).
     """
     cells = []
     for col in map(np.asarray, columns):

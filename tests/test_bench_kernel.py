@@ -64,6 +64,14 @@ def test_time_trace_writes_both_runs(bench_kernel):
         assert out[name]["bytes"] > 2000 * len("0.0, ")
 
 
+def test_time_float_text_times_both_formatters(bench_kernel):
+    out = bench_kernel.time_float_text(1)
+    assert out["repeats"] == 1 and set(out) == {"repeats", "8192", "50000"}
+    for size in ("8192", "50000"):
+        assert set(out[size]) == {"jsontext", "repr"}
+        assert all(t["median_us"] > 0 for t in out[size].values())
+
+
 def test_time_arrivals_times_every_run(bench_kernel):
     out = bench_kernel.time_arrivals(1)
     assert out["arrivals"] == 100_000 and out["repeats"] == 1

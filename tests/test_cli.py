@@ -216,6 +216,13 @@ class TestSimulateOutputBytes:
             "b8617e9980a91ed76e6bd085d1dc53f1b4cfd4c0a5e8b2c7251446e2f7994c47",
             "8aae05bc6997221ed01fbf682880fbbce8893723884d8518e87b20bb61d04dba"]
 
+    def test_adaptive_bench_run(self, capsys, tmp_path):
+        # perfbench's cli-session simulate_adaptive at seed 0: 50 000 distinct scores
+        config = bench_config(arrivals=50_000).to_dict() | {"theta": None, "retrain_every": 500}
+        assert self._digests(_simulate(capsys, tmp_path, config)) == [
+            "0c145c535f8b3510c900a84373bd94129d4cd40e40d2fdeb3a60fb5f3b2880e5",
+            "f6ebd84a93108599bd2aa71caf3617f6e7085effbef47de9c6f9e6c050699b90"]
+
     def test_arrivals_csv_run(self, capsys, tmp_path):
         # 9000 arrivals cross one block of the writer; lb = 6 draws coins
         stream = _arrivals_csv(tmp_path / "arrivals.csv", 9000, 2024)

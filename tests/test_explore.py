@@ -86,6 +86,16 @@ class TestCostSingle:
         want = 0.5 * mp_cost(-200.0, 8.0, 7.0, 3.0, 0.16)
         assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("width", [1.2e-8, 1.5e-13])
+    def test_narrow_interval_against_mpmath(self, width):
+        # theta - lb = width * sigma: the two Gaussian tails cancelled here,
+        # with relative errors of 7.7e-8 and 9.3e-4
+        lb, mean, stddev, c = -24.283796749009824, -0.2345, 24.04, 26.67
+        theta = lb + width * stddev
+        got = cost_single(lb, theta, 1.0, CostModel(c=c, f0=GaussianCdf(mean, stddev)))
+        want = mp_cost(lb, theta, mean, stddev, c)
+        assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
     def test_cost_beyond_the_float_range_is_inf(self):
         assert cost_single(1.0, 8.0, 0.5, _model(c=0.001)) == np.inf
 

@@ -309,14 +309,17 @@ def bound_three_region(part: RegionPartition, mass: MassSpec, epsilon, eta: floa
     return _bound_value(v1 + v2 + v3, t1 | t2 | t3)
 
 
-# Most bound evaluations in one round of ``eta_for_confidence``, which spends
-# 2^L - 1 of them per element to settle L bisection levels in one call.  A
-# bound call's fixed cost is about that of a thousand more elements in it
-# (70 µs for a scalar two-region call, 130 µs for 1000 elements), so deeper
-# rounds would cost more than the calls they save.
-_ROUND_ELEMENTS = 256
+# A scalar inversion settles _SCALAR_LEVELS bisection steps per bound call, at
+# the 2^L - 1 nodes of _FRACTIONS.  A call's fixed cost is about that of a
+# thousand more elements in it (70 µs for a scalar two-region call, 130 µs for
+# 1000 elements), so deeper rounds would cost more than the calls they save.
+_SCALAR_LEVELS = 8
+_FRACTIONS = np.arange(1, 2 ** _SCALAR_LEVELS) / 2 ** _SCALAR_LEVELS
 
-_ETA_MAX = 1.0      # sup |F - F_hat| <= 1, so a bound's inverse lies in [0, 1]
+# sup |F - F_hat| <= 1, so a bound's inverse lies in [0, 1].  _ETA_MAX must be
+# a power of two: then every bracket's ends are multiples of its width, itself
+# a power of two, so each midpoint and each node lo + (hi - lo) * f is exact.
+_ETA_MAX = 1.0
 _ETA_TOL = 1e-9     # the widest final bracket
 # the halvings of [0, _ETA_MAX] down to a bracket at most _ETA_TOL wide: 30
 _STEPS = math.ceil(math.log2(_ETA_MAX / _ETA_TOL))
@@ -334,92 +337,47 @@ def eta_for_confidence(bound: Callable[[float | np.ndarray], BoundValue], delta:
     bisection runs ``_STEPS`` steps, until the brackets are at most
     ``_ETA_TOL`` wide, and returns their upper ends.
 
-    ``bound`` must be elementwise in eta and broadcast a leading axis:
-    called with the scalar ``_ETA_MAX``, or with eta of shape ``s`` or
-    ``(K,) + s``, where ``s`` is the shape of its probability, it returns
-    a probability of eta's shape whose ``[j]`` is the probability at
-    ``eta[j]``.  Every bound of this module and
-    ``SimulationConfig.deviation_bound`` qualify.  Each round evaluates,
-    in one call, the 2^L - 1 midpoints that the next L serial bisection
-    steps can reach, each formed as ``0.5 * (lo + hi)`` from the bracket
-    ends a serial step would hold, and then replays those steps from the
-    table.  So the result equals serial bisection's, one bound call per
-    midpoint, for any such bound, monotone or not.  L keeps a call to
-    about 256 evaluations: 8 for a scalar bound, whose inversion then
-    makes 5 calls instead of 31, and 1, one call per step as in serial
-    bisection, for 256 elements or more.  A scalar bound's steps run on
-    Python floats (``_bisect_scalar``), not on 0-d arrays.
-
-    A bound whose probability is an array of shape ``s`` is bisected
-    elementwise, with the same midpoints per element as a scalar bound;
-    the result is then an array that holds NaN where the level is
-    unreachable.
+    ``bound`` must be elementwise in eta: called with the scalar
+    ``_ETA_MAX`` or with eta of shape ``s``, where ``s`` is the shape of its
+    probability, it returns a probability of eta's shape.  A bound whose
+    probability is an array is bisected elementwise, one bound call per
+    step, and the result is an array that holds NaN where the level is
+    unreachable.  A scalar bound must also broadcast eta of shape ``(K,)``:
+    each of its calls evaluates the 2^8 - 1 nodes that the next 8 steps can
+    reach, and the steps then replay on Python floats (``_bisect_scalar``),
+    so its inversion makes 5 calls instead of 31.  Either way the result
+    equals serial bisection's, one bound call per midpoint, for any such
+    bound, monotone or not.  Every bound of this module and
+    ``SimulationConfig.deviation_bound`` qualify.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     reachable = np.asarray(bound(_ETA_MAX).probability <= delta)
-    if reachable.ndim == 0 and not reachable:
-        return None
-    # the largest L with (2^L - 1) * size <= _ROUND_ELEMENTS, and at least 1
-    levels = max(1, (_ROUND_ELEMENTS // max(reachable.size, 1) + 1).bit_length() - 1)
-    width = 2 ** levels
     if reachable.ndim == 0:
-        return _bisect_scalar(bound, delta, width)
-    # nodes[0] and nodes[width] hold the bracket, updated in place; a round
-    # fills the rows between them with the midpoints of its next `levels`
-    # steps, each from the two nodes a serial step would hold as its bracket
-    nodes = np.empty((width + 1,) + reachable.shape)
-    nodes[0], nodes[width] = 0.0, _ETA_MAX
-    lo, hi = nodes[0, ...], nodes[width, ...]
-    table = None        # the decisions at the midpoints this round can still reach
+        return _bisect_scalar(bound, delta) if reachable else None
+    lo, hi = np.zeros(reachable.shape), np.full(reachable.shape, _ETA_MAX)
     for _ in range(_STEPS):
-        if table is None:
-            _fill_midpoints(nodes)
-            if width > 2:
-                table = bound(nodes[1:-1]).probability <= delta
-            else:
-                # a lone row goes in without its leading axis: numpy broadcasts
-                # a (1, n) operand against (n,) ones a few µs slower per operation
-                table = (bound(nodes[1]).probability <= delta)[None]
-        # this step's midpoint is the middle row; the step keeps one half
         mid = 0.5 * (lo + hi)
-        half = len(table) // 2
-        ok = table[half]
+        ok = bound(mid).probability <= delta
         np.copyto(hi, mid, where=ok)
         np.copyto(lo, mid, where=~ok)
-        table = np.where(ok, table[:half], table[half + 1:]) if half else None
     return np.where(reachable, hi, np.nan)
 
 
-def _fill_midpoints(nodes: np.ndarray) -> None:
-    """Fill the rows between ``nodes[0]`` and ``nodes[-1]`` (2^L + 1 rows) with
-    the midpoints of L serial bisection steps from that bracket, each as
-    ``0.5 * (a + b)`` of the two nodes a serial step would hold as its bracket."""
-    step = len(nodes) - 1
-    while step > 1:
-        level = nodes[step // 2::step]
-        np.add(nodes[:-1:step], nodes[step::step], out=level)
-        level *= 0.5
-        step //= 2
+def _bisect_scalar(bound, delta: float) -> float:
+    """``eta_for_confidence`` of a reachable scalar bound, ``_SCALAR_LEVELS``
+    steps per bound call.
 
-
-def _bisect_scalar(bound, delta: float, width: int) -> float:
-    """``eta_for_confidence`` of a reachable scalar bound, ``width`` - 1
-    midpoints per bound call.
-
-    The same rounds, midpoints and steps as the array path, but each step
-    runs on Python floats: the bracket is two floats and a round's
-    decisions a list, of which each step keeps one half as a window of
-    indices.
+    A round evaluates the bound at every node of the bracket's dyadic grid,
+    ``lo + (hi - lo) * _FRACTIONS``; each of its steps then runs on Python
+    floats, keeping one half of the window of node indices its bracket still
+    spans, so that the window's middle is the step's midpoint.
     """
-    nodes = np.empty(width + 1)
     lo, hi, start, stop = 0.0, _ETA_MAX, 0, 0
     for _ in range(_STEPS):
         if start == stop:
-            nodes[0], nodes[width] = lo, hi
-            _fill_midpoints(nodes)
-            table = (bound(nodes[1:-1]).probability <= delta).tolist()
-            start, stop = 0, width - 1
+            table = (bound(lo + (hi - lo) * _FRACTIONS).probability <= delta).tolist()
+            start, stop = 0, len(table)
         # this step's midpoint is the middle of the window; the step keeps one half
         mid = 0.5 * (lo + hi)
         middle = (start + stop) // 2

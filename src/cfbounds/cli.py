@@ -20,6 +20,7 @@ or another runtime error; 3 verification violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -49,6 +50,7 @@ from .explore import BoundContext, CostModel, default_eps_grid, optimize_explora
 from .generalization import gen_bound_from_counts
 from .planar import bound_2d_three_region, bound_2d_two_region
 from .presets import REPRODUCERS, fig1_config, fig2_config, reproduce
+from .rng import check_seed
 from .simulate import SimulationConfig, finalize, ingest_scores, run_simulation
 from .stats import GaussianCdf
 from .verify import mc_cdf_deviation, mc_gen_gap, write_columns
@@ -196,6 +198,7 @@ def _cmd_optimize(args) -> int:
 
     population = GaussianCdf(args.pop_mean, args.pop_std)
     if args.exact_mass:
+        check_seed(args.seed)       # no stream is drawn, so nothing else checks it
         samples = None
     else:
         samples = tuple(
@@ -410,9 +413,14 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser ``main`` uses, built on its first call and then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:

@@ -27,7 +27,7 @@ from .censored import (
 )
 from .classic import dkw_bound, dkw_eta, gc_eta, vc_eta
 from .explore import BoundContext, CostModel, default_eps_grid, optimize_exploration
-from .rng import splitmix64
+from .rng import check_seed, splitmix64
 from .simulate import REGION_EXPLORE, SimulationConfig, finalize, run_simulation
 from .stats import GaussianCdf, MixtureModel, RestrictedCdf
 from .verify import compare_bounds, write_columns
@@ -362,6 +362,8 @@ def reproduce(name: str, outdir, seed: Optional[int] = None) -> dict:
     """Run one named preset, writing its CSVs into ``outdir``."""
     if name not in REPRODUCERS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(REPRODUCERS)}")
+    if seed is not None:
+        check_seed(seed)        # before the output directory is made
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fn = REPRODUCERS[name]

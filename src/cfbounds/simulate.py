@@ -37,7 +37,7 @@ from .censored import (
 from .classic import BoundValue
 from .generalization import optimal_threshold, sort_labeled
 from .jsontext import joined, json_cells
-from .rng import SeededRng
+from .rng import SeededRng, check_seed
 from .stats import (
     EmpiricalCdf,
     GaussianCdf,
@@ -108,6 +108,7 @@ class SimulationConfig:
             raise ValueError("a piecewise CDF table must start at p = 0 and end at p = 1")
         if self.arrivals < 0:
             raise ValueError("arrivals must be nonnegative")
+        object.__setattr__(self, "seed", check_seed(self.seed))
         if self.retrain_every is not None and self.retrain_every < 1:
             raise ValueError("retrain batch size must be >= 1")
         if any(v is not None and not math.isfinite(v) for v in (self.theta, self.lb)):
@@ -147,8 +148,8 @@ class SimulationConfig:
         """The true region masses alpha = F(theta) and, with ``lb``, beta = F(lb).
 
         Computed once per config: an ``eta_for_confidence`` inversion
-        evaluates the bound 5 times for a scalar partition, and some 30
-        times for an array of 256 or more.  The value lives in the
+        evaluates the bound 5 times for a scalar partition, and 31 times
+        for an array.  The value lives in the
         instance's ``__dict__``, which ``dataclasses.replace`` does not copy.
         """
         alpha = float(self.population.cdf(self.theta))

@@ -423,10 +423,11 @@ class TestEtaForConfidence:
         # the reachability call at hi, then 255 midpoints per round
         assert calls[0] == () and set(calls[1:]) == {(255,)}
 
-    def test_large_array_settles_one_level_per_call(self):
-        # 256 elements or more: one midpoint per element and call, passed
+    @pytest.mark.parametrize("size", [1, 2, 7, 85, 255, 300])
+    def test_large_array_settles_one_level_per_call(self, size):
+        # an array of any size: one midpoint per element and call, passed
         # without a leading axis, as serial bisection makes them
-        part = RegionPartition(n=50, m=24, k=np.arange(300))
+        part = RegionPartition(n=50, m=24, k=np.arange(size))
         mass = MassSpec.theoretical(0.5)
         calls = []
 
@@ -438,7 +439,7 @@ class TestEtaForConfidence:
         serial_calls = []
         serial_eta(lambda e: serial_calls.append(1) or bound_two_region(part, mass, e), 0.015)
         assert len(calls) == len(serial_calls) == 31
-        assert calls[0] == () and set(calls[1:]) == {(300,)}
+        assert calls[0] == () and set(calls[1:]) == {(size,)}
 
 
 class TestProp1:

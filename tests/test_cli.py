@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cfbounds import cli
 from cfbounds.cli import main
 from cfbounds.presets import bench_config, fig4_config
 
@@ -399,6 +400,65 @@ class TestOptimizeCommand:
         assert code == 2
         assert out == "" and err.startswith("error:")
         assert not (tmp_path / "o").exists()
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--config", "CONFIG"],
+        ["reproduce", "fig1"],
+        ["optimize", "--c", "5", "--lb", "6", "--eps-step", "0.25"],
+        ["optimize", "--c", "5", "--lb", "6", "--eps-step", "0.25", "--exact-mass"],
+        ["verify", "cdf", "--preset", "fig1", "-R", "100"],
+        ["verify", "gen", "--preset", "bench", "-R", "100"],
+    ], ids=["simulate", "reproduce", "optimize", "optimize-exact-mass", "verify-cdf",
+            "verify-gen"])
+    def test_seed_outside_range_exit_code(self, capsys, tmp_path, command, seed):
+        # a seed is not wrapped into [0, 2^64): -1 would draw 2^64 - 1's stream
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(fig4_config(0.5).to_dict()))
+        argv = [str(cfg) if arg == "CONFIG" else arg for arg in command]
+        code, out, err = run_cli(capsys, *argv, "--seed", seed, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert out == "" and err.startswith("error: seed must be an integer in [0, 2^64)")
+        assert not (tmp_path / "o").exists()
+
+    def test_config_seed_outside_range_exit_code(self, capsys, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**fig4_config(0.5).to_dict(), "seed": -1}))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg),
+                                 "--out", str(tmp_path / "o"))
+        assert code == 2 and out == "" and "[0, 2^64)" in err
+        assert not (tmp_path / "o").exists()
+
+
+class TestParserReuse:
+    def test_repeated_calls_match_fresh_ones(self, capsys, tmp_path):
+        # main builds its parser once per process; a usage error between two
+        # good calls must leave nothing behind for the next call
+        calls = [["bound", "dkw", "--n", "100", "--eta", "0.1"],
+                 ["bound", "dkw", "--n", "100"],
+                 ["bound", "two-region", "--n", "50", "--m", "24", "--alpha", "0.5",
+                  "--eta", "0.3"],
+                 ["bound", "dkw", "--n", "100", "--eta", "0.1"]]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code,) + tuple(capsys.readouterr())
+
+        cli._parser.cache_clear()
+        shared = [outcome(argv) for argv in calls]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 1, 0, 0]
+        assert shared[0] == shared[3] and shared[1][2].startswith("usage: cfbounds")
 
 
 class TestReproduceDeterminism:

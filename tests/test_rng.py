@@ -42,3 +42,36 @@ def test_generator_restarts_fresh():
     first = rng.generator().random(4)
     second = rng.generator().random(4)
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("value", [-1, 2**64, True, 1.0, "3", np.int64(-1)])
+def test_seed_outside_range_rejected(value):
+    # a masked seed would draw another seed's stream: -1 that of 2^64 - 1
+    with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+        SeededRng(value)
+    with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+        SeededRng(0, value)
+    with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+        splitmix64(value)
+
+
+def test_seed_range_ends_accepted():
+    assert SeededRng(2**64 - 1, 2**64 - 1).state() == splitmix64(0)
+    assert splitmix64(2**64 - 1) == splitmix64(np.uint64(2**64 - 1))
+
+
+def test_numpy_integer_seeds_are_python_ints():
+    rng = SeededRng(np.int64(7), np.uint64(3))
+    assert type(rng.seed) is int and type(rng.stream) is int
+    assert rng == SeededRng(7, 3)
+    assert np.array_equal(rng.generator().random(8), SeededRng(7, 3).generator().random(8))
+
+
+def test_user_seed_entry_points_check_the_range():
+    from cfbounds.presets import fig1_config, run_seeds
+
+    with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+        fig1_config(seed=-1)
+    with pytest.raises(ValueError, match=r"\[0, 2\^64\)"):
+        run_seeds(2**64, 3)
+    assert fig1_config(seed=np.uint64(5)).to_dict() == fig1_config(seed=5).to_dict()
